@@ -68,7 +68,6 @@ from repro.inferserve import (
     ServingOutcome,
     TraceConfig,
     execute_serving,
-    search_serving_setpoint,
 )
 from repro.models.catalog import TABLE1_MODELS, get_model, model_names
 from repro.models.config import ModelConfig, MoEConfig
@@ -128,7 +127,6 @@ __all__ = [
     "run_inference",
     "run_sweep",
     "run_training",
-    "search_serving_setpoint",
     "submit",
     "submit_many",
     "valid_configs",

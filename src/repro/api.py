@@ -31,11 +31,9 @@ validation, serialisation, and digest idioms, accepted by
 ``python -m repro optimize`` alike (docs/optimize.md).
 
 The historical entrypoints (``run_training``, ``run_inference``,
-``cached_run_training``, ``cached_run_inference``, and the setpoint
-searches ``powerctl.search_energy_optimal``, ``powerctl.sweep_setpoints``,
-``inferserve.search_serving_setpoint``) remain importable as thin
-deprecation shims over this module and :mod:`repro.optimize`; see
-docs/api.md for the migration table.
+``cached_run_training``, ``cached_run_inference``) remain importable as
+thin deprecation shims over this module; see docs/api.md for the
+migration table.
 """
 
 from __future__ import annotations
@@ -828,13 +826,6 @@ _LEGACY_REPLACEMENTS = {
         "repro.inferserve.compare_routers",
     "inference.serving.simulate_serving":
         "repro.inferserve.simulate_static_routing",
-    "powerctl.search_energy_optimal":
-        "repro.optimize.optimize_setpoint (or repro.api.submit("
-        "OptimizeRequest(...)) for the joint search)",
-    "powerctl.sweep_setpoints": "repro.optimize.evaluate_setpoints",
-    "inferserve.search_serving_setpoint":
-        "repro.optimize.optimize_serving_setpoint (or repro.api.submit("
-        "OptimizeRequest(kind='serving', ...)) for the joint search)",
 }
 
 _warned: set[str] = set()

@@ -24,10 +24,11 @@ per point. This module evaluates such a grid in three phases:
 3. **Reconstruction + certification**: per config, the lane's true heap
    pop order is derived by sorting event times with the serial heap's
    tie-break (push order, itself recovered from the anchor's causal
-   structure), then the real
-   :class:`~repro.engine.physics.VectorPhysics` / ``PowerVector`` pair
-   is driven over the replayed activity timeline on the shared
-   step-boundary grid — bit-for-bit the serial arithmetic. Each lane is
+   structure), then the simulator's own
+   :class:`~repro.engine.physics.VectorPhysics` / ``PowerVector`` pair,
+   built with one lane per config, is driven over the replayed activity
+   timeline on the shared step-boundary grid — bit-for-bit the serial
+   arithmetic, with no physics code of its own. Each lane is
    certified: every event must strictly follow the pop that pushed it,
    NIC-contention operations must keep their per-node order (shares are
    pure functions of per-node counters), each collective's last-arriving
@@ -61,7 +62,7 @@ from repro.core.results import RunResult
 from repro.core.store import persistence_enabled, result_store
 from repro.engine.builder import build_inference_graph, build_training_graph
 from repro.engine.kernels import KernelKind, KernelRecord
-from repro.engine.physics import VectorPhysics
+from repro.engine.physics import PowerVector, VectorPhysics
 from repro.engine.simulator import EPS, SimOutcome, SimSettings, Simulator
 from repro.engine.task import Task, TaskKind
 from repro.optimizations.overlap import (
@@ -867,76 +868,52 @@ class _ReplayOutput:
     def prepare(self, settings_list: list[SimSettings]) -> None:
         """One lane-batched physics pass shared by every reconstruct.
 
-        The thermal propagator, node power cap and governor chain are
-        elementwise numpy (plus a per-slice matmul, which evaluates each
-        lane's rows through the identical dgemm), so prepending a lane
-        axis advances the whole grid together while every lane's floats
-        stay bit-identical to a serial :class:`VectorPhysics` walk. The
-        serial governor's lazy-stats settle timing (fold on full-path
-        steps only, skip while the hold is empty) is replicated per
-        lane, so throttle/mean-frequency integrals also match bitwise.
-        Lanes where the governed clock leaves the effective ceiling —
-        a power cap or thermal throttle engaging, which the closed-form
-        event times cannot represent — are flagged; reconstruct rejects
-        them and the caller falls back to a plain per-config run.
+        Steps one :class:`VectorPhysics` / :class:`PowerVector` pair,
+        one lane per config, over the replayed activity timeline on the
+        shared step-boundary grid, so every lane performs the serial
+        simulator's float operations. A lane whose run ends earlier is
+        frozen (``active``) while longer lanes keep stepping, then takes
+        its final partial step alone. Lanes where the governed clock
+        leaves the effective ceiling — a power cap or thermal throttle
+        engaging, which the closed-form event times cannot represent —
+        are flagged; reconstruct rejects them and the caller falls back
+        to a plain per-config run.
         """
-        r = self._r
-        C = r.C
+        C = self._r.C
         cluster = self._anchor.cluster
-        gpu = cluster.node.gpu
         G = self._num_gpus
         settings0 = settings_list[0] if settings_list else SimSettings()
         dt = settings0.physics_dt_s
-        template = VectorPhysics(cluster, settings0.faults)
-        n, g = template._n, template._g
-        preheat_t = template._preheat_matrix.T
-        inlet_base = template._inlet_base
-        r_total = template._r_total
-        r_sink = template._r_sink_air
-        budget = template._budget
-        ceiling = template._ceiling
-        floor = template._floor
-        t_throttle = template._throttle_temp
-        pv_idle = gpu.idle_watts
-        pv_span = gpu.tdp_watts - gpu.idle_watts
+        physics = VectorPhysics(cluster, settings0.faults, lanes=C)
+        power = PowerVector(cluster, lanes=C)
 
         ok = np.ones(C, dtype=bool)
 
-        # Per-lane effective ceilings/floors (uniform static setpoints).
+        # Per-lane setpoint ceilings and prewarm power, applied as
+        # Simulator.run applies them (a ceiling of 1.0 leaves the
+        # hardware ceiling unchanged).
         runtimes = [
             build_runtime(s.power_control, cluster) for s in settings_list
         ]
-        effc = np.empty((C, n, g))
-        efff = np.empty((C, n, g))
+        setpoints = np.ones((C, G))
         for lane, runtime in enumerate(runtimes):
             initial = (
                 runtime.initial_setpoints() if runtime is not None else None
             )
             if initial is not None:
-                sp = np.asarray(initial, dtype=float).reshape(n, g)
-                effc[lane] = np.minimum(ceiling, sp)
-            else:
-                effc[lane] = np.broadcast_to(ceiling, (n, g))
-            efff[lane] = np.minimum(floor, effc[lane])
-
-        # Initial temperatures (prewarm steady state per lane).
-        die = np.empty((C, n, g))
-        sink = np.empty((C, n, g))
+                setpoints[lane] = initial
+        physics.set_setpoints(setpoints)
         if settings0.thermal_prewarm:
             busy = Activity(compute=settings0.prewarm_busy_fraction)
-            for lane, runtime in enumerate(runtimes):
-                freq0 = 1.0
-                if runtime is not None:
-                    freq0 = float(np.mean(runtime.setpoints))
-                watts = gpu_power(gpu, busy, freq0)
-                powers2 = np.full((n, g), watts)
-                inlets = inlet_base + powers2 @ preheat_t
-                die[lane] = inlets + powers2 * r_total
-                sink[lane] = inlets + powers2 * r_sink
-        else:
-            idle = np.broadcast_to(inlet_base, (n, g))
-            die[:] = idle
-            sink[:] = idle
+            physics.prewarm([
+                gpu_power(
+                    cluster.node.gpu,
+                    busy,
+                    1.0 if runtime is None
+                    else float(np.mean(runtime.setpoints)),
+                )
+                for runtime in runtimes
+            ])
 
         boundaries = self._boundaries
         steps_arr = (
@@ -1011,189 +988,49 @@ class _ReplayOutput:
             if SP else np.zeros(C, dtype=np.int64)
         )
 
-        freq = np.ones((C, n, g))
-        freq_seen = np.ones((C, G))
-        freq_pow = np.ones((C, G))
-        at_ceiling = np.zeros(C, dtype=bool)
-        hold = np.zeros(C)
-        integral = np.zeros((C, n, g))
-        thr_time = np.zeros((C, n, g))
-        thr_mask = np.zeros((C, n, g))
-
-        def clamp01(values):
-            return np.minimum(np.maximum(values, 0.0), 1.0)
-
-        from repro.engine.physics import (
-            COMM_INTENSITY,
-            COMPUTE_INTENSITY,
-            FREQ_POWER_EXP,
-            HYSTERESIS_C,
-            MEMORY_INTENSITY,
-            RECOVERY_STEP,
-            THROTTLE_GAIN_PER_C,
-        )
-
+        # Full steps on the shared grid. The clock-equals-closed-form
+        # certificate is checked after every step a lane takes.
         si = 0
         for j in range(S):
-            intensity = clamp01(
-                COMPUTE_INTENSITY * clamp01(comp[:, j])
-                + COMM_INTENSITY * clamp01(comm[:, j])
-                + MEMORY_INTENSITY * clamp01(mem[:, j])
-            )
-            flat = freq.reshape(C, G)
-            changed = flat != freq_seen
-            if changed.any():
-                freq_pow[changed] = flat[changed] ** FREQ_POWER_EXP
-                freq_seen = flat.copy()
-            powers = pv_idle + pv_span * intensity * freq_pow
-            p3 = powers.reshape(C, n, g)
-            inlets = inlet_base + p3 @ preheat_t
-            die_eq = inlets + p3 * r_total
-            sink_eq = inlets + p3 * r_sink
-            total = p3.sum(axis=2)
-            over = total > budget
-            cap = np.where(
-                over, budget / np.maximum(total, 1e-12), 1.0
-            )[:, :, None]
-            capped = over.any(axis=1)
-            p00, p01, p10, p11 = template._propagator(dt)
-            die_dev = die - die_eq
-            sink_dev = sink - sink_eq
-            die = die_eq + p00 * die_dev + p01 * sink_dev
-            sink = sink_eq + p10 * die_dev + p11 * sink_dev
-            hot = (die > t_throttle).any(axis=(1, 2))
+            power.refresh_intensity(comp[:, j], comm[:, j], mem[:, j])
+            powers = power.powers(physics.freq_flat)
             active = j < steps_arr
-            full = active & ~(at_ceiling & ~capped & ~hot)
-            if full.any():
-                fold = full & (hold != 0.0)
-                if fold.any():
-                    integral[fold] += freq[fold] * hold[fold, None, None]
-                    thr_time[fold] += (
-                        thr_mask[fold] * hold[fold, None, None]
-                    )
-                    hold[fold] = 0.0
-                excess = die - t_throttle
-                ratio = np.where(
-                    excess > 0,
-                    freq - THROTTLE_GAIN_PER_C * excess,
-                    np.where(
-                        die < t_throttle - HYSTERESIS_C,
-                        freq + RECOVERY_STEP,
-                        freq,
-                    ),
-                )
-                ratio = np.minimum(
-                    np.maximum(ratio * cap, efff), effc
-                )
-                freq[full] = ratio[full]
-                at_ceiling[full] = np.all(
-                    ratio == effc, axis=(1, 2)
-                )[full]
-                thr_mask[full] = (ratio < 1.0 - 1e-9)[full]
-            hold[active] += dt
-            ok &= ~(active & np.any(freq != effc, axis=(1, 2)))
+            physics.step(dt, powers, active)
+            ok &= ~(active & physics.off_ceiling())
             if si < SP and sample_j[si] == j:
                 stash_pow[:, si] = powers
-                stash_die[:, si] = die.reshape(C, G)
-                stash_freq[:, si] = freq.reshape(C, G)
+                stash_die[:, si] = physics.die_c.reshape(C, G)
+                stash_freq[:, si] = physics.freq_flat
                 si += 1
 
-        # Serial observed-time accumulation: one += dt per step.
-        seq = np.empty(S + 1)
-        seq[0] = 0.0
-        acc = 0.0
-        for k in range(S):
-            acc += dt
-            seq[k + 1] = acc
-
-        # Final partial step, stats settle and ratios, per lane.
-        final_inten = clamp01(
-            COMPUTE_INTENSITY * clamp01(final_c)
-            + COMM_INTENSITY * clamp01(final_m)
-            + MEMORY_INTENSITY * clamp01(final_mem)
-        )
+        # Final partial step (one lane at a time: each lane's remainder
+        # is its own dt), then the lane's throttle/clock ratios.
+        power.refresh_intensity(final_c, final_m, final_mem)
+        lanes = np.arange(C)
         final_rows: dict[int, tuple] = {}
         throttle: list[list[float] | None] = [None] * C
         mean_freq: list[list[float] | None] = [None] * C
-        for lane in range(C):
-            if not ok[lane]:
-                continue
+        for lane in np.flatnonzero(ok).tolist():
             sl = int(steps_arr[lane])
             phys_time = float(boundaries[sl])
-            observed = seq[sl]
             remaining = float(self.makespans[lane]) - phys_time
             if remaining > 1e-9:
-                flat = freq[lane].reshape(-1)
-                ch = flat != freq_seen[lane]
-                if ch.any():
-                    freq_pow[lane][ch] = flat[ch] ** FREQ_POWER_EXP
-                    freq_seen[lane] = flat.copy()
-                powers1 = pv_idle + pv_span * final_inten * freq_pow[lane]
-                p2 = powers1.reshape(n, g)
-                inlets = inlet_base + p2 @ preheat_t
-                die_eq = inlets + p2 * r_total
-                sink_eq = inlets + p2 * r_sink
-                total = p2.sum(axis=1)
-                over = total > budget
-                capped = bool(over.any())
-                cap = np.where(
-                    over, budget / np.maximum(total, 1e-12), 1.0
-                )[:, None]
-                p00, p01, p10, p11 = template._propagator(remaining)
-                die_dev = die[lane] - die_eq
-                sink_dev = sink[lane] - sink_eq
-                die[lane] = die_eq + p00 * die_dev + p01 * sink_dev
-                sink[lane] = sink_eq + p10 * die_dev + p11 * sink_dev
-                hot = bool((die[lane] > t_throttle).any())
-                if not (at_ceiling[lane] and not capped and not hot):
-                    if hold[lane]:
-                        integral[lane] += freq[lane] * hold[lane]
-                        thr_time[lane] += thr_mask[lane] * hold[lane]
-                        hold[lane] = 0.0
-                    excess = die[lane] - t_throttle
-                    ratio = np.where(
-                        excess > 0,
-                        freq[lane] - THROTTLE_GAIN_PER_C * excess,
-                        np.where(
-                            die[lane] < t_throttle - HYSTERESIS_C,
-                            freq[lane] + RECOVERY_STEP,
-                            freq[lane],
-                        ),
-                    )
-                    ratio = np.minimum(
-                        np.maximum(ratio * cap, efff[lane]), effc[lane]
-                    )
-                    freq[lane] = ratio
-                    at_ceiling[lane] = bool((ratio == effc[lane]).all())
-                    thr_mask[lane] = ratio < 1.0 - 1e-9
-                phys_time += remaining
-                observed = observed + remaining
-                hold[lane] += remaining
-                if np.any(freq[lane] != effc[lane]):
+                powers = power.powers(physics.freq_flat)
+                physics.step(remaining, powers, lanes == lane)
+                if physics.off_ceiling()[lane]:
                     ok[lane] = False
                     continue
+                phys_time += remaining
                 next_sample = self._next_samples[sl - 1] if sl else 0.0
                 if phys_time >= next_sample:
                     final_rows[lane] = (
                         phys_time,
-                        powers1,
-                        die[lane].reshape(-1).copy(),
-                        freq[lane].reshape(-1).copy(),
+                        powers[lane],
+                        physics.die_c[lane].reshape(-1).copy(),
+                        physics.freq_flat[lane].copy(),
                     )
-            if observed == 0.0:
-                throttle[lane] = [0.0] * G
-                mean_freq[lane] = [1.0] * G
-                continue
-            if hold[lane]:
-                integral[lane] += freq[lane] * hold[lane]
-                thr_time[lane] += thr_mask[lane] * hold[lane]
-                hold[lane] = 0.0
-            throttle[lane] = (
-                thr_time[lane] / observed
-            ).reshape(-1).tolist()
-            mean_freq[lane] = (
-                integral[lane] / observed
-            ).reshape(-1).tolist()
+            throttle[lane] = physics.throttle_ratios(lane)
+            mean_freq[lane] = physics.mean_freq_ratios(lane)
 
         self._prep = {
             "ok": ok,

@@ -10,21 +10,33 @@ node at a fixed step. Two interchangeable backends implement that loop:
   kept both as a differential-testing oracle and as the baseline the
   perf-regression benchmark measures speedups against.
 
-* :class:`VectorPhysics` — the hot path. All nodes are stacked into
-  ``(num_nodes, gpus_per_node)`` numpy arrays and the whole cluster is
-  advanced with a handful of vectorized operations per step: inlet
-  temperatures via a precomputed upstream-airflow matrix, the exact
-  2x2 matrix-exponential propagator applied to every (die, heatsink)
-  pair at once, and a vectorized governor (power cap, throttle,
-  recovery, clamp). Clock exponentiation (``freq ** 2.4``, the single
-  most expensive scalar in the loop) is cached per GPU and recomputed
-  only where the clock actually changed since the previous step.
+* :class:`VectorPhysics` (with :class:`PowerVector`) — the hot path,
+  and the only physics stepper of the fast path. State is stacked into
+  ``(lanes, num_nodes, gpus_per_node)`` numpy arrays and advanced with
+  a handful of vectorized operations per step: inlet temperatures via a
+  precomputed upstream-airflow matrix, the exact 2x2 matrix-exponential
+  propagator applied to every (die, heatsink) pair at once, and a
+  vectorized governor (power cap, throttle, recovery, clamp). Clock
+  exponentiation (``freq ** 2.4``, the single most expensive scalar in
+  the loop) is cached per GPU and recomputed only where the clock
+  actually changed since the previous step.
+
+  Each lane is an independent copy of the cluster. Per lane: die and
+  heatsink temperatures, clocks, setpoint ceilings and floors, the
+  prewarm power, the governor's quiet-path flag, the observed time and
+  the pending stats hold (with the throttle/clock integrals). Shared by
+  all lanes: the hardware, the fault knobs (node budgets, clock limits,
+  inlet offsets) and the propagator cache. The simulator steps one lane;
+  :mod:`repro.engine.batched` steps one lane per replayed config, with
+  an ``active`` mask that freezes lanes whose run has ended.
 
 Both backends expose the same small surface the simulator needs:
-``prewarm``, ``step``, ``freq_of``/``freqs``, ``temps``,
+``prewarm``, ``step``, ``freq_of``/``temp_of``, ``set_setpoints``,
 ``throttle_ratios`` and ``mean_freq_ratios``. Numerical results agree to
 floating-point noise (the vector path reorders some reductions);
-``tests/test_engine_physics.py`` pins the two together.
+``tests/test_engine_physics.py`` pins the two together, and
+``tests/test_physics_identity.py`` pins the vector path's output bit for
+bit.
 """
 
 from __future__ import annotations
@@ -163,14 +175,25 @@ class ScalarPhysics:
 
 
 class VectorPhysics:
-    """Vectorized backend: the whole cluster stepped as stacked arrays."""
+    """Vectorized backend: the whole cluster stepped as stacked arrays.
 
-    def __init__(self, cluster: ClusterSpec, faults: FaultSpec) -> None:
+    State carries a leading lane axis (see the module docstring for what
+    is per lane). Every operation is elementwise per lane (the airflow
+    matmul evaluates each lane's rows through the same dgemm), so lane
+    ``i`` of an ``L``-lane instance is bit-identical to a one-lane
+    instance fed lane ``i``'s inputs.
+    """
+
+    def __init__(
+        self, cluster: ClusterSpec, faults: FaultSpec, lanes: int = 1
+    ) -> None:
         self.cluster = cluster
         node = cluster.node
         gpu = node.gpu
         n, g = cluster.num_nodes, node.gpus_per_node
         self._n, self._g = n, g
+        self.lanes = lanes
+        self._shape = (lanes, n, g)
 
         # Airflow: inlet_i = ambient + offset_i + k * sum_{j up(i)} P_j,
         # expressed as a per-node (g, g) upstream matrix shared by all
@@ -184,18 +207,22 @@ class VectorPhysics:
             node.airflow.inlet_offset_c, dtype=float
         )
 
-        self._r_total = gpu.thermal_resistance_c_per_w
-        self._r_sink_air = self._r_total - gpu.die_resistance_c_per_w
+        # Die and heatsink temperatures are one stacked (2, lanes, n, g)
+        # array, so each thermal operation covers both nodes of the RC
+        # pair; the equilibrium offsets over the inlet are P * R.
+        r_total = gpu.thermal_resistance_c_per_w
+        r_sink_air = r_total - gpu.die_resistance_c_per_w
+        self._r_pair = np.array([r_total, r_sink_air]).reshape(2, 1, 1, 1)
         self._matrix = _system_matrix(node)
-        self._propagators: dict[float, tuple[float, ...]] = {}
+        self._propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._eq_cache: tuple | None = None
+        self._temps = np.broadcast_to(
+            self._inlet_base, (2,) + self._shape
+        ).copy()
 
-        idle = np.broadcast_to(self._inlet_base, (n, g)).copy()
-        self.die_c = idle.copy()
-        self.sink_c = idle.copy()
-
-        # Governor state and fault knobs, one row per node.
-        self.freq = np.ones((n, g))
+        # Governor state per lane; fault knobs are per node and shared
+        # by every lane.
+        self.freq = np.ones(self._shape)
         self._cap_scale = np.array(
             [faults.power_cap_scale(i) for i in range(n)]
         )
@@ -215,95 +242,115 @@ class VectorPhysics:
         self._eff_floor = self._floor
         self._throttle_temp = gpu.throttle_temp_c
 
-        self.throttled_time = np.zeros((n, g))
-        self.observed_time = 0.0
-        self.freq_integral = np.zeros((n, g))
-        # Governor quiet path: while every clock sits at its ceiling, no
-        # node is power-capped and no die is above the throttle point,
-        # the full where/clip chain is a no-op and is skipped.
-        self._at_ceiling = False
-        self._throttled_mask = np.zeros((n, g))
-        # Per-GPU stats accrue lazily: while the clocks hold still only
-        # the scalar _hold_dt advances, and the array integrals are
-        # settled when the clocks move or the stats are read.
-        self._hold_dt = 0.0
+        self.throttled_time = np.zeros(self._shape)
+        self.freq_integral = np.zeros(self._shape)
+        # Governor quiet path, per lane: while every clock sits at its
+        # ceiling, no node is power-capped and no die is above the
+        # throttle point, the full where/clip chain is a no-op and is
+        # skipped. _may_move marks lanes that must take the full chain
+        # (a clock off its ceiling, or a knob changed since).
+        self._may_move = np.ones(lanes, dtype=bool)
+        self._throttled_mask = np.zeros(self._shape, dtype=bool)
+        # Per-lane time accumulators, (2, lanes, 1, 1) so they scale
+        # lane arrays directly: row 0 is the observed time, row 1 the
+        # pending constant-clock hold. Per-GPU stats accrue lazily:
+        # while a lane's clocks hold still only its hold advances, and
+        # the array integrals are settled when the clocks move or the
+        # stats are read.
+        self._elapsed = np.zeros((2, lanes, 1, 1))
 
     # -- thermal helpers ------------------------------------------------
 
     def _inlets(self, powers: np.ndarray) -> np.ndarray:
         return self._inlet_base + powers @ self._preheat_matrix.T
 
-    def _propagator(self, dt_s: float) -> tuple[float, float, float, float]:
+    def _propagator(self, dt_s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Columns of ``expm(A dt)``, shaped to scale stacked deviations.
+
+        ``new = eq + col0 * dev[0] + col1 * dev[1]`` evaluates, per
+        node of the pair, ``eq + p_i0 * die_dev + p_i1 * sink_dev``.
+        """
         propagator = self._propagators.get(dt_s)
         if propagator is None:
             matrix = _expm_2x2(self._matrix, dt_s)
             propagator = (
-                float(matrix[0, 0]),
-                float(matrix[0, 1]),
-                float(matrix[1, 0]),
-                float(matrix[1, 1]),
+                matrix[:, 0].reshape(2, 1, 1, 1),
+                matrix[:, 1].reshape(2, 1, 1, 1),
             )
             self._propagators[dt_s] = propagator
         return propagator
 
-    def prewarm(self, power_w: float) -> None:
-        """Jump every GPU to the steady state of a uniform power draw."""
-        powers = np.full((self._n, self._g), power_w)
-        inlets = self._inlets(powers)
-        self.die_c = inlets + powers * self._r_total
-        self.sink_c = inlets + powers * self._r_sink_air
+    def prewarm(self, power_w) -> None:
+        """Jump every GPU to the steady state of a uniform power draw.
 
-    def step(self, dt_s: float, powers: np.ndarray) -> None:
+        Args:
+            power_w: board power per GPU, one scalar for every lane or
+                one value per lane.
+        """
+        powers = np.empty(self._shape)
+        powers[...] = np.reshape(power_w, (-1, 1, 1))
+        self._temps = self._inlets(powers) + powers * self._r_pair
+
+    def step(
+        self, dt_s: float, powers: np.ndarray, active: np.ndarray | None = None
+    ) -> None:
         """Advance thermal state and governor by ``dt_s``.
 
         Args:
             dt_s: integration step.
-            powers: per-GPU board powers held over the step, either flat
-                (global-GPU order) or ``(num_nodes, gpus_per_node)``.
+            powers: per-GPU board powers held over the step, ``(lanes,
+                num_gpus)`` in global-GPU order or ``(lanes, num_nodes,
+                gpus_per_node)``.
+            active: optional ``(lanes,)`` bool mask. An inactive lane
+                changes no state at all (temperatures, clocks, stats and
+                observed time are frozen); ``None`` steps every lane.
         """
-        powers = powers.reshape(self._n, self._g)
+        powers = powers.reshape(self._shape)
         # Equilibrium temperatures and the cap factor depend only on the
         # held powers; kernels start/finish far less often than physics
         # steps, so reuse them while powers are unchanged.
         cache = self._eq_cache
         if cache is not None and np.array_equal(powers, cache[0]):
-            die_eq, sink_eq, cap, capped = cache[1:]
+            eq, cap, capped = cache[1:]
         else:
-            inlets = self._inlets(powers)
-            die_eq = inlets + powers * self._r_total
-            sink_eq = inlets + powers * self._r_sink_air
-            total = powers.sum(axis=1)
+            eq = self._inlets(powers) + powers * self._r_pair
+            total = powers.sum(axis=2)
             over = total > self._budget
-            capped = bool(over.any())
+            capped = over.any(axis=1)
             cap = np.where(
                 over, self._budget / np.maximum(total, 1e-12), 1.0
-            )[:, None]
-            self._eq_cache = (powers.copy(), die_eq, sink_eq, cap, capped)
+            )[:, :, None]
+            self._eq_cache = (powers.copy(), eq, cap, capped)
 
         # Thermal: exact propagator toward the step's equilibrium.
-        p00, p01, p10, p11 = self._propagator(dt_s)
-        die_dev = self.die_c - die_eq
-        sink_dev = self.sink_c - sink_eq
-        self.die_c = die_eq + p00 * die_dev + p01 * sink_dev
-        self.sink_c = sink_eq + p10 * die_dev + p11 * sink_dev
+        col0, col1 = self._propagator(dt_s)
+        dev = self._temps - eq
+        temps = eq + col0 * dev[0] + col1 * dev[1]
+        if active is not None:
+            temps = np.where(active[:, None, None], temps, self._temps)
+        self._temps = temps
+        die = temps[0]
 
-        # Governor: node power cap, then per-GPU throttle/recovery.
-        if (
-            self._at_ceiling
-            and not capped
-            and not (self.die_c > self._throttle_temp).any()
-        ):
-            # Quiet path: throttle, recovery, cap and clamp all leave
-            # the clocks exactly where they are.
-            ratio = self.freq
-        else:
-            self._settle_stats()
-            excess = self.die_c - self._throttle_temp
+        # Governor: node power cap, then per-GPU throttle/recovery. A
+        # quiet lane (throttle, recovery, cap and clamp would all leave
+        # its clocks exactly where they are) skips the chain. The lane
+        # flags are few, so any/all run on Python lists, which is
+        # cheaper than numpy reductions at this size.
+        full = self._may_move | capped
+        if not all(full.tolist()) and die.max() > self._throttle_temp:
+            full |= (die > self._throttle_temp).any(axis=(1, 2))
+        if active is not None:
+            full &= active
+        flags = full.tolist()
+        if any(flags):
+            every = all(flags)
+            self._settle_stats(None if every else full)
+            excess = die - self._throttle_temp
             ratio = np.where(
                 excess > 0,
                 self.freq - THROTTLE_GAIN_PER_C * excess,
                 np.where(
-                    self.die_c < self._throttle_temp - HYSTERESIS_C,
+                    die < self._throttle_temp - HYSTERESIS_C,
                     self.freq + RECOVERY_STEP,
                     self.freq,
                 ),
@@ -311,19 +358,45 @@ class VectorPhysics:
             ratio = np.minimum(
                 np.maximum(ratio * cap, self._eff_floor), self._eff_ceiling
             )
+            may_move = (ratio != self._eff_ceiling).any(axis=(1, 2))
+            throttled = ratio < 1.0 - 1e-9
+            if not every:
+                # Quiet and inactive lanes keep their governor state.
+                lane3 = full[:, None, None]
+                ratio = np.where(lane3, ratio, self.freq)
+                may_move = np.where(full, may_move, self._may_move)
+                throttled = np.where(lane3, throttled, self._throttled_mask)
             self.freq = ratio
-            self._at_ceiling = bool((ratio == self._eff_ceiling).all())
-            self._throttled_mask = ratio < 1.0 - 1e-9
+            self._may_move = may_move
+            self._throttled_mask = throttled
 
-        self.observed_time += dt_s
-        self._hold_dt += dt_s
+        if active is None:
+            self._elapsed += dt_s
+        else:
+            self._elapsed += np.where(active[:, None, None], dt_s, 0.0)
 
-    def _settle_stats(self) -> None:
-        """Fold the pending constant-clock interval into the integrals."""
-        if self._hold_dt:
-            self.freq_integral += self.freq * self._hold_dt
-            self.throttled_time += self._throttled_mask * self._hold_dt
-            self._hold_dt = 0.0
+    @property
+    def observed_time(self) -> np.ndarray:
+        """Per-lane simulated time stepped so far, ``(lanes,)``."""
+        return self._elapsed[0].reshape(-1)
+
+    def _settle_stats(self, lanes: np.ndarray | None = None) -> None:
+        """Fold lanes' pending constant-clock intervals into the integrals.
+
+        Args:
+            lanes: optional ``(lanes,)`` bool mask of the lanes to
+                settle; ``None`` settles every lane. Unselected lanes,
+                like lanes with nothing pending, add an exact zero.
+        """
+        hold = self._elapsed[1]
+        if lanes is not None:
+            hold = hold * lanes[:, None, None]
+        self.freq_integral += self.freq * hold
+        self.throttled_time += self._throttled_mask * hold
+        if lanes is None:
+            self._elapsed[1] = 0.0
+        else:
+            self._elapsed[1] -= hold
 
     def set_setpoints(self, setpoints) -> None:
         """Apply per-GPU clock ceilings (global-GPU order, powerctl).
@@ -331,13 +404,18 @@ class VectorPhysics:
         Setpoints tighten the effective ceiling; they never widen the
         hardware/fault one, mirroring the scalar governor's
         ``min(ceiling, setpoint)``.
+
+        Args:
+            setpoints: one set of per-GPU ceilings for every lane
+                (``num_gpus`` values) or one set per lane (``(lanes,
+                num_gpus)``).
         """
-        sp = np.asarray(setpoints, dtype=float).reshape(self._n, self._g)
+        sp = np.asarray(setpoints, dtype=float).reshape(-1, self._n, self._g)
         self._eff_ceiling = np.minimum(self._ceiling, sp)
         self._eff_floor = np.minimum(self._floor, self._eff_ceiling)
         # Clocks may now sit above the new ceiling; force the full
         # governor path on the next step so the clamp takes effect.
-        self._at_ceiling = False
+        self._may_move = np.ones(self.lanes, dtype=bool)
 
     def set_node_budget_scales(self, scales) -> None:
         """Apply transient per-node power-budget multipliers (faults).
@@ -360,7 +438,7 @@ class VectorPhysics:
         # The cap factor cached in _eq_cache depends on the budget, and
         # clocks may need clamping to the new floor: force a full step.
         self._eq_cache = None
-        self._at_ceiling = False
+        self._may_move = np.ones(self.lanes, dtype=bool)
 
     def set_ambient_offsets(self, offsets) -> None:
         """Apply transient per-node inlet/ambient offsets (degC)."""
@@ -372,80 +450,102 @@ class VectorPhysics:
         )
         # Equilibrium temperatures cached in _eq_cache embed the inlets.
         self._eq_cache = None
-        self._at_ceiling = False
+        self._may_move = np.ones(self.lanes, dtype=bool)
 
-    # -- simulator-facing views ----------------------------------------
+    # -- views ---------------------------------------------------------
+
+    @property
+    def die_c(self) -> np.ndarray:
+        """Die temperatures, ``(lanes, num_nodes, gpus_per_node)``."""
+        return self._temps[0]
+
+    @property
+    def sink_c(self) -> np.ndarray:
+        """Heatsink temperatures, ``(lanes, num_nodes, gpus_per_node)``."""
+        return self._temps[1]
 
     @property
     def freq_flat(self) -> np.ndarray:
-        """Clock ratios in global-GPU order (flattened view)."""
-        return self.freq.reshape(-1)
+        """Clock ratios as ``(lanes, num_gpus)``, global-GPU order."""
+        return self.freq.reshape(self.lanes, -1)
+
+    def off_ceiling(self) -> np.ndarray:
+        """Per-lane flag: some clock differs from its effective ceiling."""
+        return (self.freq != self._eff_ceiling).any(axis=(1, 2))
 
     def freq_of(self, gpu: int) -> float:
-        """Current clock ratio of one global GPU."""
-        return float(self.freq[gpu // self._g, gpu % self._g])
+        """Current clock ratio of one global GPU (lane 0)."""
+        return float(self.freq[0, gpu // self._g, gpu % self._g])
 
     def temp_of(self, gpu: int) -> float:
-        """Current die temperature of one global GPU."""
-        return float(self.die_c[gpu // self._g, gpu % self._g])
+        """Current die temperature of one global GPU (lane 0)."""
+        return float(self.die_c[0, gpu // self._g, gpu % self._g])
 
-    def throttle_ratios(self) -> list[float]:
-        """Per-GPU fraction of observed time spent throttled."""
-        if self.observed_time == 0:
+    def throttle_ratios(self, lane: int = 0) -> list[float]:
+        """Per-GPU fraction of a lane's observed time spent throttled."""
+        observed = self.observed_time[lane]
+        if observed == 0:
             return [0.0] * (self._n * self._g)
-        self._settle_stats()
-        return (self.throttled_time / self.observed_time).reshape(-1).tolist()
+        self._settle_stats(np.arange(self.lanes) == lane)
+        return (self.throttled_time[lane] / observed).reshape(-1).tolist()
 
-    def mean_freq_ratios(self) -> list[float]:
-        """Per-GPU time-weighted mean clock ratio."""
-        if self.observed_time == 0:
+    def mean_freq_ratios(self, lane: int = 0) -> list[float]:
+        """Per-GPU time-weighted mean clock ratio of a lane."""
+        observed = self.observed_time[lane]
+        if observed == 0:
             return [1.0] * (self._n * self._g)
-        self._settle_stats()
-        return (self.freq_integral / self.observed_time).reshape(-1).tolist()
+        self._settle_stats(np.arange(self.lanes) == lane)
+        return (self.freq_integral[lane] / observed).reshape(-1).tolist()
 
 
 class PowerVector:
     """Vectorized per-GPU board-power evaluation with change tracking.
 
     Mirrors :func:`repro.power.model.gpu_power` across the whole cluster:
-    ``P = idle + span * intensity * freq ** 2.4``. The activity-derived
-    intensity is recomputed only when some kernel started or finished
-    since the last step, and the clock exponential only where the
-    governor actually moved a GPU's clock.
+    ``P = idle + span * intensity * freq ** 2.4``. Like
+    :class:`VectorPhysics` it carries a leading lane axis: clocks and
+    powers are ``(lanes, num_gpus)``, and the intensity is per GPU
+    (shared by every lane) or per lane and GPU. The activity-derived
+    term is recomputed only when some kernel started or finished since
+    the last step, and the clock exponential only where the governor
+    actually moved a GPU's clock.
     """
 
-    def __init__(self, cluster: ClusterSpec) -> None:
+    def __init__(self, cluster: ClusterSpec, lanes: int = 1) -> None:
         gpu = cluster.node.gpu
         self._idle = gpu.idle_watts
         self._span = gpu.tdp_watts - gpu.idle_watts
-        num = cluster.total_gpus
-        self._intensity = np.zeros(num)
-        self._freq_seen = np.ones(num)
-        self._freq_pow = np.ones(num)
+        self._num_gpus = cluster.total_gpus
+        shape = (lanes, self._num_gpus)
+        # span * intensity, the activity-dependent factor of P, kept
+        # 2-D so the per-step product needs no broadcasting.
+        self._dynamic = np.zeros((1, self._num_gpus))
+        self._freq_seen = np.ones(shape)
+        self._freq_pow = np.ones(shape)
 
-    def refresh_intensity(
-        self,
-        compute_active: list[float],
-        comm_active: list[float],
-        memory_active: list[float],
-    ) -> None:
-        """Recompute the activity intensity vector (call when dirty)."""
+    def refresh_intensity(self, compute_active, comm_active,
+                          memory_active) -> None:
+        """Recompute the activity intensity (call when dirty).
+
+        Each argument holds per-GPU activity levels, ``(num_gpus,)`` for
+        every lane or ``(lanes, num_gpus)``.
+        """
         clamp01 = lambda values: np.minimum(  # noqa: E731
             np.maximum(np.asarray(values), 0.0), 1.0
         )
-        self._intensity = clamp01(
+        self._dynamic = self._span * clamp01(
             COMPUTE_INTENSITY * clamp01(compute_active)
             + COMM_INTENSITY * clamp01(comm_active)
             + MEMORY_INTENSITY * clamp01(memory_active)
-        )
+        ).reshape(-1, self._num_gpus)
 
     def powers(self, freq_flat: np.ndarray) -> np.ndarray:
-        """Board power per GPU for the given clock ratios."""
+        """Board power per GPU, ``(lanes, num_gpus)``, for the clocks."""
         changed = freq_flat != self._freq_seen
         if changed.any():
             self._freq_pow[changed] = freq_flat[changed] ** FREQ_POWER_EXP
             self._freq_seen = freq_flat.copy()
-        return self._idle + self._span * self._intensity * self._freq_pow
+        return self._idle + self._dynamic * self._freq_pow
 
 
 def reference_activity(

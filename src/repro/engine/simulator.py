@@ -675,7 +675,7 @@ class Simulator:
             physics = self._physics
             powers = self._power_vec.powers(physics.freq_flat)
             physics.step(dt, powers)
-            self._last_power = powers
+            self._last_power = powers[0]
         else:
             # ScalarPhysics writes per-GPU powers into the bound
             # self._last_power list as a side effect.
@@ -697,7 +697,7 @@ class Simulator:
         runtime = self._powerctl
         if self._fast:
             temps = self._physics.die_c.reshape(-1)
-            freqs = self._physics.freq_flat
+            freqs = self._physics.freq_flat[0]
         else:
             num = self.cluster.total_gpus
             temps = np.array(
@@ -735,7 +735,7 @@ class Simulator:
                 time_s,
                 self._last_power,
                 physics.die_c.reshape(-1),
-                physics.freq_flat,
+                physics.freq_flat[0],
                 np.asarray(self._compute_active) > 0,
                 np.asarray(self._comm_active) > 0,
                 np.maximum(np.asarray(self._pcie_rate), 0.0),

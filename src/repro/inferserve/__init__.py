@@ -19,12 +19,6 @@ from repro.inferserve.config import (
     ServingConfig,
     SloConfig,
 )
-from repro.inferserve.energy import (
-    ServingSearchOutcome,
-    ServingSearchSettings,
-    ServingSetpointProbe,
-    search_serving_setpoint,
-)
 from repro.inferserve.engine import execute_serving
 from repro.inferserve.outcome import (
     EnergyReport,
@@ -54,6 +48,11 @@ from repro.inferserve.traces import (
     TraceConfig,
     generate_trace,
     rate_from_daily_users,
+)
+from repro.optimize.serving import (
+    ServingSearchOutcome,
+    ServingSearchSettings,
+    ServingSetpointProbe,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "generate_trace",
     "percentile",
     "rate_from_daily_users",
-    "search_serving_setpoint",
     "serving_capacity_replicas",
     "simulate_serving_deployment",
     "simulate_static_routing",

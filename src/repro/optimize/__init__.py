@@ -12,9 +12,7 @@ Layering:
 * :mod:`~repro.optimize.space` — grid enumeration, analytic pruning,
   roofline ranking (no simulation);
 * :mod:`~repro.optimize.setpoint` / :mod:`~repro.optimize.serving` —
-  per-plan golden-section setpoint refinement (the engines behind the
-  deprecated ``powerctl.search_energy_optimal`` /
-  ``inferserve.search_serving_setpoint`` shims);
+  per-plan golden-section setpoint refinement;
 * :mod:`~repro.optimize.request` — the frozen
   :class:`OptimizeRequest` / :class:`OptimizeResult` envelope
   (re-exported by :mod:`repro.api`);

@@ -15,16 +15,14 @@ content-addressed result store, and ``jobs > 1`` fans the initial
 bracket out over worker processes.
 
 This module is the serving refinement stage of the joint optimizer
-(:mod:`repro.optimize.search`); ``inferserve.search_serving_setpoint``
-remains as a deprecated shim over :func:`optimize_serving_setpoint`.
+(:mod:`repro.optimize.search`).
 
 .. note::
     To keep ``repro.optimize`` importable from :mod:`repro.api` without
     a cycle through :mod:`repro.inferserve` (whose package ``__init__``
-    imports the deprecation shim pointing back here), this module must
-    not import ``repro.inferserve`` at module level — serving config
-    and outcome types appear only as string annotations and duck-typed
-    values.
+    re-exports this module's dataclasses), this module must not import
+    ``repro.inferserve`` at module level — serving config and outcome
+    types appear only as string annotations and duck-typed values.
 """
 
 from __future__ import annotations

@@ -18,10 +18,7 @@ baseline itself is always a candidate, so the search can never return
 something worse than not searching.
 
 This module is the per-plan refinement stage of the joint optimizer
-(:mod:`repro.optimize.search`); ``powerctl.search_energy_optimal`` and
-``powerctl.sweep_setpoints`` remain as deprecated shims over
-:func:`optimize_setpoint` / :func:`evaluate_setpoints` with identical
-behaviour and cache keys.
+(:mod:`repro.optimize.search`).
 """
 
 from __future__ import annotations

@@ -1,19 +1,16 @@
 """Closed-loop GPU power management (DVFS governors, power capping).
 
-The subsystem has three layers:
+The subsystem has two layers:
 
 - :mod:`repro.powerctl.config` — :class:`PowerControlConfig`, the frozen
   knob bundle that travels inside ``SimSettings`` (and ``FleetConfig``).
 - :mod:`repro.powerctl.governor` — the in-simulation runtimes
   (``static``/``thermal``/``straggler``) the engine ticks every control
   interval, plus the :class:`PowerControlTrace` decision log.
-- :mod:`repro.powerctl.search` — the outer-loop ``energy_optimal``
-  governor: a Zeus-style golden-section search over static power limits
-  minimizing an energy·delayⁿ cost, with every probe a cached run.
 
-``search`` is re-exported lazily: it imports the sweep/run machinery,
-which imports the engine, which imports this package — an eager import
-here would close that cycle during interpreter start-up.
+The outer-loop ``energy_optimal`` setpoint search lives in
+:mod:`repro.optimize.setpoint` (``optimize_setpoint``,
+``evaluate_setpoints``).
 """
 
 from repro.powerctl.config import (
@@ -34,14 +31,6 @@ from repro.powerctl.governor import (
     build_runtime,
 )
 
-_SEARCH_EXPORTS = (
-    "SearchOutcome",
-    "SearchSettings",
-    "SetpointProbe",
-    "search_energy_optimal",
-    "sweep_setpoints",
-)
-
 __all__ = [
     "GOVERNORS",
     "NO_POWER_CONTROL",
@@ -56,13 +45,4 @@ __all__ = [
     "StragglerGovernor",
     "ThermalGovernor",
     "build_runtime",
-    *_SEARCH_EXPORTS,
 ]
-
-
-def __getattr__(name: str):
-    if name in _SEARCH_EXPORTS:
-        from repro.powerctl import search
-
-        return getattr(search, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

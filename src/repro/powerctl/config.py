@@ -21,9 +21,9 @@ from repro.power.model import FREQ_POWER_EXP
 GOVERNORS = ("none", "static", "thermal", "straggler")
 
 #: ``energy_optimal`` is an *outer-loop* governor: a Zeus-style search
-#: over static power limits, each probe one (cached) simulation. The CLI
-#: and :mod:`repro.powerctl.search` accept it on top of the closed-loop
-#: set above.
+#: over static power limits, each probe one (cached) simulation,
+#: implemented by :func:`repro.optimize.optimize_setpoint` on top of the
+#: closed-loop set above.
 SEARCH_GOVERNORS = GOVERNORS + ("energy_optimal",)
 
 

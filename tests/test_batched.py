@@ -15,7 +15,7 @@ import signal
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings as hyp_settings
+from hypothesis import HealthCheck, example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.core.experiment import execute_inference, execute_training
@@ -27,6 +27,7 @@ from tests.conftest import assert_run_results_equal
 
 MODEL = "gpt3-13b"
 CLUSTER = "mi250x32"
+CLUSTERS = ["mi250x32", "h200x32"]
 PARALLELISM = "TP4-PP2"
 
 
@@ -40,10 +41,10 @@ def _fresh_memo():
     sweep_mod._CACHE.clear()
 
 
-def _train_kwargs(setpoint, microbatch, fast):
+def _train_kwargs(setpoint, microbatch, fast, cluster=CLUSTER):
     return dict(
         model=MODEL,
-        cluster=CLUSTER,
+        cluster=cluster,
         parallelism=PARALLELISM,
         microbatch_size=microbatch,
         global_batch_size=8,
@@ -71,12 +72,21 @@ class TestBatchedEqualsSerial:
         ),
         microbatch=st.sampled_from([1, 2]),
         fast=st.booleans(),
+        cluster=st.sampled_from(CLUSTERS),
     )
-    def test_training_grid_parity(self, setpoints, microbatch, fast):
+    # A lane whose last full physics step came early must hold its
+    # thermal state while longer lanes keep stepping; here the 0.9 lane
+    # used to cool before its final partial step.
+    @example(
+        setpoints=[0.6, 0.75, 0.9], microbatch=1, fast=True,
+        cluster="h200x32",
+    )
+    def test_training_grid_parity(self, setpoints, microbatch, fast,
+                                  cluster):
         import repro.core.sweep as sweep_mod
 
         payloads = [
-            ("train", _train_kwargs(s, microbatch, fast))
+            ("train", _train_kwargs(s, microbatch, fast, cluster))
             for s in setpoints
         ]
         with persistence_disabled():

@@ -4,7 +4,9 @@
 backend (default) and the original scalar implementation. The two are
 maintained as oracle and optimization of each other: the schedule must
 be bit-identical (kernel timing never touches physics) and the physics
-outputs must agree to floating-point reduction noise.
+outputs must agree to floating-point reduction noise. The lane axis of
+the vectorized backend is pinned separately: an L-lane instance must
+match L one-lane instances bit for bit.
 """
 
 import numpy as np
@@ -174,3 +176,69 @@ class TestFastPathDifferential:
                 assert fast.traffic.bytes_for(gpu, kind) == pytest.approx(
                     ref.traffic.bytes_for(gpu, kind), rel=RTOL, abs=1e-9
                 )
+
+
+class TestLaneAxis:
+    """An L-lane VectorPhysics is L one-lane instances, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lanes_match_separate_instances(self, small_cluster, seed):
+        from repro.engine.physics import PowerVector, VectorPhysics
+
+        rng = np.random.default_rng(seed)
+        lanes, steps, dt = 4, 120, 0.05
+        gpus = small_cluster.total_gpus
+        faults = FaultSpec(node_max_clock={1: 0.9})
+        setpoints = rng.choice([1.0, 0.9, 0.75, 0.6], size=(lanes, gpus))
+        prewarm = np.array([250.0, 400.0, 550.0, 700.0])
+        # Busy, bursty activity: the node cap and the thermal throttle
+        # both engage, so lanes mix quiet and full governor steps.
+        activity = rng.choice([0.0, 0.5, 1.0], size=(steps, 3, lanes, gpus),
+                              p=[0.2, 0.2, 0.6])
+        # Each lane skips a random subset of steps and stops at its own
+        # step count, then takes its own final partial step.
+        active = rng.random((steps, lanes)) < 0.85
+        for lane in range(lanes):
+            active[rng.integers(60, steps):, lane] = False
+        final_dt = rng.uniform(0.001, dt, size=lanes)
+
+        physics = VectorPhysics(small_cluster, faults, lanes=lanes)
+        power = PowerVector(small_cluster, lanes=lanes)
+        physics.set_setpoints(setpoints)
+        physics.prewarm(prewarm)
+        for j in range(steps):
+            power.refresh_intensity(*activity[j])
+            physics.step(dt, power.powers(physics.freq_flat), active[j])
+        power.refresh_intensity(*activity[-1])
+        for lane in range(lanes):
+            physics.step(final_dt[lane], power.powers(physics.freq_flat),
+                         np.arange(lanes) == lane)
+
+        quiet = full = 0
+        for lane in range(lanes):
+            single = VectorPhysics(small_cluster, faults)
+            single_power = PowerVector(small_cluster)
+            single.set_setpoints(setpoints[lane])
+            single.prewarm(prewarm[lane])
+            for j in np.flatnonzero(active[:, lane]):
+                single_power.refresh_intensity(*activity[j, :, lane])
+                single.step(dt, single_power.powers(single.freq_flat))
+                moving = bool(single._may_move[0])
+                full += moving
+                quiet += not moving
+            single_power.refresh_intensity(*activity[-1, :, lane])
+            single.step(final_dt[lane],
+                        single_power.powers(single.freq_flat))
+
+            np.testing.assert_array_equal(physics.die_c[lane],
+                                          single.die_c[0])
+            np.testing.assert_array_equal(physics.sink_c[lane],
+                                          single.sink_c[0])
+            np.testing.assert_array_equal(physics.freq[lane], single.freq[0])
+            assert physics.throttle_ratios(lane) == single.throttle_ratios()
+            assert (physics.mean_freq_ratios(lane)
+                    == single.mean_freq_ratios())
+        # Both governor paths ran, and the throttle pulled clocks below
+        # their ceilings.
+        assert quiet and full
+        assert physics.off_ceiling().any()

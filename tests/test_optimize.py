@@ -8,21 +8,13 @@ acceptance run lives in benchmarks/test_optimize_bench.py.
 """
 
 import json
-import warnings
 
 import pytest
 
-import repro
-from repro import api
 from repro.api import OptimizeRequest, OptimizeResult, submit
 from repro.optimize import (
     CandidateOutcome,
     PruneStats,
-    SearchSettings,
-    ServingSearchSettings,
-    evaluate_setpoints,
-    optimize_serving_setpoint,
-    optimize_setpoint,
     parse_objective,
     run_optimize,
 )
@@ -503,99 +495,3 @@ class TestOptimizeCli:
 
         assert main(self.ARGS + ["--beam-width", "0"]) == 2
         assert "--beam-width" in capsys.readouterr().err
-
-
-# -- deprecation shims -------------------------------------------------
-
-
-class TestSearchShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        api._reset_deprecation_warnings()
-        yield
-        api._reset_deprecation_warnings()
-
-    def test_powerctl_search_shim(
-        self, tiny_model, small_cluster, fast_settings
-    ):
-        from repro.powerctl import search_energy_optimal
-
-        kwargs = dict(
-            global_batch_size=8,
-            settings=fast_settings,
-            search=SearchSettings(lo=0.7, hi=1.0, tolerance=0.2),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = search_energy_optimal(
-                tiny_model, small_cluster, "TP2-PP2", **kwargs
-            )
-        assert sum(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ) == 1
-        assert "optimize_setpoint" in str(caught[0].message)
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            search_energy_optimal(
-                tiny_model, small_cluster, "TP2-PP2", **kwargs
-            )
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in again
-        )
-        fresh = optimize_setpoint(
-            tiny_model, small_cluster, "TP2-PP2", **kwargs
-        )
-        assert legacy.best == fresh.best
-        assert legacy.probes == fresh.probes
-
-    def test_powerctl_sweep_shim(
-        self, tiny_model, small_cluster, fast_settings
-    ):
-        from repro.powerctl import sweep_setpoints
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = sweep_setpoints(
-                tiny_model, small_cluster, "TP2-PP2", [1.0],
-                global_batch_size=8, settings=fast_settings,
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        fresh = evaluate_setpoints(
-            tiny_model, small_cluster, "TP2-PP2", [1.0],
-            global_batch_size=8, settings=fast_settings,
-        )
-        assert [sp for sp, _ in legacy] == [sp for sp, _ in fresh]
-
-    def test_inferserve_shim_warns_and_matches(self):
-        from repro.inferserve import ServingConfig, TraceConfig
-        from repro.inferserve.energy import search_serving_setpoint
-
-        config = ServingConfig(
-            trace=TraceConfig(kind="poisson", duration_s=60.0,
-                              mean_rate_per_s=1.0, seed=5),
-            replicas=1,
-        )
-        settings = ServingSearchSettings(
-            lo=0.7, hi=1.0, tolerance=0.2
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = search_serving_setpoint(
-                "llama3-70b", "h100x64", config, settings
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        fresh = optimize_serving_setpoint(
-            "llama3-70b", "h100x64", config, settings
-        )
-        assert legacy.best == fresh.best
-
-    def test_legacy_exports_still_resolve(self):
-        assert callable(repro.search_serving_setpoint)
-        from repro.powerctl import search as search_mod
-
-        assert callable(search_mod.search_energy_optimal)
-        assert callable(search_mod.sweep_setpoints)

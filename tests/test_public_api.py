@@ -60,7 +60,6 @@ EXPECTED_ALL = [
     "run_inference",
     "run_sweep",
     "run_training",
-    "search_serving_setpoint",
     "submit",
     "submit_many",
     "valid_configs",
@@ -103,7 +102,8 @@ LEGACY_NAMES = {
     # nothing in src/ references the old spelling as a real name.
     "simulate_serving",
     # Renamed when the setpoint searches became the refinement stage of
-    # the joint optimizer (repro.optimize, docs/optimize.md).
+    # the joint optimizer (repro.optimize, docs/optimize.md); the shims
+    # are deleted, so no module may mention them at all.
     "search_energy_optimal",
     "sweep_setpoints",
     "search_serving_setpoint",
@@ -116,10 +116,6 @@ LEGACY_ALLOWLIST = {
     SRC / "core" / "__init__.py",
     SRC / "core" / "experiment.py",
     SRC / "core" / "sweep.py",
-    SRC / "powerctl" / "__init__.py",
-    SRC / "powerctl" / "search.py",
-    SRC / "inferserve" / "__init__.py",
-    SRC / "inferserve" / "energy.py",
 }
 
 
