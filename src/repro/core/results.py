@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.kernels import KernelRecord
+from repro.engine.kernels import KernelTable
 from repro.engine.simulator import SimOutcome
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
@@ -89,8 +89,9 @@ class RunResult:
         """Tokens processed inside the measured window."""
         return self.outcome.tokens_per_iteration * self.measured_iterations
 
-    def measured_records(self) -> list[KernelRecord]:
-        """Kernel records of the measured iterations."""
+    def measured_records(self) -> KernelTable:
+        """Kernel records of the measured iterations (iterate the table
+        for :class:`~repro.engine.kernels.KernelRecord` rows)."""
         return filter_records(
             self.outcome.records, min_iteration=self.warmup_iterations
         )

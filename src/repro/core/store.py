@@ -12,10 +12,11 @@ Layout (one file per result, content-addressed)::
             ab/
                 ab12...ef.pkl
 
-The schema version participates in both the directory name and the key
-digest, so bumping :data:`SCHEMA_VERSION` (whenever ``RunResult`` or the
-simulator's observable outputs change shape) orphans every stale entry
-instead of deserialising garbage. Writes go through a temporary file in
+The schema version names the directory, so bumping
+:data:`SCHEMA_VERSION` (whenever ``RunResult`` or the simulator's
+observable outputs change shape) orphans every stale entry instead of
+deserialising garbage. Key digests do not change with it: they double as
+public request identities. Writes go through a temporary file in
 the destination directory followed by :func:`os.replace`, which makes
 concurrent writers (parallel sweep workers) safe: readers only ever see
 complete files, and the last writer of identical content wins.
@@ -46,7 +47,8 @@ from repro.core.results import RunResult
 #: v5: grid evaluation batches through ``repro.engine.batched`` and the
 #: multi-worker serve tier shares the store across worker processes; the
 #: bump draws a clean line under entries written by pre-batched trees.
-SCHEMA_VERSION = 5
+#: v6: kernel records and telemetry stored as columns.
+SCHEMA_VERSION = 6
 
 DEFAULT_DIR = ".repro_cache"
 

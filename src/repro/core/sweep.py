@@ -19,14 +19,16 @@ from typing import Callable, Iterable
 
 from repro.core.experiment import execute_inference, execute_training
 from repro.core.results import RunResult
-from repro.core.store import (
-    SCHEMA_VERSION,
-    persistence_enabled,
-    result_store,
-)
+from repro.core.store import persistence_enabled, result_store
 from repro.parallelism.strategy import OptimizationConfig
 
 _CACHE: dict[tuple, RunResult] = {}
+
+#: Salt of every key digest: the store schema version up to v5, frozen
+#: there because key digests are also public request identities
+#: (``SimRequest.digest``, ``OptimizeResult.request_digest``). A schema
+#: bump orphans stale entries through the store's version directory.
+_KEY_SALT = 5
 
 #: Per-dataclass-type field-name memo for :func:`freeze`.
 #: ``dataclasses.fields()`` walks the MRO and allocates on every call;
@@ -91,12 +93,9 @@ cache_key = _cache_key
 
 
 def key_digest(key: tuple) -> str:
-    """Stable hex digest of a cache key (on-disk addressing).
-
-    The store schema version is folded in, so a version bump invalidates
-    every previously written entry.
-    """
-    payload = repr((SCHEMA_VERSION, key)).encode()
+    """Stable hex digest of a cache key (on-disk addressing within the
+    store's schema-version directory)."""
+    payload = repr((_KEY_SALT, key)).encode()
     return hashlib.sha256(payload).hexdigest()
 
 

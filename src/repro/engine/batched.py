@@ -38,7 +38,12 @@ per point. This module evaluates such a grid in three phases:
    have engaged). Any lane failing any check silently falls back to an
    ordinary per-config simulation, so batched results are
    *field-by-field identical* to the serial path — pinned by
-   ``tests/test_batched.py``.
+   ``tests/test_batched.py``. A certified lane's outputs are handed
+   over in the columns the replay already holds: its kernel records are
+   a :class:`~repro.engine.kernels.KernelTable` built by permuting the
+   anchor's record columns into the lane's pop order, and its telemetry
+   takes the lane's ``(samples, num_gpus)`` slices of the batched
+   physics pass as matrices.
 
 Grids that are not batchable (scalar physics backend, fault timelines,
 closed-loop governors, non-uniform per-GPU ceilings) take the ordinary
@@ -61,7 +66,7 @@ from repro.core.faults import HEALTHY
 from repro.core.results import RunResult
 from repro.core.store import persistence_enabled, result_store
 from repro.engine.builder import build_inference_graph, build_training_graph
-from repro.engine.kernels import KernelKind, KernelRecord
+from repro.engine.kernels import KernelKind, KernelTable, kind_codes
 from repro.engine.physics import PowerVector, VectorPhysics
 from repro.engine.simulator import EPS, SimOutcome, SimSettings, Simulator
 from repro.engine.task import Task, TaskKind
@@ -76,74 +81,11 @@ from repro.powerctl.config import NO_POWER_CONTROL, freq_for_power_limit
 from repro.powerctl.governor import build_runtime
 from repro.telemetry.monitor import TelemetryLog
 
-__all__ = ["evaluate_grid", "SetpointSession", "LazyRecords"]
+__all__ = ["evaluate_grid", "SetpointSession"]
 
 
 class _ReplayDiverged(Exception):
     """Replay left the anchor's footprint; fall back to per-config runs."""
-
-
-# ----------------------------------------------------------------------
-# Lazy kernel records
-# ----------------------------------------------------------------------
-
-
-class LazyRecords(list):
-    """Kernel-record list materialised from columnar replay output.
-
-    Replayed configs share one (gpu, rank, kind, iteration, microbatch,
-    stage) column set; only start/end times differ per lane. Building
-    tens of thousands of :class:`KernelRecord` objects per config would
-    dominate the batched path, so construction is deferred until the
-    records are actually read (trace analysis, breakdowns). Pickling
-    reduces to a plain ``list``, so persisted cache entries round-trip
-    identically to serial ones.
-    """
-
-    def __init__(self, builder: Callable[[], list]) -> None:
-        super().__init__()
-        self._builder = builder
-
-    def _materialise(self) -> "LazyRecords":
-        if self._builder is not None:
-            builder, self._builder = self._builder, None
-            self.extend(builder())
-        return self
-
-    def __len__(self) -> int:
-        self._materialise()
-        return list.__len__(self)
-
-    def __iter__(self):
-        self._materialise()
-        return list.__iter__(self)
-
-    def __getitem__(self, index):
-        self._materialise()
-        return list.__getitem__(self, index)
-
-    def __contains__(self, item) -> bool:
-        self._materialise()
-        return list.__contains__(self, item)
-
-    def __eq__(self, other):
-        if isinstance(other, LazyRecords):
-            other = other._materialise()
-        self._materialise()
-        return list.__eq__(self, other)
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        self._materialise()
-        return list.__repr__(self)
-
-    def __reduce__(self):
-        return (list, (list(self._materialise()),))
 
 
 # ----------------------------------------------------------------------
@@ -708,17 +650,17 @@ class _ReplayOutput:
         )
         signed_base = np.zeros(n_pcie)
         dep_idx: list[int] = []
-        dep_rows: list[np.ndarray] = []
+        dep_rates: list[np.ndarray] = []
         for i, rate in enumerate(r.pcie_rate):
             if isinstance(rate, np.ndarray):
                 dep_idx.append(i)
-                dep_rows.append(rate)
+                dep_rates.append(rate)
             else:
                 signed_base[i] = pcie_sgn[i] * rate
         self._pcie_signed_base = signed_base
         self._pcie_dep_idx = np.asarray(dep_idx, dtype=np.int64)
         self._pcie_dep = (
-            np.stack(dep_rows) if dep_rows
+            np.stack(dep_rates) if dep_rates
             else np.zeros((0, replay.C))
         )
         self._pcie_dep_sgn = pcie_sgn[self._pcie_dep_idx]
@@ -748,6 +690,16 @@ class _ReplayOutput:
         self._p2p_recv = np.asarray(r.p2p_recv_pop1, dtype=np.int64)
         self._p2p_sign = np.sign(self._p2p_send - self._p2p_recv)
 
+        # Lane-independent kernel-record columns, in KernelTable order
+        # minus the start/end times.
+        self._rec_columns = (
+            np.asarray(r.rec_gpu),
+            np.asarray(r.rec_rank),
+            kind_codes(r.rec_kind),
+            np.asarray(r.rec_iter),
+            np.asarray(r.rec_mb),
+            np.asarray(r.rec_stage),
+        )
         self._rec_start = np.asarray(r.rec_start, dtype=np.int64)
         self._rec_end = np.asarray(r.rec_end, dtype=np.int64)
         self._rec_pop1 = np.asarray(r.rec_pop1, dtype=np.int64)
@@ -1007,7 +959,7 @@ class _ReplayOutput:
         # is its own dt), then the lane's throttle/clock ratios.
         power.refresh_intensity(final_c, final_m, final_mem)
         lanes = np.arange(C)
-        final_rows: dict[int, tuple] = {}
+        final_samples: dict[int, tuple] = {}
         throttle: list[list[float] | None] = [None] * C
         mean_freq: list[list[float] | None] = [None] * C
         for lane in np.flatnonzero(ok).tolist():
@@ -1023,7 +975,7 @@ class _ReplayOutput:
                 phys_time += remaining
                 next_sample = self._next_samples[sl - 1] if sl else 0.0
                 if phys_time >= next_sample:
-                    final_rows[lane] = (
+                    final_samples[lane] = (
                         phys_time,
                         powers[lane],
                         physics.die_c[lane].reshape(-1).copy(),
@@ -1045,7 +997,7 @@ class _ReplayOutput:
             "comm": comm,
             "final_c": final_c,
             "final_m": final_m,
-            "final": final_rows,
+            "final": final_samples,
             "throttle": throttle,
             "mean_freq": mean_freq,
             "runtimes": runtimes,
@@ -1104,39 +1056,32 @@ class _ReplayOutput:
         sampled = prep["sample_times"][:cnt].tolist()
         pcie_states = self._pcie_lane_states(lane, pos1, sampled)
 
-        telemetry = TelemetryLog(
-            num_gpus=num_gpus,
-            sample_interval_s=settings.telemetry_interval_s,
-        )
-        row_time = sampled
-        pow_rows = list(prep["pow"][lane, :cnt])
-        die_rows = list(prep["die"][lane, :cnt])
-        freq_rows = list(prep["freq"][lane, :cnt])
         jj = prep["sample_j"][:cnt]
-        comp_rows = [
-            (prep["comp"][lane, j] > 0).astype(float) for j in jj
-        ]
-        comm_rows = [
-            (prep["comm"][lane, j] > 0).astype(float) for j in jj
-        ]
-        pcie_rows = [
-            np.maximum(pcie_states[i], 0.0) for i in range(cnt)
+        times = sampled
+        matrices = [
+            prep["pow"][lane, :cnt],
+            prep["die"][lane, :cnt],
+            prep["freq"][lane, :cnt],
+            prep["comp"][lane, jj] > 0,
+            prep["comm"][lane, jj] > 0,
+            np.maximum(pcie_states[:cnt], 0.0),
         ]
         final = prep["final"].get(lane)
         if final is not None:
-            t_final, pow_final, die_final, freq_final = final
-            row_time = row_time + [t_final]
-            pow_rows.append(pow_final)
-            die_rows.append(die_final)
-            freq_rows.append(freq_final)
-            comp_rows.append((prep["final_c"] > 0).astype(float))
-            comm_rows.append((prep["final_m"] > 0).astype(float))
-            pcie_rows.append(np.maximum(pcie_states[-1], 0.0))
-        telemetry._row_time = row_time
-        telemetry._rows = [
-            pow_rows, die_rows, freq_rows,
-            comp_rows, comm_rows, pcie_rows,
-        ]
+            t_final, *rows = final
+            rows += [
+                prep["final_c"] > 0,
+                prep["final_m"] > 0,
+                np.maximum(pcie_states[-1], 0.0),
+            ]
+            times = times + [t_final]
+            matrices = [
+                np.vstack([matrix, row])
+                for matrix, row in zip(matrices, rows)
+            ]
+        telemetry = TelemetryLog.from_matrices(
+            num_gpus, settings.telemetry_interval_s, times, matrices
+        )
 
         traffic = TrafficLedger(num_gpus=num_gpus)
         if self._traf_pop1.size:
@@ -1152,29 +1097,23 @@ class _ReplayOutput:
                         self._traf_costs[g], self._traf_repeats[g]
                     )
 
+        # Kernel records: the anchor's columns in this lane's pop order,
+        # with this lane's event times.
         r = self._r
         lane_times = self.times[:, lane]
-        rec_perm = np.argsort(pos1[self._rec_pop1], kind="stable")
-        rec_kind, rec_gpu = r.rec_kind, r.rec_gpu
-        rec_rank, rec_iter = r.rec_rank, r.rec_iter
-        rec_mb, rec_stage = r.rec_mb, r.rec_stage
-        starts, ends = self._rec_start, self._rec_end
-
-        def build_records() -> list[KernelRecord]:
-            order = rec_perm.tolist()
-            start_times = lane_times[starts].tolist()
-            end_times = lane_times[ends].tolist()
-            return [
-                KernelRecord(
-                    rec_gpu[i], rec_rank[i], rec_kind[i],
-                    start_times[i], end_times[i],
-                    rec_iter[i], rec_mb[i], rec_stage[i],
-                )
-                for i in order
-            ]
+        perm = np.argsort(pos1[self._rec_pop1], kind="stable")
+        gpu, rank, kind, iteration, microbatch, stage = (
+            column[perm] for column in self._rec_columns
+        )
+        records = KernelTable(
+            gpu, rank, kind,
+            lane_times[self._rec_start[perm]],
+            lane_times[self._rec_end[perm]],
+            iteration, microbatch, stage,
+        )
 
         return SimOutcome(
-            records=LazyRecords(build_records),
+            records=records,
             makespan_s=makespan,
             iteration_end_s=[
                 float(r._iter_end[i][lane])

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class KernelCategory(Enum):
     """Breakdown buckets used throughout the paper's figures."""
@@ -150,6 +152,137 @@ class KernelRecord:
     def category(self) -> KernelCategory:
         """Breakdown bucket."""
         return category_of(self.kind)
+
+
+#: Kernel kinds in code order: a table's ``kind_code`` column indexes it.
+KINDS: tuple[KernelKind, ...] = tuple(KernelKind)
+#: Breakdown buckets in code order, and each kind code's bucket code.
+CATEGORIES: tuple[KernelCategory, ...] = tuple(KernelCategory)
+CATEGORY_CODE = np.array(
+    [CATEGORIES.index(category_of(kind)) for kind in KINDS], dtype=np.int8
+)
+# Kind codes keyed by member id: hashing an Enum member runs Python
+# code, and the members are process-wide singletons.
+_CODE_BY_ID = {id(kind): code for code, kind in enumerate(KINDS)}
+
+_COLUMNS = (
+    ("gpu", np.int32),
+    ("rank", np.int32),
+    ("kind_code", np.int8),
+    ("start_s", np.float64),
+    ("end_s", np.float64),
+    ("iteration", np.int32),
+    ("microbatch", np.int32),
+    ("stage", np.int32),
+)
+
+
+def kind_codes(kinds) -> np.ndarray:
+    """Codes (indices into :data:`KINDS`) of a sequence of kernel kinds."""
+    return np.fromiter(
+        map(_CODE_BY_ID.__getitem__, map(id, kinds)),
+        dtype=np.int8,
+        count=len(kinds),
+    )
+
+
+class KernelTable:
+    """A run's kernel records as eight parallel columns, in record order.
+
+    The simulator and the batched replay write kernel records column by
+    column, so a stored result pickles eight arrays rather than one
+    :class:`KernelRecord` per kernel. Columns mirror the record fields;
+    ``kind_code`` indexes :data:`KINDS`.
+
+    The table is also a read-only sequence of records: ``len``, ``bool``,
+    iteration and integer indexing yield :class:`KernelRecord` rows made
+    of plain Python ``int``/``float``/:class:`KernelKind` values, while a
+    slice, boolean mask or index array selects a sub-table. ``==`` is
+    exact (every column equal) and returns a ``bool``.
+    """
+
+    __slots__ = tuple(name for name, _ in _COLUMNS)
+
+    def __init__(self, gpu, rank, kind_code, start_s, end_s, iteration,
+                 microbatch, stage) -> None:
+        columns = (gpu, rank, kind_code, start_s, end_s, iteration,
+                   microbatch, stage)
+        for (name, dtype), values in zip(_COLUMNS, columns):
+            setattr(self, name, np.asarray(values, dtype=dtype))
+        if len({len(getattr(self, name)) for name in self.__slots__}) > 1:
+            raise ValueError("kernel table columns differ in length")
+
+    @classmethod
+    def from_lists(cls, gpu, rank, kinds, start_s, end_s, iteration,
+                   microbatch, stage) -> "KernelTable":
+        """Table from column lists whose kind column holds KernelKinds."""
+        return cls(gpu, rank, kind_codes(kinds), start_s, end_s, iteration,
+                   microbatch, stage)
+
+    @classmethod
+    def from_records(cls, records) -> "KernelTable":
+        """Table holding ``records`` in order."""
+        rows = list(records)
+        return cls.from_lists(*(
+            [getattr(r, name) for r in rows]
+            for name in ("gpu", "rank", "kind", "start_s", "end_s",
+                         "iteration", "microbatch", "stage")
+        ))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The eight columns, in :class:`KernelRecord` field order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    @property
+    def duration_s(self) -> np.ndarray:
+        """Per-record kernel duration."""
+        return self.end_s - self.start_s
+
+    @property
+    def category_code(self) -> np.ndarray:
+        """Per-record breakdown bucket, as an index into CATEGORIES."""
+        return CATEGORY_CODE[self.kind_code]
+
+    def __len__(self) -> int:
+        return len(self.gpu)
+
+    def __iter__(self):
+        return map(
+            KernelRecord,
+            self.gpu.tolist(),
+            self.rank.tolist(),
+            map(KINDS.__getitem__, self.kind_code.tolist()),
+            self.start_s.tolist(),
+            self.end_s.tolist(),
+            self.iteration.tolist(),
+            self.microbatch.tolist(),
+            self.stage.tolist(),
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            gpu, rank, code, start, end, it, mb, stage = (
+                column[index].item() for column in self.columns()
+            )
+            return KernelRecord(gpu, rank, KINDS[code], start, end, it,
+                                mb, stage)
+        return KernelTable(*(column[index] for column in self.columns()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KernelTable):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(self.columns(), other.columns())
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (KernelTable, self.columns())
+
+    def __repr__(self) -> str:
+        return f"KernelTable({len(self)} records)"
 
 
 def compute_efficiency(

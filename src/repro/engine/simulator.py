@@ -28,7 +28,7 @@ from repro.comm.collectives import (
 from repro.comm.contention import NicContention
 from repro.comm.traffic import TrafficLedger
 from repro.core.faults import EMPTY_TIMELINE, HEALTHY, FaultSpec, FaultTimeline
-from repro.engine.kernels import KernelKind, KernelRecord
+from repro.engine.kernels import KernelKind, KernelTable
 from repro.engine.physics import (
     PowerVector,
     ScalarPhysics,
@@ -113,10 +113,13 @@ class SimOutcome:
     """Everything one simulated run produced.
 
     Attributes:
-        records: Chakra-style kernel records across all GPUs.
+        records: Chakra-style kernel records across all GPUs, in
+            completion order, as a column table (iterate it for
+            :class:`~repro.engine.kernels.KernelRecord` rows).
         makespan_s: completion time of the last task.
         iteration_end_s: per-iteration completion times.
-        telemetry: sampled per-GPU time series.
+        telemetry: sampled per-GPU time series, held as one
+            ``(samples, num_gpus)`` matrix per field.
         traffic: per-GPU fabric byte counters.
         throttle_ratio: per-physical-GPU fraction of time throttled.
         mean_freq_ratio: per-physical-GPU time-weighted clock ratio.
@@ -129,7 +132,7 @@ class SimOutcome:
             the timeline was empty).
     """
 
-    records: list[KernelRecord]
+    records: KernelTable
     makespan_s: float
     iteration_end_s: list[float]
     telemetry: TelemetryLog
@@ -151,6 +154,30 @@ class _RunningCollective:
     nic_nodes: tuple[int, ...] = ()
     pcie_rates: list[tuple[int, float]] = field(default_factory=list)
     comm_duration_s: float = 0.0
+
+
+def _column_recorder(columns: tuple[list, ...]):
+    """``record(task, gpu, rank, start, end, kind)`` appending to columns.
+
+    The columns follow :class:`KernelTable` order; the kind column holds
+    :class:`KernelKind` members until the table converts it to codes.
+    """
+    gpus, ranks, kinds, starts, ends, iterations, microbatches, stages = (
+        column.append for column in columns
+    )
+
+    def record(task: Task, gpu: int, rank: int, start: float, end: float,
+               kind: KernelKind) -> None:
+        gpus(gpu)
+        ranks(rank)
+        kinds(kind)
+        starts(start)
+        ends(end)
+        iterations(task.iteration)
+        microbatches(task.microbatch)
+        stages(task.stage)
+
+    return record
 
 
 class Simulator:
@@ -248,8 +275,9 @@ class Simulator:
         self._delivery: dict[int, float] = {}
         self._waiting: dict[int, tuple[Task, int, float]] = {}
         self._collectives: dict[int, _RunningCollective] = {}
-        self._records: list[KernelRecord] = []
-        self._append_record = self._records.append
+        # Kernel records, one growable list per KernelTable column.
+        self._record_columns = tuple([] for _ in range(8))
+        self._record = _column_recorder(self._record_columns)
         self._iteration_end: dict[int, float] = {}
 
         self._phys_time = 0.0
@@ -287,8 +315,9 @@ class Simulator:
         self._flush_physics(makespan)
         self._flush_traffic()
         self._check_finished()
+        self.telemetry.trim()
         return SimOutcome(
-            records=self._records,
+            records=KernelTable.from_lists(*self._record_columns),
             makespan_s=makespan,
             iteration_end_s=[
                 self._iteration_end[i]
@@ -619,22 +648,6 @@ class Simulator:
         for cost, repeat in self._traffic_pending.values():
             self.traffic.record(cost, repeat)
         self._traffic_pending.clear()
-
-    def _record(
-        self,
-        task: Task,
-        gpu: int,
-        rank: int,
-        start: float,
-        end: float,
-        kind: KernelKind,
-    ) -> None:
-        self._append_record(
-            KernelRecord(
-                gpu, rank, kind, start, end,
-                task.iteration, task.microbatch, task.stage,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Physics loop

@@ -70,38 +70,64 @@ class GpuSeries:
         return float(np.trapezoid(self.power_w, self.times_s))
 
 
-@dataclass
+@dataclass(eq=False)
 class TelemetryLog:
     """Collected samples for every GPU of a run.
 
     Two append paths feed the log. :meth:`record` appends one sample for
-    one GPU into per-GPU column lists. :meth:`record_step` appends one
-    aligned row for *all* GPUs at once — the simulator's hot path — and
-    stores it as seven whole-cluster rows, so a sampling step costs a
-    handful of list appends instead of ``7 * num_gpus``. :meth:`series`
-    stitches both stores together (row blocks are stacked into
-    ``(steps, num_gpus)`` matrices once and cached).
+    one GPU into per-GPU column lists (the scalar physics backend).
+    :meth:`record_step` writes one aligned sample for *all* GPUs at once
+    — the simulator's hot path — as one row of a growable
+    ``(samples, num_gpus)`` matrix per field, plus one entry of a shared
+    sample-time vector; :meth:`trim` drops the unused capacity when a
+    run ends, so a stored log pickles seven arrays. :meth:`series`
+    stitches both stores together for one GPU.
+
+    ``==`` is exact: every field equal, arrays compared element for
+    element.
     """
 
     num_gpus: int
     sample_interval_s: float
+    # Per-GPU column lists of the record() path, created on first use.
     _cols: list[list[list[float]]] = field(default_factory=list, repr=False)
-    _row_time: list[float] = field(default_factory=list, repr=False)
-    _rows: list[list] = field(default_factory=list, repr=False)
-    _stack_cache: tuple | None = field(default=None, repr=False)
+    # Sample times (capacity,) and one (capacity, num_gpus) matrix per
+    # non-time field; the first _count rows are filled.
+    _times: np.ndarray | None = field(default=None, repr=False)
+    _matrices: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    _count: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
+        if self._times is None:
+            self._times = np.empty(0)
+            self._matrices = tuple(
+                np.empty((0, self.num_gpus)) for _ in _FIELDS[1:]
+            )
+
+    @classmethod
+    def from_matrices(cls, num_gpus: int, sample_interval_s: float,
+                      times_s, matrices) -> "TelemetryLog":
+        """A log of aligned samples given whole.
+
+        Args:
+            times_s: ``(samples,)`` sample instants.
+            matrices: one ``(samples, num_gpus)`` matrix per field, in
+                :meth:`record_step` order, columns indexed by physical
+                GPU id. Float arrays are used as given, not copied.
+        """
+        times = np.asarray(times_s, dtype=float)
+        return cls(
+            num_gpus, sample_interval_s, _times=times,
+            _matrices=tuple(np.asarray(m, dtype=float) for m in matrices),
+            _count=len(times),
+        )
+
+    def record(self, gpu: int, sample: GpuSample) -> None:
+        """Append one sample for one GPU."""
         if not self._cols:
             self._cols = [
                 [[] for _ in _FIELDS] for _ in range(self.num_gpus)
             ]
-        if not self._rows:
-            # One row list per non-time field; each entry is a length-
-            # num_gpus snapshot taken at the matching _row_time instant.
-            self._rows = [[] for _ in range(len(_FIELDS) - 1)]
-
-    def record(self, gpu: int, sample: GpuSample) -> None:
-        """Append one sample for one GPU."""
         cols = self._cols[gpu]
         cols[0].append(sample.time_s)
         cols[1].append(sample.power_w)
@@ -126,42 +152,56 @@ class TelemetryLog:
         Args:
             time_s: shared sample instant.
             power_w..pcie_bytes_per_s: per-GPU sequences indexed by
-                physical GPU id. Snapshots are copied, so callers may
-                reuse or mutate their buffers afterwards.
+                physical GPU id. Values are copied into the log's
+                matrices, so callers may reuse or mutate their buffers
+                afterwards.
         """
-        self._row_time.append(time_s)
-        rows = self._rows
-        rows[0].append(np.array(power_w, dtype=float))
-        rows[1].append(np.array(temp_c, dtype=float))
-        rows[2].append(np.array(freq_ratio, dtype=float))
-        rows[3].append(np.array(compute_util, dtype=float))
-        rows[4].append(np.array(comm_util, dtype=float))
-        rows[5].append(np.array(pcie_bytes_per_s, dtype=float))
+        row = self._count
+        if row == len(self._times):
+            self._resize(max(64, 2 * row))
+        self._times[row] = time_s
+        power, temp, freq, compute, comm, pcie = self._matrices
+        power[row] = power_w
+        temp[row] = temp_c
+        freq[row] = freq_ratio
+        compute[row] = compute_util
+        comm[row] = comm_util
+        pcie[row] = pcie_bytes_per_s
+        self._count = row + 1
+
+    def _resize(self, capacity: int) -> None:
+        """Move the aligned samples into buffers of ``capacity`` rows."""
+        n = self._count
+        times = np.empty(capacity)
+        times[:n] = self._times[:n]
+        matrices = []
+        for matrix in self._matrices:
+            grown = np.empty((capacity, self.num_gpus))
+            grown[:n] = matrix[:n]
+            matrices.append(grown)
+        self._times = times
+        self._matrices = tuple(matrices)
+
+    def trim(self) -> None:
+        """Drop unused buffer capacity (the simulator calls this when a
+        run ends)."""
+        if len(self._times) != self._count:
+            self._resize(self._count)
 
     def num_samples(self, gpu: int) -> int:
         """Number of samples recorded for one GPU."""
-        return len(self._cols[gpu][0]) + len(self._row_time)
-
-    def _stacked(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Row-store as (times, per-field (steps, num_gpus) matrices)."""
-        n = len(self._row_time)
-        if self._stack_cache is None or self._stack_cache[0] != n:
-            self._stack_cache = (
-                n,
-                np.asarray(self._row_time, dtype=float),
-                [np.asarray(rows, dtype=float) for rows in self._rows],
-            )
-        return self._stack_cache[1], self._stack_cache[2]
+        per_gpu = len(self._cols[gpu][0]) if self._cols else 0
+        return per_gpu + self._count
 
     def series(self, gpu: int) -> GpuSeries:
         """Materialise one GPU's samples as arrays."""
-        cols = self._cols[gpu]
+        cols = self._cols[gpu] if self._cols else [()] * len(_FIELDS)
         arrays = [np.asarray(col, dtype=float) for col in cols]
-        if self._row_time:
-            times, mats = self._stacked()
-            arrays = [np.concatenate([arrays[0], times])] + [
-                np.concatenate([arrays[i + 1], mats[i][:, gpu]])
-                for i in range(len(mats))
+        n = self._count
+        if n:
+            arrays = [np.concatenate([arrays[0], self._times[:n]])] + [
+                np.concatenate([arrays[i + 1], matrix[:n, gpu]])
+                for i, matrix in enumerate(self._matrices)
             ]
         return GpuSeries(
             times_s=arrays[0],
@@ -172,6 +212,24 @@ class TelemetryLog:
             comm_util=arrays[5],
             pcie_bytes_per_s=arrays[6],
         )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TelemetryLog):
+            return NotImplemented
+        n = self._count
+        return (
+            self.num_gpus == other.num_gpus
+            and self.sample_interval_s == other.sample_interval_s
+            and self._cols == other._cols
+            and n == other._count
+            and np.array_equal(self._times[:n], other._times[:n])
+            and all(
+                np.array_equal(a[:n], b[:n])
+                for a, b in zip(self._matrices, other._matrices)
+            )
+        )
+
+    __hash__ = None
 
     def all_series(self) -> list[GpuSeries]:
         """Series for every GPU, indexed by physical GPU id."""

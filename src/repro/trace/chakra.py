@@ -3,15 +3,29 @@
 The paper's Figures 3, 7, 8, 11 and 15 are all views over the same data:
 kernel records grouped by rank and kernel category. This module provides
 those aggregations, plus the scheduler-pressure averages behind Figure 20.
+
+Every function works on the columns of a
+:class:`~repro.engine.kernels.KernelTable`; a plain list of
+:class:`~repro.engine.kernels.KernelRecord` is converted once on entry.
+Summed floats keep the bits of a record-by-record Python loop: per-
+(rank, category) sums run in record order (``np.bincount`` with
+weights), the cross-rank mean adds ranks in first-appearance order, and
+pressure sums accumulate in sequence (``np.cumsum``; ``np.sum`` would
+sum pairwise and round differently).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.engine.kernels import (
+    CATEGORIES,
+    KINDS,
     KernelCategory,
     KernelRecord,
+    KernelTable,
     pressure_of,
 )
 
@@ -48,33 +62,57 @@ class KernelBreakdown:
         return copy
 
 
+def _as_table(records: KernelTable | list[KernelRecord]) -> KernelTable:
+    """``records`` as a :class:`KernelTable` (no copy when it is one)."""
+    if isinstance(records, KernelTable):
+        return records
+    return KernelTable.from_records(records)
+
+
 def filter_records(
-    records: list[KernelRecord],
+    records: KernelTable | list[KernelRecord],
     iteration: int | None = None,
     min_iteration: int | None = None,
-) -> list[KernelRecord]:
+) -> KernelTable:
     """Select records of one iteration, or from ``min_iteration`` onward."""
-    out = records
+    table = _as_table(records)
+    mask = np.ones(len(table), dtype=bool)
     if iteration is not None:
-        out = [r for r in out if r.iteration == iteration]
+        mask &= table.iteration == iteration
     if min_iteration is not None:
-        out = [r for r in out if r.iteration >= min_iteration]
-    return out
+        mask &= table.iteration >= min_iteration
+    return table if mask.all() else table[mask]
 
 
 def per_rank_breakdown(
-    records: list[KernelRecord],
+    records: KernelTable | list[KernelRecord],
 ) -> dict[int, KernelBreakdown]:
-    """Kernel-category time per logical rank (Figures 11, 15)."""
+    """Kernel-category time per logical rank (Figures 11, 15).
+
+    Ranks appear in first-record order, and each rank's categories in
+    the order of their first record on that rank.
+    """
+    table = _as_table(records)
+    if not len(table):
+        return {}
+    ncat = len(CATEGORIES)
+    pair = table.rank.astype(np.int64) * ncat + table.category_code
+    sums = np.bincount(pair, weights=table.duration_s).tolist()
+    # Walking (rank, category) pairs in first-record order inserts each
+    # rank at its first record and its categories in their order.
+    pairs, first = np.unique(pair, return_index=True)
     out: dict[int, KernelBreakdown] = {}
-    for record in records:
-        out.setdefault(record.rank, KernelBreakdown()).add(
-            record.category, record.duration_s
+    for code in pairs[np.argsort(first)].tolist():
+        rank, category = divmod(code, ncat)
+        out.setdefault(rank, KernelBreakdown()).add(
+            CATEGORIES[category], sums[code]
         )
     return out
 
 
-def mean_breakdown(records: list[KernelRecord]) -> KernelBreakdown:
+def mean_breakdown(
+    records: KernelTable | list[KernelRecord],
+) -> KernelBreakdown:
     """Kernel-category time averaged across ranks (Figures 3, 7, 8)."""
     per_rank = per_rank_breakdown(records)
     if not per_rank:
@@ -86,7 +124,7 @@ def mean_breakdown(records: list[KernelRecord]) -> KernelBreakdown:
     return mean
 
 
-def comm_skew(records: list[KernelRecord]) -> float:
+def comm_skew(records: KernelTable | list[KernelRecord]) -> float:
     """Max/mean ratio of per-rank communication time (>= 1.0).
 
     The paper uses cross-rank communication-time skew to show load
@@ -119,8 +157,15 @@ class PressureSummary:
     threadblocks_per_sm: float
 
 
+#: Per kind code: occupancy, warps and threadblocks of its profile.
+_PROFILE_COLUMNS = tuple(
+    np.array([getattr(pressure_of(kind), name) for kind in KINDS])
+    for name in ("occupancy", "warps_per_sm", "threadblocks_per_sm")
+)
+
+
 def pressure_summary(
-    records: list[KernelRecord], wall_time_s: float
+    records: KernelTable | list[KernelRecord], wall_time_s: float
 ) -> PressureSummary:
     """Average occupancy/warps/threadblocks over a run's wall time.
 
@@ -129,14 +174,15 @@ def pressure_summary(
     """
     if wall_time_s <= 0:
         raise ValueError("wall_time_s must be positive")
-    occupancy = warps = blocks = 0.0
-    for record in records:
-        profile = pressure_of(record.kind)
-        weight = record.duration_s / wall_time_s
-        occupancy += profile.occupancy * weight
-        warps += profile.warps_per_sm * weight
-        blocks += profile.threadblocks_per_sm * weight
-    gpus = len({r.gpu for r in records}) or 1
+    table = _as_table(records)
+    if not len(table):
+        return PressureSummary(0.0, 0.0, 0.0)
+    weight = table.duration_s / wall_time_s
+    occupancy, warps, blocks = (
+        float(np.cumsum(profile[table.kind_code] * weight)[-1])
+        for profile in _PROFILE_COLUMNS
+    )
+    gpus = len(np.unique(table.gpu))
     return PressureSummary(
         occupancy=min(1.0, occupancy / gpus),
         warps_per_sm=warps / gpus,

@@ -273,25 +273,18 @@ def schedule_timeline_figure(
     if not records:
         raise ValueError("run has no kernel records to plot")
     if iteration is None:
-        iteration = max(r.iteration for r in records)
+        iteration = int(records.iteration.max())
+    records = records[records.iteration == iteration]
     # One representative rank per stage: the lowest rank that ran
     # stage-bound compute there (tp/dp siblings replay the same shape).
-    rank_of: dict[int, int] = {}
-    for record in records:
-        if record.iteration == iteration and record.stage >= 0:
-            prev = rank_of.get(record.stage)
-            if prev is None or record.rank < prev:
-                rank_of[record.stage] = record.rank
-    if not rank_of:
+    staged = records[records.stage >= 0]
+    stages = np.unique(staged.stage).tolist()
+    if not stages:
         raise ValueError(f"iteration {iteration} has no stage records")
-    stages = sorted(rank_of)
-    lanes = {
-        stage: [
-            r for r in records
-            if r.iteration == iteration and r.rank == rank_of[stage]
-        ]
-        for stage in stages
-    }
+    lanes = {}
+    for stage in stages:
+        rank = staged.rank[staged.stage == stage].min()
+        lanes[stage] = list(records[records.rank == rank])
     t0 = min(r.start_s for lane in lanes.values() for r in lane)
     t1 = max(r.end_s for lane in lanes.values() for r in lane)
     span = max(t1 - t0, 1e-9)
