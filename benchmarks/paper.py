@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.api import SimRequest, submit
 from repro.core.results import RunResult
-from repro.core.sweep import cached_run_inference, cached_run_training
 from repro.engine.kernels import KernelCategory
 from repro.parallelism.strategy import OptimizationConfig
 
@@ -46,14 +46,14 @@ def train(
     global_batch_size: int = PAPER_GLOBAL_BATCH,
 ) -> RunResult:
     """Memoised paper-scale training run."""
-    return cached_run_training(
+    return submit(SimRequest(
         model=model,
         cluster=cluster,
         parallelism=parallelism,
         optimizations=optimizations,
         microbatch_size=microbatch_size,
         global_batch_size=global_batch_size,
-    )
+    ))
 
 
 def infer(
@@ -64,13 +64,14 @@ def infer(
     global_batch_size: int = PAPER_GLOBAL_BATCH,
 ) -> RunResult:
     """Memoised paper-scale inference run."""
-    return cached_run_inference(
+    return submit(SimRequest(
+        kind="inference",
         model=model,
         cluster=cluster,
         parallelism=parallelism,
         microbatch_size=microbatch_size,
         global_batch_size=global_batch_size,
-    )
+    ))
 
 
 def comm_seconds(result: RunResult) -> float:

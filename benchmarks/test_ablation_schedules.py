@@ -10,11 +10,9 @@ exactly when the bubble is the binding constraint.
 
 from paper import print_table
 
-from repro.core.sweep import cached_run_training
+from repro.api import SimRequest, submit
 from repro.models.catalog import GPT3_13B, GPT3_175B
 from repro.models.memory import activation_bytes
-from repro.engine.schedule import pipeline_bubble_fraction
-from repro.parallelism.strategy import ParallelismConfig
 from repro.units import GB
 
 # A bubble-bound point: few microbatches per replica, deep pipeline.
@@ -28,19 +26,18 @@ PP, DP = 8, 2
 MICROBATCHES = BASE["global_batch_size"] // DP  # per replica
 
 
-def _run(**config_kwargs):
-    return cached_run_training(
-        parallelism=ParallelismConfig(tp=2, pp=PP, dp=DP, **config_kwargs),
-        **BASE,
-    )
+def _run(schedule="1f1b"):
+    return submit(SimRequest(
+        parallelism=f"TP2-PP{PP}-DP{DP}", pipeline_schedule=schedule, **BASE,
+    ))
 
 
 def test_ablation_pipeline_schedules(benchmark):
     def build():
         return {
             "1f1b": _run(),
-            "gpipe": _run(pipeline_schedule="gpipe"),
-            "interleaved": _run(interleaved=True),
+            "gpipe": _run("gpipe"),
+            "interleaved": _run("interleaved"),
         }
 
     results = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -57,33 +54,28 @@ def test_ablation_pipeline_schedules(benchmark):
             ),
             num_microbatches=MICROBATCHES,
         )
-        bubble = pipeline_bubble_fraction(
-            PP, MICROBATCHES, 2 if name == "interleaved" else 1
-        )
         rows.append(
             (
                 name,
                 result.efficiency().step_time_s,
                 result.efficiency().tokens_per_s,
                 memory / GB,
-                f"{100 * bubble:.1f}%",
             )
         )
     print_table(
         "Ablation: pipeline schedules (GPT3-13B, TP2-PP8-DP2, 16 ubatches)",
-        ["Schedule", "Step s", "tok/s", "Peak act GB/GPU",
-         "Analytic bubble"],
+        ["Schedule", "Step s", "tok/s", "Peak act GB/GPU"],
         rows,
     )
 
-    one_f_one_b = results["1f1b"]
+    plain = results["1f1b"]
     gpipe = results["gpipe"]
     interleaved = results["interleaved"]
 
     # GPipe matches 1F1B wall time when memory is unconstrained...
     ratio = (
         gpipe.efficiency().step_time_s
-        / one_f_one_b.efficiency().step_time_s
+        / plain.efficiency().step_time_s
     )
     assert 0.9 < ratio < 1.1
 
@@ -99,7 +91,7 @@ def test_ablation_pipeline_schedules(benchmark):
     # "interleaved scheduling can improve utilization").
     assert (
         interleaved.efficiency().tokens_per_s
-        > one_f_one_b.efficiency().tokens_per_s
+        > plain.efficiency().tokens_per_s
     )
 
     # At paper scale, GPipe's memory bill is why nobody runs it: a

@@ -9,7 +9,7 @@ exceeds 50% of total kernel latency.
 
 from paper import comm_seconds, print_table
 
-from repro.core.sweep import cached_run_training
+from repro.core.sweep import cached_run
 from repro.hardware.cluster import H200_X32, one_gpu_per_node
 from repro.parallelism.strategy import OptimizationConfig
 
@@ -23,7 +23,8 @@ GRID = [
 
 
 def _train(model, strategy):
-    return cached_run_training(
+    return cached_run(
+        "train",
         model=model,
         cluster=CLUSTER,
         parallelism=strategy,

@@ -13,7 +13,7 @@ hot stages outweighs the layer imbalance here (see EXPERIMENTS.md).
 
 from paper import print_table
 
-from repro.core.sweep import cached_run_training
+from repro.core.sweep import cached_run
 from repro.hardware.cluster import H200_X32, ClusterSpec
 from repro.hardware.node import HGX_H200_NODE
 from repro.parallelism.strategy import ParallelismConfig
@@ -35,7 +35,8 @@ EXPERIMENTS = [
 
 
 def _run(model, cluster, config, placement=None, stage_layers=None):
-    return cached_run_training(
+    return cached_run(
+        "train",
         model=model,
         cluster=cluster,
         parallelism=config,

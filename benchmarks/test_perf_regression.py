@@ -6,7 +6,7 @@ oracle/baseline, ``fast_path=True`` is the vectorized physics +
 collective-cost memoisation + cheap-recording path — and asserts the
 optimized path clears ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x). The
 persistent result cache is explicitly out of the measurement: every run
-here is a cold ``run_training`` call, so the speedup comes from the
+here is a cold ``execute_training`` call, so the speedup comes from the
 hot-path work alone.
 
 Writes ``BENCH_simulation.json`` at the repo root so the performance
@@ -18,7 +18,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.core.store import persistence_disabled
 from repro.engine.simulator import SimSettings
 
@@ -38,7 +38,7 @@ def _best_time(model: str, cluster: str, parallelism: str,
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        result = run_training(
+        result = execute_training(
             model=model,
             cluster=cluster,
             parallelism=parallelism,
@@ -103,8 +103,9 @@ def test_sweep_inference_memoises_grid():
     once, and a warm repeat of the whole sweep is served entirely from
     the in-process memo (identical result objects, no new simulations).
     """
+    from repro.api import SimRequest
     from repro.core.sweep import clear_cache, lookup_memo
-    from repro.inference.engine import sweep_inference
+    from repro.inferserve import sweep_inference
 
     kwargs = dict(
         model="gpt3-13b",
@@ -122,16 +123,15 @@ def test_sweep_inference_memoises_grid():
         assert cold[0].result is cold[3].result
         # Every distinct point is memo-resident after the sweep.
         for point in cold:
-            assert lookup_memo(
-                "infer",
-                dict(
-                    model="gpt3-13b",
-                    cluster="mi250x32",
-                    parallelism=point.parallelism,
-                    microbatch_size=point.microbatch_size,
-                    global_batch_size=16,
-                ),
-            ) is point.result
+            request = SimRequest(
+                kind="inference",
+                model="gpt3-13b",
+                cluster="mi250x32",
+                parallelism=point.parallelism,
+                microbatch_size=point.microbatch_size,
+                global_batch_size=16,
+            )
+            assert lookup_memo(*request.to_run_payload()) is point.result
         warm = sweep_inference(**kwargs)
         for cold_point, warm_point in zip(cold, warm):
             assert warm_point.result is cold_point.result

@@ -20,11 +20,9 @@ covering training, inference, serving, and fleet simulation::
 The same requests drive the ``repro.serve`` broker (``python -m repro
 serve``) over HTTP, and :class:`OptimizeRequest` asks the joint
 auto-search (:mod:`repro.optimize`, docs/optimize.md) for the best
-configuration instead of one configuration. The historical
-``run_training`` / ``run_inference`` / ``cached_run_*`` entrypoints
-remain importable as deprecation shims; see docs/api.md. See DESIGN.md
-for the system inventory and EXPERIMENTS.md for the per-figure
-reproduction index.
+configuration instead of one configuration. See DESIGN.md for the
+system inventory and EXPERIMENTS.md for the per-figure reproduction
+index.
 """
 
 from repro.api import (
@@ -35,7 +33,6 @@ from repro.api import (
     submit,
     submit_many,
 )
-from repro.core.experiment import run_inference, run_training
 from repro.datacenter import (
     POLICIES,
     ArrivalConfig,
@@ -47,13 +44,7 @@ from repro.datacenter import (
 )
 from repro.core.faults import FaultSpec, power_failure
 from repro.core.results import RunResult
-from repro.core.sweep import (
-    SweepPoint,
-    cached_run_inference,
-    cached_run_training,
-    normalize_by_best,
-    run_sweep,
-)
+from repro.core.sweep import SweepPoint, normalize_by_best, run_sweep
 from repro.hardware.cluster import (
     H100_X64,
     H200_X32,
@@ -113,8 +104,6 @@ __all__ = [
     "SimRequest",
     "SweepPoint",
     "TraceConfig",
-    "cached_run_inference",
-    "cached_run_training",
     "cluster_names",
     "execute_serving",
     "get_cluster",
@@ -124,9 +113,7 @@ __all__ = [
     "normalize_by_best",
     "one_gpu_per_node",
     "parse_strategy",
-    "run_inference",
     "run_sweep",
-    "run_training",
     "submit",
     "submit_many",
     "valid_configs",

@@ -194,27 +194,6 @@ def seed_memo(kind: str, kwargs: dict, result: RunResult) -> None:
     _CACHE.setdefault(_cache_key(kind, kwargs), result)
 
 
-def cached_run_training(**kwargs) -> RunResult:
-    """Deprecated alias for :func:`cached_run` (``"train"`` kind).
-
-    Same behaviour, cache addressing, and return type; emits a one-time
-    :class:`DeprecationWarning` pointing at :mod:`repro.api` /
-    :func:`cached_run` (docs/api.md).
-    """
-    from repro import api
-
-    api.warn_deprecated("cached_run_training")
-    return api.legacy_run("train", (), kwargs, cached=True)
-
-
-def cached_run_inference(**kwargs) -> RunResult:
-    """Deprecated alias for :func:`cached_run` (``"infer"`` kind)."""
-    from repro import api
-
-    api.warn_deprecated("cached_run_inference")
-    return api.legacy_run("infer", (), kwargs, cached=True)
-
-
 def clear_cache() -> None:
     """Drop all memoised results, in-memory and persistent.
 

@@ -1,4 +1,7 @@
-"""Execution engine: task graphs, schedules, and the DES simulator."""
+"""Execution engine: task graphs and the DES simulator.
+
+Pipeline schedules live in :mod:`repro.schedules`.
+"""
 
 from repro.engine.builder import (
     BACKWARD_MULTIPLIER,
@@ -16,15 +19,6 @@ from repro.engine.kernels import (
     category_of,
     compute_efficiency,
     pressure_of,
-)
-from repro.engine.schedule import (
-    Direction,
-    PipelineOp,
-    interleaved_1f1b,
-    one_f_one_b,
-    pipeline_bubble_fraction,
-    schedule_for,
-    validate_schedule,
 )
 from repro.engine.simulator import (
     DeadlockError,
@@ -50,13 +44,11 @@ __all__ = [
     "CollectiveSpec",
     "ComputeSpec",
     "DeadlockError",
-    "Direction",
     "GraphBuilder",
     "KernelCategory",
     "KernelKind",
     "KernelRecord",
     "P2PSpec",
-    "PipelineOp",
     "PressureProfile",
     "SimOutcome",
     "SimSettings",
@@ -68,12 +60,7 @@ __all__ = [
     "build_training_graph",
     "category_of",
     "compute_efficiency",
-    "interleaved_1f1b",
-    "one_f_one_b",
-    "pipeline_bubble_fraction",
     "pressure_of",
-    "schedule_for",
     "simulate",
     "split_layers",
-    "validate_schedule",
 ]

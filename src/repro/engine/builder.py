@@ -137,13 +137,9 @@ class GraphBuilder:
             raise ValueError("stage_layers must have one entry per stage")
         if sum(self.stage_layers) != model.num_layers:
             raise ValueError("stage_layers must sum to num_layers")
-        # Resolve the pipeline schedule: the legacy ``interleaved`` flag
-        # upgrades 1F1B to the interleaved schedule, and interleaving is
-        # a no-op on a single stage either way.
+        # Interleaving is a no-op on a single stage.
         schedule_name = cfg.pipeline_schedule
-        if schedule_name == "1f1b" and cfg.interleaved and cfg.pp > 1:
-            schedule_name = "interleaved"
-        elif schedule_name == "interleaved" and cfg.pp <= 1:
+        if schedule_name == "interleaved" and cfg.pp <= 1:
             schedule_name = "1f1b"
         self.num_chunks = num_chunks if schedule_name == "interleaved" else 1
         self.schedule = create_schedule(

@@ -1,4 +1,6 @@
-"""Inference serving as a first-class workload.
+"""Inference: serving as a first-class workload, and the Section 7.2
+characterization (the prefill/decode latency model and the Figure 23
+inference sweep).
 
 Continuous batching with KV-cache pressure, prefill/decode
 disaggregation, diurnal request traces, SLO goodput, reactive
@@ -19,7 +21,18 @@ from repro.inferserve.config import (
     ServingConfig,
     SloConfig,
 )
-from repro.inferserve.engine import execute_serving
+from repro.inferserve.engine import (
+    InferencePoint,
+    execute_serving,
+    sweep_inference,
+)
+from repro.inferserve.latency import (
+    InferenceLatency,
+    decode_bound_batch_size,
+    decode_seconds_per_token,
+    prefill_seconds,
+    request_latency,
+)
 from repro.inferserve.outcome import (
     EnergyReport,
     ReplicaStats,
@@ -63,6 +76,8 @@ __all__ = [
     "AutoscaleConfig",
     "BatcherConfig",
     "EnergyReport",
+    "InferenceLatency",
+    "InferencePoint",
     "LatencyStats",
     "ReplicaStats",
     "Request",
@@ -83,11 +98,16 @@ __all__ = [
     "TraceConfig",
     "build_slo_report",
     "compare_routers",
+    "decode_bound_batch_size",
+    "decode_seconds_per_token",
     "execute_serving",
     "generate_trace",
     "percentile",
+    "prefill_seconds",
     "rate_from_daily_users",
+    "request_latency",
     "serving_capacity_replicas",
     "simulate_serving_deployment",
     "simulate_static_routing",
+    "sweep_inference",
 ]

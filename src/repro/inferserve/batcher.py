@@ -23,7 +23,7 @@ generated tokens are recomputed later (vLLM's recompute preemption).
 decode pool (Splitwise-style): prompts batch on prefill replicas, then
 hand their KV cache to a decode replica over the inter-node fabric.
 
-Timing comes from :mod:`repro.inference.latency` — prefill is
+Timing comes from :mod:`repro.inferserve.latency` — prefill is
 compute-bound (scales with ``1/freq_setpoint``), decode streams the
 active weights (clock-insensitive until the batch crosses the
 arithmetic-intensity knee) — and power from :mod:`repro.power.model`,
@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.hardware.cluster import ClusterSpec
-from repro.inference.latency import (
+from repro.inferserve.latency import (
     decode_seconds_per_token,
     prefill_seconds,
 )

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from repro.hardware.cluster import ClusterSpec
 from repro.models.config import ModelConfig
-from repro.models.flops import model_step_flops
+from repro.models.flops import model_forward_flops, model_step_flops
 from repro.models.memory import (
     USABLE_MEMORY_FRACTION,
     fits_in_memory,
@@ -47,9 +47,11 @@ from repro.models.memory import (
 from repro.optimize.objective import Objective
 from repro.parallelism.enumerate import ConfigSearchSpace, raw_configs
 from repro.parallelism.strategy import ParallelismConfig, parse_strategy
+from repro.power.model import BUSY_COMPUTE, gpu_power
 from repro.schedules import create_schedule, get_schedule_class
 
 __all__ = [
+    "ESTIMATE_ERROR_BAND",
     "AnalyticEstimate",
     "PlanCandidate",
     "PruneVerdict",
@@ -262,6 +264,7 @@ def _plan_comm_time_s(
     candidate: PlanCandidate,
     *,
     hide_dp_s: float = 0.0,
+    inference: bool = False,
 ) -> float:
     """Alpha-beta estimate of one rank's *exposed* per-step comm time.
 
@@ -271,13 +274,15 @@ def _plan_comm_time_s(
 
     * **TP activations** — four allreduce-equivalent collectives per
       transformer layer (forward + backward) of the microbatch's
-      activation slab, over the (intra-node) TP group;
+      activation slab, over the (intra-node) TP group; two when
+      ``inference`` (forward only);
     * **DP gradients** — one allreduce of the rank's FP16 gradient
       shard over the DP group (which strides across nodes), with a
       1.5x volume factor for FSDP's allgather/reduce-scatter pattern.
       The simulator buckets this flow behind the tail backward kernels
       (CC-overlap), so ``hide_dp_s`` — the caller's backward-compute
       window — is subtracted and only the remainder counts as exposed.
+      Inference has no gradients, so no such term.
 
     PP point-to-point transfers and MoE all-to-alls are deliberately
     omitted: both are small next to the schedule's bubble term and the
@@ -300,9 +305,9 @@ def _plan_comm_time_s(
         ).duration_s
         total += (
             max(1, candidate.num_microbatches)
-            * layers_per_stage * 4 * per_layer
+            * layers_per_stage * (2 if inference else 4) * per_layer
         )
-    if plan.dp > 1:
+    if plan.dp > 1 and not inference:
         grad_bytes = BYTES_FP16 * shard_params(
             model, tp=plan.tp, pp=plan.pp, ep=plan.ep
         )
@@ -315,6 +320,24 @@ def _plan_comm_time_s(
     return total
 
 
+#: Measured error of :func:`analytic_plan_estimate`: the ``[min, max]``
+#: of estimated ÷ simulated ``efficiency().step_time_s`` per request
+#: kind, rounded outward, over the 241 buildable perfbench cold-run
+#: cells (model × cluster × plan × microbatch × schedule: 194 training,
+#: 47 inference) at each of their static clocks 1.0, 0.95, 0.9 and 0.85.
+#: At clock 1.0 alone the band is 0.084-0.850 (training) and
+#: 0.115-2.451 (inference). The estimate is a ranking heuristic, not a
+#: prediction: it omits PP transfers, MoE all-to-alls, launch overheads
+#: and thermal throttling, so it mostly underestimates (MoE cells most),
+#: while it charges a lowered clock in full where the simulated run
+#: loses less because it no longer throttles. tests/test_estimate_error.py
+#: re-simulates the extreme cells of every cluster, kind and schedule.
+ESTIMATE_ERROR_BAND = {
+    "training": (0.083, 1.043),
+    "inference": (0.114, 3.191),
+}
+
+
 def analytic_plan_estimate(
     model: ModelConfig,
     cluster: ClusterSpec,
@@ -323,25 +346,35 @@ def analytic_plan_estimate(
     *,
     global_batch_size: int,
     recompute: bool = False,
+    inference: bool = False,
+    clock: float = 1.0,
 ) -> AnalyticEstimate:
-    """Roofline + alpha-beta cost estimate used to rank survivors.
+    """Roofline + alpha-beta cost estimate of one plan.
 
     Ideal compute time (step FLOPs over the cluster's aggregate
-    sustained throughput) inflated by the schedule's analytic bubble
-    fraction, plus the plan's dominant communication flows
-    (:func:`_plan_comm_time_s`, assumed unoverlapped); energy at TDP
-    for the whole duration. Deliberately coarse — it only has to
-    *order* plans well enough that the true optimum lands inside the
-    simulated beam: the bubble term separates schedules on the same
-    plan, the comm terms separate plans that trade TP width against
-    pipeline depth.
+    sustained throughput at ``clock``, a fraction of boost) inflated by
+    the schedule's analytic bubble fraction, plus the plan's dominant
+    communication flows (:func:`_plan_comm_time_s`, assumed
+    unoverlapped); energy at the board power of a fully busy GPU at
+    ``clock`` (exactly TDP at 1.0) for the whole duration. ``inference``
+    counts forward FLOPs and forward-only communication.
+
+    The optimizer ranks survivors by it, so it only has to *order*
+    plans well enough that the true optimum lands inside the simulated
+    beam: the bubble term separates schedules on the same plan, the
+    comm terms separate plans that trade TP width against pipeline
+    depth. Degraded serve answers return it as-is, with
+    :data:`ESTIMATE_ERROR_BAND` as the error bar.
     """
     gpu = cluster.node.gpu
     gpus = cluster.total_gpus
     pp = candidate.parallelism.pp
     tokens = global_batch_size * model.seq_length
-    flops = model_step_flops(model, tokens, recompute)
-    ideal_s = flops / (gpus * gpu.sustained_flops)
+    if inference:
+        flops = model_forward_flops(model, tokens)
+    else:
+        flops = model_step_flops(model, tokens, recompute)
+    ideal_s = flops / (gpus * gpu.sustained_flops * clock)
     # A pipeline ticks at the pace of its *largest* stage: when pp does
     # not divide the layer count, ceil-sized stages inflate every
     # microbatch slot (40 layers over 16 stages runs at 3-layer pace).
@@ -355,9 +388,10 @@ def analytic_plan_estimate(
     # Backward compute (~2/3 of the step's FLOPs) is the window the
     # bucketed DP gradient allreduce hides behind under CC-overlap.
     step_time_s = ideal_s * (1.0 + bubble) + _plan_comm_time_s(
-        model, cluster, candidate, hide_dp_s=ideal_s * (2.0 / 3.0)
+        model, cluster, candidate, hide_dp_s=ideal_s * (2.0 / 3.0),
+        inference=inference,
     )
-    energy_j = gpus * gpu.tdp_watts * step_time_s
+    energy_j = gpus * gpu_power(gpu, BUSY_COMPUTE, clock) * step_time_s
     return AnalyticEstimate(
         step_time_s=step_time_s,
         energy_j=energy_j,

@@ -34,8 +34,6 @@ class ParallelismConfig:
         use_fsdp: shard parameters/optimizer across the ``dp`` dimension
             (per-layer AllGather + ReduceScatter instead of gradient
             AllReduce).
-        interleaved: use the interleaved (virtual-stage) pipeline schedule
-            instead of plain 1F1B.
         pipeline_schedule: any schedule registered in
             :mod:`repro.schedules` — ``"1f1b"`` (Megatron default),
             ``"interleaved"``, ``"gpipe"``, ``"zb-h1"`` (zero-bubble),
@@ -53,7 +51,6 @@ class ParallelismConfig:
     dp: int = 1
     ep: int = 1
     use_fsdp: bool = False
-    interleaved: bool = False
     pipeline_schedule: str = "1f1b"
 
     def __post_init__(self) -> None:
@@ -68,15 +65,6 @@ class ParallelismConfig:
             "pipeline_schedule",
             canonical_schedule_name(self.pipeline_schedule),
         )
-        if self.pipeline_schedule == "gpipe" and self.interleaved:
-            raise ValueError("GPipe cannot be interleaved")
-        if self.interleaved and self.pipeline_schedule not in (
-            "1f1b", "interleaved"
-        ):
-            raise ValueError(
-                f"the {self.pipeline_schedule!r} schedule does not "
-                "combine with interleaved virtual stages"
-            )
         for label, width in (
             ("tp", self.tp),
             ("pp", self.pp),

@@ -24,7 +24,8 @@ from repro.schedules.graph import (
 def check_stage_args(
     stage: int, num_stages: int, num_microbatches: int
 ) -> None:
-    """Legacy-compatible argument validation (exact messages pinned)."""
+    """Validate a stage index and pipeline shape (messages pinned by
+    tests/test_engine_schedule.py)."""
     if num_stages < 1:
         raise ValueError("num_stages must be >= 1")
     if not 0 <= stage < num_stages:

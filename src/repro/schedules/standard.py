@@ -1,7 +1,7 @@
 """The classic schedules: 1F1B, Megatron interleaved 1F1B, and GPipe.
 
-These reproduce — node for node — the per-rank op orders the legacy
-:mod:`repro.engine.schedule` module hardcoded, which is what keeps the
+These reproduce — node for node — the per-rank op orders the engine
+hardcoded before schedules became graphs, which is what keeps the
 schedule-graph engine path bit-identical to the pre-refactor engine
 (pinned in tests/test_schedule_identity.py).
 """

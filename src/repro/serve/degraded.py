@@ -3,14 +3,17 @@
 When the broker's execution path is down — workers crashing faster
 than they respawn, a tripped circuit breaker, a deadline too tight for
 a real simulation — the choices are a 500 or an *approximate* answer.
-This module provides the approximation: a closed-form roofline
-estimate computed from the model/cluster catalogs alone, with no
-worker, no simulator event loop, and no cache.
+This module provides the approximation: the joint optimizer's analytic
+plan estimate (:func:`repro.optimize.space.analytic_plan_estimate`:
+roofline compute inflated by the schedule's bubble, plus alpha-beta
+TP/DP communication), computed from the model/cluster catalogs alone,
+with no worker, no simulator event loop, and no cache.
 
-The estimate is the same arithmetic the simulator's performance model
-bottoms out in (sustained-FLOPs roofline over the parallel width, TDP
-power envelope), so it lands in the right order of magnitude — good
-enough for a dashboard or a sweep heat-map cell, clearly not a
+The answer carries the estimator's measured error band
+(:data:`repro.optimize.space.ESTIMATE_ERROR_BAND`) as ``error_bound``:
+the simulated step time of a cell lay within
+``[step_time_s / max, step_time_s / min]`` for every measured cell —
+good enough for a dashboard or a sweep heat-map cell, clearly not a
 simulation. Responses built from it are marked ``degraded: true`` with
 ``degraded_source: "analytic"``; clients that need exact numbers must
 retry later (docs/chaos.md describes the policy).
@@ -43,45 +46,68 @@ def analytic_estimate(request: SimRequest) -> dict | None:
         return None
     from repro.hardware.cluster import get_cluster
     from repro.models.catalog import get_model
-    from repro.models.flops import model_forward_flops, model_step_flops
+    from repro.optimize.objective import parse_objective
+    from repro.optimize.space import (
+        ESTIMATE_ERROR_BAND,
+        PlanCandidate,
+        analytic_plan_estimate,
+    )
     from repro.parallelism.strategy import parse_strategy
+    from repro.power.model import BUSY_COMPUTE, gpu_power
+    from repro.powerctl.config import freq_for_power_limit
 
     model = get_model(request.model)
     cluster = get_cluster(request.cluster)
     strategy = parse_strategy(request.parallelism).fill_dp(
         cluster.total_gpus
     )
-    gpus = strategy.world_size
-    tokens = request.global_batch_size * model.seq_length
-    if request.kind == "training":
-        flops = model_step_flops(
-            model, tokens,
-            recompute=request.optimizations.activation_recompute,
-        )
-    else:
-        flops = model_forward_flops(model, tokens)
     gpu = cluster.node.gpu
-    sustained = gpus * gpu.sustained_flops * request.freq_setpoint
-    step_time_s = flops / sustained if sustained > 0 else float("inf")
-    # Busy GPUs sit near TDP; the roofline has no bubble/comm model, so
-    # this is the *upper* power envelope for the width actually used.
-    power_w = gpus * gpu.tdp_watts * request.freq_setpoint
+    # The clock the static governor would hold: a power limit wins over
+    # a clock setpoint, as in the engine.
+    if request.power_limit_w is not None:
+        clock = freq_for_power_limit(gpu, request.power_limit_w)
+    else:
+        clock = request.freq_setpoint
+    estimate = analytic_plan_estimate(
+        model,
+        cluster,
+        PlanCandidate(
+            parallelism=strategy,
+            microbatch_size=request.microbatch_size,
+            pipeline_schedule=request.pipeline_schedule,
+            num_microbatches=request.global_batch_size
+            // (strategy.dp * request.microbatch_size),
+        ),
+        parse_objective("time"),
+        global_batch_size=request.global_batch_size,
+        recompute=request.optimizations.activation_recompute,
+        inference=request.kind == "inference",
+        clock=clock,
+    )
+    step_time_s = estimate.step_time_s
+    tokens = request.global_batch_size * model.seq_length
+    gpu_power_w = gpu_power(gpu, BUSY_COMPUTE, clock)
+    if request.power_limit_w is not None and clock > gpu.base_clock_ratio:
+        # The governor holds the limit exactly; drop the rounding error
+        # of inverting and re-applying the power curve. Below the base
+        # clock's draw no clock holds the limit, so none is claimed.
+        gpu_power_w = min(gpu_power_w, request.power_limit_w)
+    power_w = cluster.total_gpus * gpu_power_w
     return {
         "analytic": True,
         "kind": request.kind,
         "model": request.model,
         "cluster": request.cluster,
         "parallelism": strategy.name,
-        "gpus": gpus,
-        "step_flops": flops,
+        "gpus": cluster.total_gpus,
         "step_time_s": step_time_s,
-        "tokens_per_s": (
-            tokens / step_time_s if step_time_s > 0 else 0.0
-        ),
+        "tokens_per_s": tokens / step_time_s,
         "power_w": power_w,
         "energy_per_step_j": power_w * step_time_s,
+        "error_bound": list(ESTIMATE_ERROR_BAND[request.kind]),
         "note": (
-            "closed-form roofline estimate served in degraded mode; "
+            "analytic estimate served in degraded mode; error_bound is "
+            "the measured [min, max] of estimate / simulated step time; "
             "retry for a simulated result"
         ),
     }

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import repro
 import repro.core.sweep as sweep_mod
 from repro.api import KINDS, SimRequest, submit, submit_many
-from repro.core.experiment import execute_training
+from repro.core.experiment import execute_inference, execute_training
+from repro.core.sweep import cached_run
 from repro.parallelism.strategy import OptimizationConfig
 from tests.conftest import assert_run_results_equal
 
@@ -194,6 +195,23 @@ class TestSubmit:
     def test_inference_request(self):
         result = submit(_request(kind="inference"), cache=False)
         assert result.efficiency().tokens_per_s > 0
+
+    def test_inference_submit_equals_execute(self):
+        request = _request(kind="inference")
+        kind, kwargs = request.to_run_payload()
+        assert kind == "infer"
+        assert_run_results_equal(
+            submit(request, cache=False), execute_inference(**kwargs)
+        )
+
+    @pytest.mark.parametrize("kind", ["training", "inference"])
+    def test_cached_run_shares_the_submit_cache(self, kind):
+        # A hand-written cached_run call with a request's payload kwargs
+        # is a memo hit on what submit() stored.
+        request = _request(kind=kind)
+        primed = submit(request)
+        run_kind, kwargs = request.to_run_payload()
+        assert cached_run(run_kind, **kwargs) is primed
 
     def test_submit_rejects_non_request(self):
         with pytest.raises(TypeError, match="SimRequest"):

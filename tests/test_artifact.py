@@ -9,7 +9,7 @@ from repro.core.artifact import (
     run_summary,
     write_run_artifact,
 )
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.engine.simulator import SimSettings
 from repro.telemetry.export import read_telemetry_csv
 from repro.trace.export import read_trace_csv
@@ -19,7 +19,7 @@ FAST = SimSettings(physics_dt_s=0.01, telemetry_interval_s=0.02)
 
 @pytest.fixture(scope="module")
 def result():
-    return run_training(
+    return execute_training(
         model="gpt3-13b",
         cluster="mi250x32",
         parallelism="TP2-PP4",

@@ -248,6 +248,20 @@ class TestDegradedMode:
         assert body["result"]["model"] == "gpt3-13b"
         assert body["result"]["tokens_per_s"] > 0
 
+    @pytest.mark.parametrize("limit_w", [250.0, 300.0, 400.0, 500.0])
+    def test_analytic_answer_respects_power_limit(self, limit_w):
+        from repro.serve.degraded import analytic_estimate
+
+        capped = dataclasses.replace(
+            REQUEST, cluster="h100x64", power_limit_w=limit_w
+        )
+        estimate = analytic_estimate(capped)
+        uncapped = analytic_estimate(
+            dataclasses.replace(REQUEST, cluster="h100x64")
+        )
+        assert estimate["power_w"] <= estimate["gpus"] * limit_w
+        assert estimate["step_time_s"] > uncapped["step_time_s"]
+
     def test_timeouts_degrade_too(self):
         async def scenario():
             runner = scripted_runner([WorkerTimeoutError("too slow")])

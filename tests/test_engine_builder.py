@@ -282,7 +282,9 @@ class TestInterleavedGraphs:
     def test_interleaved_builds(self, tiny_model, small_cluster):
         mesh = DeviceMesh(
             cluster=small_cluster,
-            config=ParallelismConfig(tp=2, pp=2, dp=2, interleaved=True),
+            config=ParallelismConfig(
+                tp=2, pp=2, dp=2, pipeline_schedule="interleaved"
+            ),
         )
         graph = build_training_graph(
             model=tiny_model,

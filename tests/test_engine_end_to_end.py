@@ -40,28 +40,33 @@ class TestInterleavedPipeline:
         )
         interleaved = _simulate(
             tiny_model, small_cluster, fast_settings,
-            ParallelismConfig(tp=1, pp=4, dp=2, interleaved=True), gb=8,
+            ParallelismConfig(
+                tp=1, pp=4, dp=2, pipeline_schedule="interleaved"
+            ),
+            gb=8,
         )
         assert interleaved.makespan_s < 1.25 * plain.makespan_s
 
     def test_beats_plain_when_compute_dominates(self):
         """With chunky compute kernels and a bubble-bound microbatch
         count, interleaving wins (its intended regime)."""
-        from repro.core.experiment import run_training
+        from repro.core.experiment import execute_training
         from repro.engine.simulator import SimSettings
         from repro.parallelism.strategy import ParallelismConfig as PC
 
         settings = SimSettings(physics_dt_s=0.02,
                                telemetry_interval_s=0.05)
-        plain = run_training(
+        plain = execute_training(
             model="gpt3-13b", cluster="mi250x32",
             parallelism=PC(tp=2, pp=8, dp=2),
             microbatch_size=1, global_batch_size=16, iterations=1,
             warmup_iterations=0, settings=settings,
         )
-        interleaved = run_training(
+        interleaved = execute_training(
             model="gpt3-13b", cluster="mi250x32",
-            parallelism=PC(tp=2, pp=8, dp=2, interleaved=True),
+            parallelism=PC(
+                tp=2, pp=8, dp=2, pipeline_schedule="interleaved"
+            ),
             microbatch_size=1, global_batch_size=16, iterations=1,
             warmup_iterations=0, settings=settings,
         )
@@ -74,7 +79,9 @@ class TestInterleavedPipeline:
     ):
         mesh = DeviceMesh(
             cluster=small_cluster,
-            config=ParallelismConfig(tp=1, pp=4, dp=2, interleaved=True),
+            config=ParallelismConfig(
+                tp=1, pp=4, dp=2, pipeline_schedule="interleaved"
+            ),
         )
         with pytest.raises(ValueError):
             build_training_graph(
@@ -263,8 +270,7 @@ class TestGpipeEndToEnd:
         )
 
     def test_gpipe_interleaved_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelismConfig(
-                tp=1, pp=4, dp=2, interleaved=True,
-                pipeline_schedule="gpipe",
-            )
+        from repro.schedules import create_schedule
+
+        with pytest.raises(ValueError, match="virtual-stage chunks"):
+            create_schedule("gpipe", 4, 8, num_chunks=2)

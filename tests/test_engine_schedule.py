@@ -1,17 +1,68 @@
-"""Tests for pipeline schedules (1F1B and interleaved)."""
+"""Tests for pipeline schedules (1F1B, interleaved, GPipe) through the
+:mod:`repro.schedules` registry: per-stage node orders from
+``create_schedule(...).steps(stage)``, structural checks from
+``ScheduleGraph.validate``, and argument checks from
+``check_stage_args``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.schedule import (
-    Direction,
-    interleaved_1f1b,
-    one_f_one_b,
-    pipeline_bubble_fraction,
-    schedule_for,
-    validate_schedule,
+from repro.schedules import (
+    NodeType,
+    OneFOneBSchedule,
+    ScheduleGraph,
+    check_stage_args,
+    create_schedule,
+    make_node,
 )
+
+F, B = NodeType.FORWARD, NodeType.BACKWARD
+
+
+def _graph(rows, num_microbatches, num_stages=1) -> ScheduleGraph:
+    """A hand-built graph of (type, microbatch) rows, one per stage."""
+    return ScheduleGraph(
+        num_stages=num_stages,
+        num_microbatches=num_microbatches,
+        stage_rows=tuple(
+            tuple(
+                make_node(type, stage, num_stages, 1, mb)
+                for type, mb in row
+            )
+            for stage, row in enumerate(rows)
+        ),
+    )
+
+
+def _bubble(schedule) -> float:
+    """Idle share of a schedule, measured by replaying its graph with a
+    forward costing 1 and a backward 2 per stage (split across chunks)
+    and free P2P: makespan over busy time, minus one."""
+    graph = schedule.graph()
+    p = graph.num_stages
+    deps: dict = {}
+    for src, dst in graph.dependency_edges():
+        deps.setdefault(dst, []).append(src)
+    finish: dict = {}
+    clock = [0.0] * p
+    rows = [list(row) for row in graph.stage_rows]
+    while any(rows):
+        progressed = False
+        for stage, row in enumerate(rows):
+            while row and all(
+                d in finish for d in deps.get(row[0].key(p), ())
+            ):
+                node = row.pop(0)
+                key = node.key(p)
+                start = max(
+                    [clock[stage]] + [finish[d] for d in deps.get(key, ())]
+                )
+                cost = (1.0 if node.type is F else 2.0) / graph.num_chunks
+                finish[key] = clock[stage] = start + cost
+                progressed = True
+        assert progressed, "schedule graph deadlocked"
+    return max(clock) / (3.0 * graph.num_microbatches) - 1.0
 
 
 class TestOneFOneB:
@@ -21,45 +72,38 @@ class TestOneFOneB:
     )
     @settings(max_examples=80, deadline=None)
     def test_valid_for_all_shapes(self, num_stages, num_microbatches):
+        schedule = create_schedule("1f1b", num_stages, num_microbatches)
+        schedule.graph()  # validates coverage and acyclicity
         for stage in range(num_stages):
-            ops = one_f_one_b(stage, num_stages, num_microbatches)
-            validate_schedule(ops, num_microbatches)
-            assert len(ops) == 2 * num_microbatches
+            assert len(schedule.steps(stage)) == 2 * num_microbatches
 
     def test_last_stage_alternates_strictly(self):
-        ops = one_f_one_b(3, 4, 6)
-        directions = [op.direction for op in ops]
-        assert directions[:4] == [
-            Direction.FORWARD,
-            Direction.BACKWARD,
-            Direction.FORWARD,
-            Direction.BACKWARD,
-        ]
+        nodes = create_schedule("1f1b", 4, 6).steps(3)
+        assert [node.type for node in nodes[:4]] == [F, B, F, B]
 
     def test_first_stage_has_warmup(self):
-        ops = one_f_one_b(0, 4, 8)
-        warmup = [op for op in ops[:3]]
-        assert all(op.direction is Direction.FORWARD for op in warmup)
+        nodes = create_schedule("1f1b", 4, 8).steps(0)
+        assert all(node.type is F for node in nodes[:3])
 
     def test_microbatch_ordering(self):
         """Forwards and backwards each run microbatches in order."""
-        ops = one_f_one_b(1, 4, 8)
-        forwards = [
-            op.microbatch for op in ops if op.direction is Direction.FORWARD
-        ]
-        backwards = [
-            op.microbatch for op in ops if op.direction is Direction.BACKWARD
-        ]
+        nodes = create_schedule("1f1b", 4, 8).steps(1)
+        forwards = [node.microbatch for node in nodes if node.type is F]
+        backwards = [node.microbatch for node in nodes if node.type is B]
         assert forwards == sorted(forwards)
         assert backwards == sorted(backwards)
 
     def test_arg_validation(self):
-        with pytest.raises(ValueError):
-            one_f_one_b(4, 4, 8)
-        with pytest.raises(ValueError):
-            one_f_one_b(0, 0, 8)
-        with pytest.raises(ValueError):
-            one_f_one_b(0, 4, 0)
+        with pytest.raises(ValueError, match=r"stage 4 out of range"):
+            check_stage_args(4, 4, 8)
+        with pytest.raises(ValueError, match="num_stages must be >= 1"):
+            check_stage_args(0, 0, 8)
+        with pytest.raises(
+            ValueError, match="num_microbatches must be >= 1"
+        ):
+            check_stage_args(0, 4, 0)
+        with pytest.raises(ValueError, match=r"stage 4 out of range"):
+            create_schedule("1f1b", 4, 8).rank_ops(4)
 
 
 class TestInterleaved:
@@ -72,115 +116,118 @@ class TestInterleaved:
     def test_valid_for_divisible_microbatches(
         self, num_stages, groups, num_chunks
     ):
-        num_microbatches = groups * num_stages
-        for stage in range(num_stages):
-            ops = interleaved_1f1b(
-                stage, num_stages, num_microbatches, num_chunks
-            )
-            validate_schedule(ops, num_microbatches, num_chunks)
+        create_schedule(
+            "interleaved", num_stages, groups * num_stages,
+            num_chunks=num_chunks,
+        ).graph()
 
     def test_rejects_indivisible_microbatches(self):
-        with pytest.raises(ValueError):
-            interleaved_1f1b(0, 4, 6, 2)
+        with pytest.raises(ValueError, match="multiple of num_stages"):
+            create_schedule("interleaved", 4, 6, num_chunks=2)
 
     def test_rejects_single_chunk(self):
-        with pytest.raises(ValueError):
-            interleaved_1f1b(0, 4, 8, 1)
+        with pytest.raises(ValueError, match="at least 2 chunks"):
+            create_schedule("interleaved", 4, 8, num_chunks=1)
 
     def test_uses_both_chunks(self):
-        ops = interleaved_1f1b(0, 4, 8, 2)
-        chunks = {op.chunk for op in ops}
-        assert chunks == {0, 1}
+        nodes = create_schedule("interleaved", 4, 8, num_chunks=2).steps(0)
+        assert {node.chunk for node in nodes} == {0, 1}
 
 
 class TestScheduleFor:
     def test_dispatches_plain(self):
-        ops = schedule_for(0, 4, 8, interleaved=False)
-        assert all(op.chunk == 0 for op in ops)
+        nodes = create_schedule("1f1b", 4, 8).steps(0)
+        assert all(node.chunk == 0 for node in nodes)
 
     def test_dispatches_interleaved(self):
-        ops = schedule_for(0, 4, 8, interleaved=True)
-        assert {op.chunk for op in ops} == {0, 1}
+        nodes = create_schedule("interleaved", 4, 8, num_chunks=2).steps(0)
+        assert {node.chunk for node in nodes} == {0, 1}
 
-    def test_single_stage_ignores_interleaving(self):
-        ops = schedule_for(0, 1, 4, interleaved=True)
-        validate_schedule(ops, 4)
+    def test_single_stage_ignores_interleaving(
+        self, tiny_model, small_cluster
+    ):
+        from repro.engine.builder import GraphBuilder
+        from repro.parallelism.mapping import DeviceMesh
+        from repro.parallelism.strategy import (
+            OptimizationConfig,
+            ParallelismConfig,
+        )
+
+        builder = GraphBuilder(
+            model=tiny_model,
+            mesh=DeviceMesh(
+                cluster=small_cluster,
+                config=ParallelismConfig(
+                    tp=2, pp=1, dp=4, pipeline_schedule="interleaved"
+                ),
+            ),
+            microbatch_size=1,
+            global_batch_size=16,
+            opts=OptimizationConfig(),
+        )
+        assert builder.schedule.name == "1f1b"
+        assert builder.num_chunks == 1
+        builder.schedule.graph()
 
 
 class TestValidateSchedule:
     def test_catches_backward_before_forward(self):
-        from repro.engine.schedule import PipelineOp
-
-        bad = [PipelineOp(Direction.BACKWARD, 0)]
-        with pytest.raises(ValueError):
-            validate_schedule(bad, 1)
+        with pytest.raises(ValueError, match="cycle"):
+            _graph([[(B, 0), (F, 0)]], 1).validate()
 
     def test_catches_duplicates(self):
-        from repro.engine.schedule import PipelineOp
-
-        bad = [
-            PipelineOp(Direction.FORWARD, 0),
-            PipelineOp(Direction.FORWARD, 0),
-        ]
-        with pytest.raises(ValueError):
-            validate_schedule(bad, 1)
+        with pytest.raises(ValueError, match="duplicate F"):
+            _graph([[(F, 0), (F, 0), (B, 0)]], 1).validate()
 
     def test_catches_missing_coverage(self):
-        from repro.engine.schedule import PipelineOp
-
-        incomplete = [
-            PipelineOp(Direction.FORWARD, 0),
-            PipelineOp(Direction.BACKWARD, 0),
-        ]
-        with pytest.raises(ValueError):
-            validate_schedule(incomplete, 2)
+        with pytest.raises(ValueError, match="exactly once"):
+            _graph([[(F, 0), (B, 0)]], 2).validate()
 
 
 class TestBubbleFraction:
     def test_known_value(self):
-        # p=4, m=12: bubble = 3 / 15.
-        assert pipeline_bubble_fraction(4, 12) == pytest.approx(0.2)
-
-    def test_interleaving_shrinks_bubble(self):
-        plain = pipeline_bubble_fraction(8, 16, 1)
-        interleaved = pipeline_bubble_fraction(8, 16, 2)
-        assert interleaved < plain
-
-    def test_more_microbatches_shrink_bubble(self):
-        assert pipeline_bubble_fraction(8, 64) < pipeline_bubble_fraction(
-            8, 8
+        # p=4, m=12: bubble = (p - 1) / m = 3 / 12.
+        assert OneFOneBSchedule.bubble_fraction(4, 12) == pytest.approx(
+            0.25
         )
 
+    def test_interleaving_shrinks_bubble(self):
+        plain = _bubble(create_schedule("1f1b", 8, 16))
+        interleaved = _bubble(
+            create_schedule("interleaved", 8, 16, num_chunks=2)
+        )
+        assert interleaved < plain
+        assert plain == pytest.approx(7 / 16)
+        assert interleaved == pytest.approx(7 / 32)
+
+    def test_more_microbatches_shrink_bubble(self):
+        assert OneFOneBSchedule.bubble_fraction(
+            8, 64
+        ) < OneFOneBSchedule.bubble_fraction(8, 8)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            pipeline_bubble_fraction(0, 8)
+        # Degenerate shapes have no bubble rather than a negative one.
+        assert OneFOneBSchedule.bubble_fraction(1, 8) == 0.0
+        assert OneFOneBSchedule.bubble_fraction(4, 0) == 0.0
 
 
 class TestGpipe:
     def test_all_forwards_then_backwards(self):
-        from repro.engine.schedule import gpipe
-
-        ops = gpipe(1, 4, 6)
-        directions = [op.direction for op in ops]
-        assert directions[:6] == [Direction.FORWARD] * 6
-        assert directions[6:] == [Direction.BACKWARD] * 6
-        validate_schedule(ops, 6)
+        schedule = create_schedule("gpipe", 4, 6)
+        types = [node.type for node in schedule.steps(1)]
+        assert types == [F] * 6 + [B] * 6
+        schedule.graph()
 
     def test_backwards_in_reverse_order(self):
-        from repro.engine.schedule import gpipe
-
-        ops = gpipe(0, 2, 4)
-        backwards = [
-            op.microbatch for op in ops
-            if op.direction is Direction.BACKWARD
-        ]
+        nodes = create_schedule("gpipe", 2, 4).steps(0)
+        backwards = [node.microbatch for node in nodes if node.type is B]
         assert backwards == [3, 2, 1, 0]
 
     def test_schedule_for_dispatch(self):
-        ops = schedule_for(0, 4, 8, flavor="gpipe")
-        assert all(op.chunk == 0 for op in ops)
-        with pytest.raises(ValueError):
-            schedule_for(0, 4, 8, flavor="zigzag")
+        nodes = create_schedule("gpipe", 4, 8).steps(0)
+        assert all(node.chunk == 0 for node in nodes)
+        with pytest.raises(ValueError, match="did you mean|unknown"):
+            create_schedule("zigzag", 4, 8)
 
 
 class TestGpipeMemory:

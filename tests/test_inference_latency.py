@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.gpu import H200, MI250_GCD
-from repro.inference.latency import (
+from repro.inferserve.latency import (
     decode_bound_batch_size,
     decode_seconds_per_token,
     prefill_seconds,

@@ -1,9 +1,5 @@
-"""Tests for the thermal-aware static request router.
-
-The simulator moved from ``repro.inference.serving`` into
-``repro.inferserve.static_router``; these tests exercise the new home
-directly (the shim's liveness is covered by test_public_api.py).
-"""
+"""Tests for the thermal-aware static request router
+(``repro.inferserve.static_router``)."""
 
 import pytest
 

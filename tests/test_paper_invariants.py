@@ -7,7 +7,7 @@ live in the benchmark suite.
 
 import pytest
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.engine.kernels import KernelCategory
 from repro.engine.simulator import SimSettings
 from repro.parallelism.strategy import OptimizationConfig
@@ -20,7 +20,7 @@ def _train(model="gpt3-13b", cluster="mi250x32", parallelism="TP2-PP4",
     kwargs.setdefault("global_batch_size", 32)
     kwargs.setdefault("microbatch_size", 1)
     kwargs.setdefault("settings", FAST)
-    return run_training(
+    return execute_training(
         model=model, cluster=cluster, parallelism=parallelism, **kwargs
     )
 

@@ -19,7 +19,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import assert_run_results_equal  # noqa: E402
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.core.faults import FaultSpec
 from repro.engine.physics import VectorPhysics
 from repro.engine.simulator import SimSettings
@@ -142,8 +142,8 @@ class TestNoOpBitIdentity:
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
         )
-        plain = run_training(**kwargs, settings=base)
-        explicit = run_training(
+        plain = execute_training(**kwargs, settings=base)
+        explicit = execute_training(
             **kwargs, settings=_settings(base, NO_POWER_CONTROL)
         )
         assert_run_results_equal(explicit, plain)
@@ -161,8 +161,8 @@ class TestNoOpBitIdentity:
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
         )
-        plain = run_training(**kwargs, settings=base)
-        capped = run_training(
+        plain = execute_training(**kwargs, settings=base)
+        capped = execute_training(
             **kwargs, settings=_settings(base, static_setpoint(1.0))
         )
         assert_run_results_equal(capped, plain)
@@ -174,7 +174,7 @@ class TestGovernorBehavior:
             settings = _settings(settings, control)
         kwargs.setdefault("parallelism", "TP2-PP2")
         kwargs.setdefault("global_batch_size", 8)
-        return run_training(
+        return execute_training(
             model=model, cluster=cluster, settings=settings, **kwargs
         )
 
@@ -249,10 +249,10 @@ class TestGovernorBehavior:
         # The catalog H100 cluster runs right at the throttle point at
         # stock clocks; the proactive governor must keep the die below
         # the reactive trip temperature the baseline run reaches.
-        baseline = run_training(
+        baseline = execute_training(
             settings=SimSettings(), **REFERENCE
         )
-        governed = run_training(
+        governed = execute_training(
             settings=_settings(
                 SimSettings(), PowerControlConfig(governor="thermal")
             ),
@@ -291,7 +291,7 @@ class TestGovernorBehavior:
 class TestResultSurface:
     @pytest.fixture()
     def governed_result(self, tiny_model, small_cluster, fast_settings):
-        return run_training(
+        return execute_training(
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
             settings=_settings(fast_settings, static_setpoint(0.8)),
@@ -359,7 +359,7 @@ class TestResultSurface:
     ):
         from repro.viz.figures import powerctl_timeline_figure
 
-        plain = run_training(
+        plain = execute_training(
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
             settings=fast_settings,

@@ -1,19 +1,22 @@
 """Public-API snapshot: the importable surface cannot drift silently.
 
 Pins ``repro.__all__``, the :class:`SimRequest` field list, and the
-``repro.api`` callable signatures, and statically scans ``src/`` to
-prove no internal module calls the deprecated legacy entrypoints —
-they exist solely as shims for external callers.
+``repro.api`` callable signatures, and statically scans ``src/``,
+``tests/``, ``benchmarks/`` and ``examples/`` to prove nothing uses a
+removed entrypoint, module or spelling.
 """
 
 import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.api import SimRequest, submit, submit_many
 
 SRC = Path(repro.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 #: The frozen export list. Additions are fine but deliberate: update
 #: this snapshot in the same change that extends ``repro/__init__.py``.
@@ -46,8 +49,6 @@ EXPECTED_ALL = [
     "SimRequest",
     "SweepPoint",
     "TraceConfig",
-    "cached_run_inference",
-    "cached_run_training",
     "cluster_names",
     "execute_serving",
     "get_cluster",
@@ -57,9 +58,7 @@ EXPECTED_ALL = [
     "normalize_by_best",
     "one_gpu_per_node",
     "parse_strategy",
-    "run_inference",
     "run_sweep",
-    "run_training",
     "submit",
     "submit_many",
     "valid_configs",
@@ -92,30 +91,47 @@ EXPECTED_REQUEST_FIELDS = [
     "seq_splits",
 ]
 
+#: Names of removed entrypoints; no module may mention them at all.
 LEGACY_NAMES = {
+    # The run shims and their warn-once machinery, replaced by
+    # repro.api.submit (or execute_training/execute_inference/cached_run
+    # for callers passing objects a request cannot carry).
     "run_training",
     "run_inference",
     "cached_run_training",
     "cached_run_inference",
-    # Renamed when static routing moved into repro.inferserve; the
-    # repro.inference.serving shim resolves it via a string table, so
-    # nothing in src/ references the old spelling as a real name.
+    "legacy_run",
+    "warn_deprecated",
+    "_LEGACY_REPLACEMENTS",
+    # Renamed when static routing moved into repro.inferserve.
     "simulate_serving",
     # Renamed when the setpoint searches became the refinement stage of
-    # the joint optimizer (repro.optimize, docs/optimize.md); the shims
-    # are deleted, so no module may mention them at all.
+    # the joint optimizer (repro.optimize, docs/optimize.md).
     "search_energy_optimal",
     "sweep_setpoints",
     "search_serving_setpoint",
+    # The per-rank op-list schedule API, replaced by repro.schedules.
+    "one_f_one_b",
+    "interleaved_1f1b",
+    "schedule_for",
+    "validate_schedule",
+    "pipeline_bubble_fraction",
+    "PipelineOp",
 }
 
-#: The only modules allowed to mention the legacy names: where the
-#: shims are defined and the package facades that re-export them.
-LEGACY_ALLOWLIST = {
-    SRC / "__init__.py",
-    SRC / "core" / "__init__.py",
-    SRC / "core" / "experiment.py",
-    SRC / "core" / "sweep.py",
+#: Removed modules: importing them (or anything under them) is barred.
+LEGACY_MODULES = ("repro.inference", "repro.engine.schedule")
+
+#: Removed keyword spellings: ``ParallelismConfig(interleaved=True)``
+#: is ``pipeline_schedule="interleaved"``.
+LEGACY_KEYWORDS = {"interleaved"}
+
+#: Every tree the scan covers.
+SCANNED_ROOTS = {
+    "src": SRC,
+    "tests": ROOT / "tests",
+    "benchmarks": ROOT / "benchmarks",
+    "examples": ROOT / "examples",
 }
 
 
@@ -171,70 +187,95 @@ class TestApiSignatures:
             assert callable(getattr(SimRequest, method)), method
 
 
-def _modules_referencing_legacy() -> list[tuple[Path, str]]:
-    """(module, legacy name) pairs found by walking every src/ AST."""
-    offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path in LEGACY_ALLOWLIST:
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            found = None
-            if isinstance(node, ast.Name) and node.id in LEGACY_NAMES:
-                found = node.id
-            elif isinstance(node, ast.Attribute) and (
-                node.attr in LEGACY_NAMES
-            ):
-                found = node.attr
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    if alias.name.split(".")[-1] in LEGACY_NAMES:
-                        found = alias.name
-            if found:
-                offenders.append((path.relative_to(SRC), found))
-    return offenders
+def _barred_module(name: str) -> bool:
+    return any(
+        name == module or name.startswith(module + ".")
+        for module in LEGACY_MODULES
+    )
+
+
+def _legacy_uses(path: Path) -> list[str]:
+    """Removed names, modules and keywords one module's AST mentions."""
+    found = []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in LEGACY_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in LEGACY_NAMES
+        ):
+            found.append(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg in LEGACY_KEYWORDS:
+            found.append(f"{node.arg}=")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if _barred_module(alias.name):
+                    found.append(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if _barred_module(node.module):
+                found.append(node.module)
+            for alias in node.names:
+                if alias.name in LEGACY_NAMES or _barred_module(
+                    f"{node.module}.{alias.name}"
+                ):
+                    found.append(f"{node.module}.{alias.name}")
+    return found
+
+
+def _offenders(root: Path) -> list[tuple[str, str]]:
+    """(module, removed name) pairs found by walking every AST under
+    ``root``."""
+    return [
+        (str(path.relative_to(root)), name)
+        for path in sorted(root.rglob("*.py"))
+        for name in _legacy_uses(path)
+    ]
 
 
 class TestNoInternalLegacyUse:
     def test_src_does_not_call_deprecated_entrypoints(self):
-        offenders = _modules_referencing_legacy()
+        offenders = _offenders(SRC)
         assert offenders == [], (
-            "internal modules must use repro.api, not the deprecation "
-            f"shims: {offenders}"
+            f"src/ mentions removed entrypoints: {offenders}"
         )
 
-    def test_shims_still_live_in_allowlisted_modules(self):
-        # Guards the allowlist itself from going stale: the shims are
-        # still defined where the scan expects them.
-        from repro.core import experiment, sweep
-
-        assert experiment.run_training.__module__ == (
-            "repro.core.experiment"
-        )
-        assert sweep.cached_run_training.__module__ == (
-            "repro.core.sweep"
+    @pytest.mark.parametrize("tree", ["tests", "benchmarks", "examples"])
+    def test_callers_do_not_use_removed_names(self, tree):
+        offenders = _offenders(SCANNED_ROOTS[tree])
+        assert offenders == [], (
+            f"{tree}/ mentions removed entrypoints: {offenders}"
         )
 
-    def test_serving_shim_resolves_with_warning(self):
-        import sys
-        import warnings
-
-        from repro import api
-
-        sys.modules.pop("repro.inference.serving", None)
-        api._reset_deprecation_warnings()
-        from repro.inference import serving as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config_cls = shim.ServingConfig
-        from repro.inferserve import StaticRouterConfig
-
-        assert config_cls is StaticRouterConfig
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
+    def test_scan_catches_each_removed_spelling(self, tmp_path):
+        # Guards the scan itself: every barred form is reported.
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            "import repro.inference\n"
+            "from repro.engine import schedule\n"
+            "from repro.core.sweep import cached_run_training\n"
+            "repro.run_training()\n"
+            "ParallelismConfig(interleaved=True)\n"
         )
-        # Same object through the package facade.
-        import repro.inference as inference
+        assert _legacy_uses(probe) == [
+            "repro.inference",
+            "repro.engine.schedule",
+            "repro.core.sweep.cached_run_training",
+            "run_training",
+            "interleaved=",
+        ]
 
-        assert inference.simulate_serving is shim.simulate_serving
+    def test_removed_surface_is_gone(self):
+        import dataclasses
+        import importlib
+
+        from repro.parallelism.strategy import ParallelismConfig
+
+        for module in LEGACY_MODULES:
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        for name in ("run_training", "run_inference",
+                     "cached_run_training", "cached_run_inference"):
+            assert not hasattr(repro, name), name
+        assert "interleaved" not in {
+            f.name for f in dataclasses.fields(ParallelismConfig)
+        }

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.core.faults import (
     DEFAULT_SEVERITY,
     EMPTY_TIMELINE,
@@ -123,8 +123,8 @@ class TestEmptyTimelineBitIdentity:
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
         )
-        plain = run_training(**kwargs, settings=base)
-        explicit = run_training(
+        plain = execute_training(**kwargs, settings=base)
+        explicit = execute_training(
             **kwargs,
             settings=dataclasses.replace(
                 base, fault_timeline=EMPTY_TIMELINE,
@@ -146,7 +146,7 @@ class TestEngineEffects:
             **({"fault_timeline": timeline} if timeline else {}),
             **extra,
         )
-        return run_training(
+        return execute_training(
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
             settings=settings,
@@ -222,7 +222,7 @@ class TestEngineEffects:
             fast_settings, fault_timeline=_timeline(event),
             collective_timeout_s=0.5,
         )
-        faulted = run_training(
+        faulted = execute_training(
             model=tiny_model, cluster=small_cluster,
             parallelism="TP1-PP1", global_batch_size=8,
             settings=settings,

@@ -1,7 +1,7 @@
 """Persistent result-store correctness.
 
 Covers the cache contract end to end: hit/miss behaviour through
-``cached_run_training``, schema-version invalidation, corruption
+``cached_run``, schema-version invalidation, corruption
 tolerance, concurrent-writer atomicity, ``clear_cache`` clearing both
 layers, and a property test that cached results equal fresh simulations
 field by field.
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import repro.core.store as store_mod
 import repro.core.sweep as sweep_mod
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.core.store import persistence_disabled, result_store
-from repro.core.sweep import cached_run_training, clear_cache, key_digest
+from repro.core.sweep import cached_run, clear_cache, key_digest
 from repro.engine.simulator import SimSettings
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.interconnect import INFINIBAND_100G
@@ -66,7 +66,7 @@ def _kwargs(**overrides) -> dict:
 
 @pytest.fixture
 def counted_runs(monkeypatch):
-    """Count actual simulations behind cached_run_training."""
+    """Count actual simulations behind cached_run."""
     calls = []
     real = sweep_mod.execute_training
 
@@ -81,45 +81,45 @@ def counted_runs(monkeypatch):
 
 class TestHitMiss:
     def test_memo_then_disk_hit(self, counted_runs):
-        first = cached_run_training(**_kwargs())
+        first = cached_run("train", **_kwargs())
         assert len(counted_runs) == 1
         assert result_store().stats().entries == 1
 
         # Fresh-but-equal kwargs objects hit the in-process memo.
-        again = cached_run_training(**_kwargs())
+        again = cached_run("train", **_kwargs())
         assert len(counted_runs) == 1
         assert again is first
 
         # A new process is modelled by dropping the memo: disk serves it.
         sweep_mod._CACHE.clear()
-        from_disk = cached_run_training(**_kwargs())
+        from_disk = cached_run("train", **_kwargs())
         assert len(counted_runs) == 1
         assert_run_results_equal(from_disk, first)
 
     def test_different_config_misses(self, counted_runs):
-        cached_run_training(**_kwargs())
-        cached_run_training(**_kwargs(microbatch_size=2))
+        cached_run("train", **_kwargs())
+        cached_run("train", **_kwargs(microbatch_size=2))
         assert len(counted_runs) == 2
         assert result_store().stats().entries == 2
 
     def test_persistence_disabled_skips_disk(self, counted_runs):
         with persistence_disabled():
-            cached_run_training(**_kwargs())
+            cached_run("train", **_kwargs())
         assert len(counted_runs) == 1
         assert result_store().stats().entries == 0
 
     def test_clear_cache_clears_both_layers(self, counted_runs):
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         clear_cache()
         assert not sweep_mod._CACHE
         assert result_store().stats().entries == 0
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         assert len(counted_runs) == 2
 
 
 class TestInvalidation:
     def test_schema_bump_orphans_entries(self, counted_runs, monkeypatch):
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         assert result_store().stats().entries == 1
 
         key = sweep_mod._cache_key("train", _kwargs())
@@ -135,12 +135,12 @@ class TestInvalidation:
         assert stats.entries == 0
         assert stats.stale_entries == 1
 
-        cached_run_training(**_kwargs())  # re-simulates under new schema
+        cached_run("train", **_kwargs())  # re-simulates under new schema
         assert len(counted_runs) == 2
         assert result_store().stats().entries == 1
 
     def test_corrupt_entry_is_a_miss(self, counted_runs):
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         digest = key_digest(
             sweep_mod._cache_key("train", _kwargs())
         )
@@ -149,7 +149,7 @@ class TestInvalidation:
         path.write_bytes(b"not a pickle")
 
         sweep_mod._CACHE.clear()
-        repaired = cached_run_training(**_kwargs())
+        repaired = cached_run("train", **_kwargs())
         assert len(counted_runs) == 2
         assert repaired.outcome.makespan_s > 0
 
@@ -166,10 +166,10 @@ class TestQuarantine:
         return digest
 
     def test_corrupt_entry_is_quarantined(self, counted_runs):
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         digest = self._poison(b"not a pickle")
 
-        cached_run_training(**_kwargs())  # recompute heals the store
+        cached_run("train", **_kwargs())  # recompute heals the store
         assert len(counted_runs) == 2
         path = result_store().path_for(digest)
         corpse = path.with_suffix(path.suffix + ".corrupt")
@@ -184,23 +184,23 @@ class TestQuarantine:
 
         # The reinstalled entry now serves disk hits again.
         sweep_mod._CACHE.clear()
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         assert len(counted_runs) == 2
 
     def test_wrong_type_payload_is_quarantined(self, counted_runs):
         import pickle
 
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         self._poison(pickle.dumps({"not": "a RunResult"}))
 
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         assert len(counted_runs) == 2
         assert result_store().stats().quarantined_entries == 1
 
     def test_cli_cache_stats_reports_quarantined(self, counted_runs):
         from repro.cli import main
 
-        cached_run_training(**_kwargs())
+        cached_run("train", **_kwargs())
         self._poison(b"\x80truncated")
         assert result_store().get(
             key_digest(sweep_mod._cache_key("train", _kwargs()))
@@ -217,7 +217,7 @@ class TestQuarantine:
 
 class TestAtomicity:
     def test_concurrent_writers_and_readers(self):
-        result = run_training(**_kwargs())
+        result = execute_training(**_kwargs())
         store = result_store()
         digest = "ab" + "0" * 62
         errors: list[BaseException] = []
@@ -270,8 +270,8 @@ class TestCachedEqualsFresh:
             microbatch_size=microbatch,
         )
         clear_cache()
-        fresh = run_training(**kwargs)
-        cached_run_training(**kwargs)  # populate disk
+        fresh = execute_training(**kwargs)
+        cached_run("train", **kwargs)  # populate disk
         sweep_mod._CACHE.clear()
-        roundtripped = cached_run_training(**kwargs)  # pickle round-trip
+        roundtripped = cached_run("train", **kwargs)  # pickle round-trip
         assert_run_results_equal(roundtripped, fresh)

@@ -1,7 +1,7 @@
 """Bit-identity pins: the schedule-graph engine vs the legacy engine.
 
 The digests below were captured from the pre-refactor engine (commit
-11416d6, where ``engine/schedule.py`` emitted per-rank op lists
+11416d6, where the engine emitted hardcoded per-rank op lists
 directly) over both physics backends and the optimization toggles that
 change emission order. The schedule-graph rework
 (:mod:`repro.schedules` feeding ``engine/builder.py``) must reproduce
@@ -106,7 +106,7 @@ OPT_GOLDENS = {
 
 def _strategy_for(schedule: str) -> ParallelismConfig:
     if schedule == "interleaved":
-        return _strategy(interleaved=True)
+        return _strategy(pipeline_schedule="interleaved")
     if schedule == "gpipe":
         return _strategy(pipeline_schedule="gpipe")
     return _strategy()

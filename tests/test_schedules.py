@@ -64,19 +64,15 @@ class TestStrategyField:
         with pytest.raises(ValueError, match="did you mean"):
             ParallelismConfig(pp=4, pipeline_schedule="1f1d")
 
+    # Interleaving is its own schedule, so only a chunked schedule
+    # can host virtual stages.
     def test_gpipe_cannot_be_interleaved(self):
-        with pytest.raises(ValueError, match="GPipe cannot be interleaved"):
-            ParallelismConfig(
-                pp=4, interleaved=True, pipeline_schedule="gpipe"
-            )
+        with pytest.raises(ValueError, match="virtual-stage chunks"):
+            create_schedule("gpipe", 4, 8, num_chunks=2)
 
     def test_zb_h1_cannot_be_interleaved(self):
-        with pytest.raises(
-            ValueError, match="does not combine with interleaved"
-        ):
-            ParallelismConfig(
-                pp=4, interleaved=True, pipeline_schedule="zb-h1"
-            )
+        with pytest.raises(ValueError, match="virtual-stage chunks"):
+            create_schedule("zb-h1", 4, 8, num_chunks=2)
 
 
 class TestRequestValidation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.core.sweep import clear_cache
 from repro.engine.simulator import SimSettings
 from repro.scheduling.adaptive import (
@@ -17,7 +17,7 @@ FAST = SimSettings(physics_dt_s=0.02, telemetry_interval_s=0.05)
 @pytest.fixture(scope="module")
 def throttled_run():
     """A pipeline whose odd stages land on hot (rear) GPUs and throttle."""
-    return run_training(
+    return execute_training(
         model="gpt3-30b",
         cluster="h200x32",
         parallelism="TP4-PP8-DP1",
@@ -63,7 +63,7 @@ class TestSpeedBalancedLayers:
         """The closed loop: re-run with the measured split; throughput
         should not regress (hot stages carry less work)."""
         layers = speed_balanced_stage_layers(throttled_run)
-        rebalanced = run_training(
+        rebalanced = execute_training(
             model="gpt3-30b",
             cluster="h200x32",
             parallelism="TP4-PP8-DP1",
@@ -78,7 +78,7 @@ class TestSpeedBalancedLayers:
         )
 
     def test_requires_pipeline(self):
-        run = run_training(
+        run = execute_training(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism="TP8-PP1",

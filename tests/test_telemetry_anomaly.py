@@ -3,7 +3,7 @@ incident, recovered from telemetry alone)."""
 
 import pytest
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.core.faults import power_failure
 from repro.engine.simulator import SimSettings
 from repro.hardware.cluster import MI250_X32, H200_X32
@@ -21,7 +21,7 @@ FAST = SimSettings(physics_dt_s=0.01, telemetry_interval_s=0.02)
 @pytest.fixture(scope="module")
 def failed_node_run():
     """MI250 run with node 1's power budget collapsed."""
-    return run_training(
+    return execute_training(
         model="gpt3-13b",
         cluster="mi250x32",
         parallelism="TP2-PP4",
@@ -37,7 +37,7 @@ def failed_node_run():
 
 @pytest.fixture(scope="module")
 def healthy_run():
-    return run_training(
+    return execute_training(
         model="gpt3-13b",
         cluster="mi250x32",
         parallelism="TP2-PP4",
@@ -80,7 +80,7 @@ class TestThermalDetection:
     def test_throttled_rear_gpus_flagged_thermal(self):
         """On the thermally saturated H200, the rear GPUs' throttling is
         classified as a thermal anomaly, not power delivery."""
-        run = run_training(
+        run = execute_training(
             model="gpt3-30b",
             cluster="h200x32",
             parallelism="TP4-PP8-DP1",
