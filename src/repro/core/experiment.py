@@ -19,10 +19,15 @@ the paper's 10 discarded iterations).
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
-from repro.engine.builder import build_inference_graph, build_training_graph
-from repro.engine.simulator import SimSettings, simulate
+from repro.engine.builder import (
+    INFERENCE_OPTIMIZATIONS,
+    build_inference_graph,
+    build_training_graph,
+)
+from repro.engine.simulator import SimOutcome, SimSettings, simulate
+from repro.engine.task import TaskGraph
 from repro.hardware.cluster import ClusterSpec, get_cluster
 from repro.models.catalog import get_model
 from repro.models.config import ModelConfig
@@ -53,6 +58,103 @@ def _resolve_strategy(
     if parallelism.world_size != cluster.total_gpus:
         parallelism = parallelism.fill_dp(cluster.total_gpus)
     return parallelism
+
+
+@dataclass(frozen=True)
+class PreparedRun:
+    """A run resolved down to the task graph the simulator executes."""
+
+    model: ModelConfig
+    cluster: ClusterSpec
+    strategy: ParallelismConfig
+    opts: OptimizationConfig
+    microbatch_size: int
+    mesh: DeviceMesh
+    graph: TaskGraph
+
+    def result(
+        self, outcome: SimOutcome, warmup_iterations: int
+    ) -> RunResult:
+        """The :class:`RunResult` of one simulation of this graph."""
+        return RunResult(
+            model=self.model,
+            cluster=self.cluster,
+            parallelism=self.strategy,
+            optimizations=self.opts,
+            microbatch_size=self.microbatch_size,
+            warmup_iterations=warmup_iterations,
+            outcome=outcome,
+            placement=self.mesh.placement,
+        )
+
+
+def prepare_run(
+    model: ModelConfig | str,
+    cluster: ClusterSpec | str,
+    parallelism: ParallelismConfig | str,
+    inference: bool = False,
+    optimizations: OptimizationConfig | None = None,
+    microbatch_size: int = 1,
+    global_batch_size: int = DEFAULT_GLOBAL_BATCH,
+    iterations: int = 2,
+    placement: list[int] | None = None,
+    stage_layers: list[int] | None = None,
+    pipeline_schedule: str | None = None,
+    seq_splits: int | None = None,
+) -> PreparedRun:
+    """Resolve names, strategy and schedule, and build the task graph.
+
+    The one place a run's graph is assembled: :func:`execute_training`,
+    :func:`execute_inference` and the batched replay's anchor all go
+    through it. Arguments are those of :func:`execute_training`;
+    inference takes neither optimizations, a placement nor a stage
+    split.
+    """
+    if inference and (optimizations or placement or stage_layers):
+        raise ValueError(
+            "inference takes no optimizations, placement or stage_layers"
+        )
+    model = _resolve_model(model)
+    cluster = _resolve_cluster(cluster)
+    strategy = _resolve_strategy(parallelism, cluster)
+    if pipeline_schedule is not None:
+        strategy = replace(strategy, pipeline_schedule=pipeline_schedule)
+    mesh = DeviceMesh(
+        cluster=cluster,
+        config=strategy,
+        placement=tuple(placement) if placement else (),
+    )
+    if inference:
+        opts = INFERENCE_OPTIMIZATIONS
+        graph = build_inference_graph(
+            model=model,
+            mesh=mesh,
+            microbatch_size=microbatch_size,
+            global_batch_size=global_batch_size,
+            iterations=iterations,
+            num_seq_splits=seq_splits,
+        )
+    else:
+        opts = optimizations or OptimizationConfig()
+        graph = build_training_graph(
+            model=model,
+            mesh=mesh,
+            microbatch_size=microbatch_size,
+            global_batch_size=global_batch_size,
+            opts=opts,
+            iterations=iterations,
+            stage_layers=stage_layers,
+            num_seq_splits=seq_splits,
+        )
+    return PreparedRun(
+        model=model,
+        cluster=cluster,
+        strategy=strategy,
+        opts=opts,
+        microbatch_size=microbatch_size,
+        mesh=mesh,
+        graph=graph,
+    )
 
 
 def execute_training(
@@ -96,37 +198,21 @@ def execute_training(
         A :class:`RunResult` with throughput, energy, thermal, and trace
         metrics over the measured window.
     """
-    model = _resolve_model(model)
-    cluster = _resolve_cluster(cluster)
-    strategy = _resolve_strategy(parallelism, cluster)
-    if pipeline_schedule is not None:
-        strategy = replace(strategy, pipeline_schedule=pipeline_schedule)
-    opts = optimizations or OptimizationConfig()
-    mesh = DeviceMesh(
-        cluster=cluster,
-        config=strategy,
-        placement=tuple(placement) if placement else (),
-    )
-    graph = build_training_graph(
-        model=model,
-        mesh=mesh,
+    run = prepare_run(
+        model,
+        cluster,
+        parallelism,
+        optimizations=optimizations,
         microbatch_size=microbatch_size,
         global_batch_size=global_batch_size,
-        opts=opts,
         iterations=iterations,
+        placement=placement,
         stage_layers=stage_layers,
-        num_seq_splits=seq_splits,
+        pipeline_schedule=pipeline_schedule,
+        seq_splits=seq_splits,
     )
-    outcome = simulate(mesh, graph, settings)
-    return RunResult(
-        model=model,
-        cluster=cluster,
-        parallelism=strategy,
-        optimizations=opts,
-        microbatch_size=microbatch_size,
-        warmup_iterations=warmup_iterations,
-        outcome=outcome,
-        placement=mesh.placement,
+    return run.result(
+        simulate(run.mesh, run.graph, settings), warmup_iterations
     )
 
 
@@ -147,28 +233,17 @@ def execute_inference(
     Forward passes only: fixed weights, no gradient synchronisation and
     no optimizer. The same telemetry and trace machinery applies.
     """
-    model = _resolve_model(model)
-    cluster = _resolve_cluster(cluster)
-    strategy = _resolve_strategy(parallelism, cluster)
-    if pipeline_schedule is not None:
-        strategy = replace(strategy, pipeline_schedule=pipeline_schedule)
-    mesh = DeviceMesh(cluster=cluster, config=strategy)
-    graph = build_inference_graph(
-        model=model,
-        mesh=mesh,
+    run = prepare_run(
+        model,
+        cluster,
+        parallelism,
+        inference=True,
         microbatch_size=microbatch_size,
         global_batch_size=global_batch_size,
         iterations=iterations,
-        num_seq_splits=seq_splits,
+        pipeline_schedule=pipeline_schedule,
+        seq_splits=seq_splits,
     )
-    outcome = simulate(mesh, graph, settings)
-    return RunResult(
-        model=model,
-        cluster=cluster,
-        parallelism=strategy,
-        optimizations=OptimizationConfig(distributed_optimizer=False),
-        microbatch_size=microbatch_size,
-        warmup_iterations=warmup_iterations,
-        outcome=outcome,
-        placement=mesh.placement,
+    return run.result(
+        simulate(run.mesh, run.graph, settings), warmup_iterations
     )

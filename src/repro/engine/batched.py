@@ -65,7 +65,6 @@ from repro.comm.traffic import TrafficLedger
 from repro.core.faults import HEALTHY
 from repro.core.results import RunResult
 from repro.core.store import persistence_enabled, result_store
-from repro.engine.builder import build_inference_graph, build_training_graph
 from repro.engine.kernels import KernelKind, KernelTable, kind_codes
 from repro.engine.physics import PowerVector, VectorPhysics
 from repro.engine.simulator import EPS, SimOutcome, SimSettings, Simulator
@@ -74,8 +73,6 @@ from repro.optimizations.overlap import (
     OVERLAP_COMM_SLOWDOWN,
     OVERLAP_COMPUTE_SLOWDOWN,
 )
-from repro.parallelism.mapping import DeviceMesh
-from repro.parallelism.strategy import OptimizationConfig
 from repro.power.model import Activity, gpu_power
 from repro.powerctl.config import NO_POWER_CONTROL, freq_for_power_limit
 from repro.powerctl.governor import build_runtime
@@ -1293,77 +1290,26 @@ class _BatchGroup:
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        self._model = None
-        self._cluster = None
-        self._strategy = None
-        self._opts = None
-        self._mesh = None
-        self._graph = None
+        self._run = None
         self._anchor: _RecordingSimulator | None = None
 
     def _build(self, kwargs: dict) -> None:
-        from repro.core.experiment import (
-            _resolve_cluster,
-            _resolve_model,
-            _resolve_strategy,
-        )
+        # The graph key is every kwarg but ``settings`` (see _group_key),
+        # so the anchor's graph is the one each member's serial run
+        # would build.
+        from repro.core.experiment import prepare_run
 
-        self._model = _resolve_model(kwargs["model"])
-        self._cluster = _resolve_cluster(kwargs["cluster"])
-        self._strategy = _resolve_strategy(
-            kwargs["parallelism"], self._cluster
+        self._run = prepare_run(
+            inference=self.kind == "infer",
+            **{
+                k: v for k, v in kwargs.items()
+                if k not in ("settings", "warmup_iterations")
+            },
         )
-        # Mirror execute_training/execute_inference: an explicit
-        # pipeline_schedule kwarg overrides the strategy's. The schedule
-        # is part of the frozen kwargs in _group_key, so each schedule
-        # forms its own anchor+replay group.
-        if kwargs.get("pipeline_schedule") is not None:
-            self._strategy = replace(
-                self._strategy,
-                pipeline_schedule=kwargs["pipeline_schedule"],
-            )
-        if self.kind == "train":
-            self._opts = kwargs.get("optimizations") or OptimizationConfig()
-            placement = kwargs.get("placement")
-            self._mesh = DeviceMesh(
-                cluster=self._cluster,
-                config=self._strategy,
-                placement=tuple(placement) if placement else (),
-            )
-            self._graph = build_training_graph(
-                model=self._model,
-                mesh=self._mesh,
-                microbatch_size=kwargs.get("microbatch_size", 1),
-                global_batch_size=kwargs.get("global_batch_size", 128),
-                opts=self._opts,
-                iterations=kwargs.get("iterations", 2),
-                stage_layers=kwargs.get("stage_layers"),
-                num_seq_splits=kwargs.get("seq_splits"),
-            )
-        else:
-            self._opts = OptimizationConfig(distributed_optimizer=False)
-            self._mesh = DeviceMesh(
-                cluster=self._cluster, config=self._strategy
-            )
-            self._graph = build_inference_graph(
-                model=self._model,
-                mesh=self._mesh,
-                microbatch_size=kwargs.get("microbatch_size", 1),
-                global_batch_size=kwargs.get("global_batch_size", 128),
-                iterations=kwargs.get("iterations", 2),
-                num_seq_splits=kwargs.get("seq_splits"),
-            )
 
     def _wrap(self, member: _Member, outcome: SimOutcome) -> RunResult:
-        return RunResult(
-            model=self._model,
-            cluster=self._cluster,
-            parallelism=self._strategy,
-            optimizations=self._opts,
-            microbatch_size=member.kwargs.get("microbatch_size", 1),
-            warmup_iterations=member.kwargs.get("warmup_iterations", 1),
-            outcome=outcome,
-            placement=self._mesh.placement,
+        return self._run.result(
+            outcome, member.kwargs.get("warmup_iterations", 1)
         )
 
     def evaluate(self, members: list[_Member]) -> list[RunResult]:
@@ -1374,7 +1320,7 @@ class _BatchGroup:
             anchor_member = members[0]
             self._build(anchor_member.kwargs)
             simulator = _RecordingSimulator(
-                self._mesh, self._graph,
+                self._run.mesh, self._run.graph,
                 anchor_member.kwargs.get("settings"),
             )
             results[0] = self._wrap(anchor_member, simulator.run())
@@ -1402,7 +1348,7 @@ class _BatchGroup:
             output = replay.finalize()
             output.prepare([m.settings for m in members])
             return [
-                output.reconstruct(lane, member.settings, self._graph)
+                output.reconstruct(lane, member.settings, self._run.graph)
                 for lane, member in enumerate(members)
             ]
         except _ReplayDiverged:

@@ -1,8 +1,8 @@
 """Lowering a training configuration to a per-rank task graph.
 
-The builder walks the pipeline schedule of every (data-parallel replica,
-pipeline stage) slice and emits, for each rank, the ordered kernels one
-NeMo/Megatron iteration executes:
+For each rank the graph holds the ordered kernels one NeMo/Megatron
+iteration executes, walking the pipeline schedule of its (data-parallel
+replica, pipeline stage) slice:
 
 * forward/backward compute per microbatch per (virtual) stage, scaled by
   tensor parallelism and microbatch-size GEMM efficiency. Expert-parallel
@@ -27,12 +27,23 @@ forward-replay kernels into every backward; compute-communication overlap
 fuses collectives with the compute they hide behind (both slowed by
 resource contention); LoRA shrinks gradient/optimizer traffic to the
 adapter parameters and cheapens the backward pass.
+
+Only the slices of the first EP index of the first outer-DP replica are
+emitted kernel by kernel, and only for the first iteration. The other
+EP indices, replicas and iterations run the same sequence, so
+:meth:`GraphBuilder.build` stamps them from what is already built,
+moving rank ids, task uids, message ids and the iteration label. A
+collective whose group spans the stamped axis is shared rather than
+copied. Under CC overlap the TP time hidden inside a compute kernel
+depends on the physical GPUs of its TP group, so a stamped kernel takes
+that of its new group. The result equals, task for task, what emitting
+every (iteration, replica, EP index, stage) slice in turn gives.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.comm.collectives import allreduce
 from repro.engine.kernels import KernelKind, stage_gemm_efficiency
@@ -49,7 +60,12 @@ from repro.models.config import ModelConfig
 from repro.models.flops import layer_flops
 from repro.models.memory import shard_params_split
 from repro.optimizations.lora import lora_params
-from repro.parallelism.mapping import DeviceMesh, RankCoords, rank_of
+from repro.parallelism.mapping import (
+    DeviceMesh,
+    RankCoords,
+    coords_of,
+    rank_of,
+)
 from repro.parallelism.strategy import OptimizationConfig
 from repro.power.model import Activity
 from repro.schedules import NodeType, create_schedule
@@ -65,6 +81,9 @@ LORA_BACKWARD_MULTIPLIER = 1.4
 OPTIMIZER_BYTES_TOUCHED = 32.0
 
 OPTIMIZER_ACTIVITY = Activity(memory=1.0)
+
+# Inference keeps fixed weights: no gradients, so no ZeRO-1 sharding.
+INFERENCE_OPTIMIZATIONS = OptimizationConfig(distributed_optimizer=False)
 
 
 def split_layers(num_layers: int, num_stages: int) -> list[int]:
@@ -188,12 +207,14 @@ class GraphBuilder:
         self._overlap_activity = Activity(
             compute=self._gemm_eff, comm=0.5, memory=0.3
         )
+        # CC overlap fuses the TP collectives into the compute kernels.
+        self._fuse_tp = opts.cc_overlap and cfg.tp > 1 and not inference
         self._ar_duration_cache: dict[tuple[int, ...], float] = {}
         # Rank-mapping memos: the grid is tiny compared with the number
-        # of emitted tasks, so (t, e, dpo, stage) -> rank lookups repeat
-        # thousands of times per build.
+        # of emitted tasks, so rank and group lookups repeat thousands
+        # of times per build.
         self._rank_cache: dict[tuple[int, int, int, int], int] = {}
-        self._tp_ranks_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._group_cache: dict[tuple, tuple[int, ...]] = {}
         self._per_layer_fwd_flops = layer_flops(model, tokens).forward
         self._lm_head_flops = (
             2.0 * tokens * model.hidden_size * model.vocab_size
@@ -219,13 +240,26 @@ class GraphBuilder:
     # ------------------------------------------------------------------
 
     def build(self) -> TaskGraph:
-        """Emit the full multi-iteration task graph."""
+        """Emit the full multi-iteration task graph.
+
+        Only the first EP index of the first outer-DP replica is emitted
+        kernel by kernel, for the first iteration. Every other EP index,
+        then every other replica, then every later iteration is stamped
+        from the graph built so far (:meth:`_stamp`): the ranks of a
+        stage emit the same sequence in each of them, up to rank ids,
+        task uids, message ids and the iteration label.
+        """
         cfg = self.cfg
-        for iteration in range(self.iterations):
-            for dpo in range(cfg.dp_outer):
-                for e in range(cfg.ep):
-                    for stage in range(cfg.pp):
-                        self._emit_slice(iteration, dpo, e, stage)
+        for stage in range(cfg.pp):
+            self._emit_slice(0, 0, 0, stage)
+        block = [
+            self._rank(t, 0, 0, stage)
+            for stage in range(cfg.pp)
+            for t in range(cfg.tp)
+        ]
+        block = self._stamp(block, cfg.tp, 0, cfg.ep - 1)
+        block = self._stamp(block, cfg.ep * cfg.tp, 0, cfg.dp_outer - 1)
+        self._stamp(block, 0, 1, self.iterations - 1)
         tokens_per_iteration = (
             self.shape.global_batch_size * self.model.seq_length
         )
@@ -234,6 +268,126 @@ class GraphBuilder:
             num_iterations=self.iterations,
             tokens_per_iteration=tokens_per_iteration,
         )
+
+    def _stamp(
+        self,
+        block: list[int],
+        rank_stride: int,
+        iteration_stride: int,
+        copies: int,
+    ) -> list[int]:
+        """Append ``copies`` copies of the graph built so far.
+
+        ``block`` holds every rank that has tasks. Copy ``k`` moves the
+        queue of each block rank to rank ``rank + k * rank_stride`` and
+        iteration ``iteration + k * iteration_stride``. The graph built
+        so far is exactly what the loop ``_emit_slice`` over (iteration,
+        dpo, e, stage) emits before the copied position, so the copy
+        numbers its tasks and messages the way that loop would:
+
+        * a collective whose group already holds the moved rank (a DP
+          or EP group spanning the stamped axis) was created before the
+          copy and is shared, not copied; nothing is shared across
+          iterations;
+        * every other task is created anew, in the template's creation
+          order, so its uid is the next free uid plus its index among
+          the copied tasks; messages never cross a copy, so message ids
+          shift by the template's message count;
+        * a compute kernel that hides TP communication (CC overlap)
+          takes the hidden time of its new TP group, which depends on
+          the physical GPUs under a placement permutation.
+
+        Returns the ranks that have tasks after the copies.
+        """
+        if copies < 1:
+            return block
+        queues = self.queues
+        lengths = {rank: len(queues[rank]) for rank in block}
+        next_uid = next(self._uid)
+        next_msg = next(self._msg_uid)
+        copied = set()
+        for rank in block:
+            for task in queues[rank]:
+                if (
+                    iteration_stride
+                    or task.kind is not TaskKind.COLLECTIVE
+                    or rank + rank_stride not in task.collective.ranks
+                ):
+                    copied.add(task.uid)
+        order = {uid: i for i, uid in enumerate(sorted(copied))}
+        stamped = list(block)
+        for k in range(1, copies + 1):
+            shift = k * rank_stride
+            uid0 = next_uid + (k - 1) * len(order)
+            msg_shift = k * next_msg
+            iteration = k * iteration_stride
+            made: dict[int, Task] = {}
+            for rank in block:
+                dst = rank + shift
+                own = (dst,)
+                hidden = self._retime(rank, dst)
+                out = queues[dst]
+                for task in queues[rank][: lengths[rank]]:
+                    index = order.get(task.uid)
+                    if index is None:
+                        out.append(task)
+                        continue
+                    copy = made.get(task.uid)
+                    if copy is not None:
+                        out.append(copy)
+                        continue
+                    ranks, compute = own, task.compute
+                    spec, p2p = task.collective, task.p2p
+                    if spec is not None:
+                        if shift:
+                            spec = CollectiveSpec(
+                                spec.op,
+                                tuple(r + shift for r in spec.ranks),
+                                spec.payload_bytes,
+                                spec.repeat,
+                            )
+                        ranks = spec.ranks
+                    elif p2p is not None:
+                        p2p = P2PSpec(
+                            p2p.src + shift,
+                            p2p.dst + shift,
+                            p2p.payload_bytes,
+                            p2p.chunked,
+                            p2p.message_id + msg_shift,
+                        )
+                    elif hidden and compute.overlapped_comm_s == hidden[0]:
+                        compute = replace(compute, overlapped_comm_s=hidden[1])
+                    copy = Task(
+                        uid0 + index, task.kind, task.kernel, ranks, compute,
+                        spec, p2p, task.iteration + iteration,
+                        task.microbatch, task.stage,
+                        task.overlap_compute, task.overlap_kernel,
+                    )
+                    if spec is not None:
+                        made[task.uid] = copy
+                    out.append(copy)
+                if shift:
+                    stamped.append(dst)
+        self._uid = itertools.count(next_uid + copies * len(order))
+        self._msg_uid = itertools.count((copies + 1) * next_msg)
+        return stamped
+
+    def _retime(self, rank: int, dst: int) -> tuple[float, float] | None:
+        """(old, new) CC-overlap hidden seconds when a copy moving
+        ``rank`` to ``dst`` changes them, else None."""
+        if rank == dst or not self._fuse_tp:
+            return None
+        old, new = self._hidden_tp_s(rank), self._hidden_tp_s(dst)
+        return (old, new) if old != new else None
+
+    def _hidden_tp_s(self, rank: int) -> float:
+        """TP communication seconds a fused compute kernel of ``rank``
+        hides under CC overlap."""
+        at = coords_of(rank, self.cfg)
+        layers = self.stage_layers[at.pp] / self.num_chunks
+        return self._tp_overlap_split(
+            self._group(None, at.ep, at.dp, at.pp), layers
+        )[0]
 
     # ------------------------------------------------------------------
     # Slice emission
@@ -325,10 +479,9 @@ class GraphBuilder:
             activity=self._compute_activity,
         )
 
-        fuse_tp = self.opts.cc_overlap and cfg.tp > 1 and not self.inference
         tail_ops = None
-        if fuse_tp:
-            tp_ranks = self._tp_ranks(dpo, e, stage)
+        if self._fuse_tp:
+            tp_ranks = self._group(None, e, dpo, stage)
             hidden_s, tail_ops = self._tp_overlap_split(tp_ranks, layers)
             compute_spec = ComputeSpec(
                 flops=compute_spec.flops,
@@ -411,12 +564,9 @@ class GraphBuilder:
         ):
             dp_bucket = backward_index - (total_backwards - DP_OVERLAP_BUCKETS)
 
-        fuse_tp = (
-            self.opts.cc_overlap and cfg.tp > 1 and not self.inference
-        )
         tail_ops = None
-        if fuse_tp:
-            tp_ranks = self._tp_ranks(dpo, e, stage)
+        if self._fuse_tp:
+            tp_ranks = self._group(None, e, dpo, stage)
             hidden_s, tail_ops = self._tp_overlap_split(tp_ranks, layers)
             bwd_spec = ComputeSpec(
                 flops=bwd_spec.flops,
@@ -527,23 +677,6 @@ class GraphBuilder:
 
     # -- iteration tail (gradient sync + optimizer) ---------------------
 
-    def _dense_dp_ranks(self, t: int, stage: int) -> tuple[int, ...]:
-        """Full DP group (dense/attention gradients): all (ep, dp_outer)."""
-        cfg = self.cfg
-        return tuple(
-            rank_of(RankCoords(t, e, d, stage), cfg)
-            for d in range(cfg.dp_outer)
-            for e in range(cfg.ep)
-        )
-
-    def _expert_dp_ranks(self, t: int, e: int, stage: int) -> tuple[int, ...]:
-        """Outer-DP group (expert gradients): fixed ep, varying dp_outer."""
-        cfg = self.cfg
-        return tuple(
-            rank_of(RankCoords(t, e, d, stage), cfg)
-            for d in range(cfg.dp_outer)
-        )
-
     def _emit_iteration_tail(
         self, iteration: int, dpo: int, e: int, stage: int
     ) -> None:
@@ -569,7 +702,7 @@ class GraphBuilder:
                     rank=rank,
                     op=op,
                     kernel=kind,
-                    ranks=self._dense_dp_ranks(t, stage),
+                    ranks=self._group(t, None, None, stage),
                     payload_bytes=dense_bytes,
                     iteration=iteration,
                     stage=stage,
@@ -584,7 +717,7 @@ class GraphBuilder:
                     rank=rank,
                     op=CollectiveOp.ALLREDUCE,
                     kernel=KernelKind.DP_ALLREDUCE,
-                    ranks=self._expert_dp_ranks(t, e, stage),
+                    ranks=self._group(t, e, None, stage),
                     payload_bytes=self._expert_shard
                     * self.model.bytes_per_param,
                     iteration=iteration,
@@ -604,7 +737,7 @@ class GraphBuilder:
                     rank=rank,
                     op=CollectiveOp.ALLGATHER,
                     kernel=KernelKind.PARAM_ALLGATHER,
-                    ranks=self._dense_dp_ranks(t, stage),
+                    ranks=self._group(t, None, None, stage),
                     payload_bytes=self._dense_shard
                     * self.model.bytes_per_param,
                     iteration=iteration,
@@ -705,14 +838,25 @@ class GraphBuilder:
             self._rank_cache[key] = rank
         return rank
 
-    def _tp_ranks(self, dpo: int, e: int, stage: int) -> tuple[int, ...]:
-        key = (dpo, e, stage)
-        ranks = self._tp_ranks_cache.get(key)
+    def _group(
+        self, t: int | None, e: int | None, dpo: int | None, stage: int
+    ) -> tuple[int, ...]:
+        """Memoised ranks of the group spanning every axis given as
+        None, in rank order: ``(None, e, dpo, s)`` is a TP group,
+        ``(t, None, dpo, s)`` an EP group, ``(t, None, None, s)`` the
+        full DP group (dense gradients) and ``(t, e, None, s)`` the
+        outer-DP group (expert gradients)."""
+        key = (t, e, dpo, stage)
+        ranks = self._group_cache.get(key)
         if ranks is None:
+            cfg = self.cfg
             ranks = tuple(
-                self._rank(ti, e, dpo, stage) for ti in range(self.cfg.tp)
+                self._rank(ti, ei, di, stage)
+                for di in (range(cfg.dp_outer) if dpo is None else (dpo,))
+                for ei in (range(cfg.ep) if e is None else (e,))
+                for ti in (range(cfg.tp) if t is None else (t,))
             )
-            self._tp_ranks_cache[key] = ranks
+            self._group_cache[key] = ranks
         return ranks
 
     def _tp_payload(self) -> float:
@@ -766,7 +910,7 @@ class GraphBuilder:
         repeat: int | None = None,
         sq: int = 0,
     ) -> None:
-        tp_ranks = self._tp_ranks(dpo, e, stage)
+        tp_ranks = self._group(None, e, dpo, stage)
         if repeat is None:
             repeat = max(1, round(self._tp_ops_per_layer() * layers))
         self._append_shared_collective(
@@ -795,26 +939,21 @@ class GraphBuilder:
         layers: float,
         sq: int = 0,
     ) -> None:
-        cfg = self.cfg
         moe = self.model.moe
-        ep_ranks = tuple(
-            rank_of(RankCoords(t, ei, dpo, stage), cfg)
-            for ei in range(cfg.ep)
-        )
         payload = (
             self._tokens
             * moe.top_k
             * self.model.hidden_size
             * self.model.bytes_per_param
             * moe.capacity_factor
-            / cfg.tp
+            / self.cfg.tp
         )
         self._append_shared_collective(
             key=(iteration, "a2a", dpo, stage, mb, chunk, phase, t, sq),
             rank=rank,
             op=CollectiveOp.ALLTOALL,
             kernel=KernelKind.EP_ALLTOALL,
-            ranks=ep_ranks,
+            ranks=self._group(t, None, dpo, stage),
             payload_bytes=payload,
             iteration=iteration,
             stage=stage,
@@ -849,7 +988,7 @@ class GraphBuilder:
                 KernelKind.GRAD_REDUCE_SCATTER if zero1
                 else KernelKind.DP_ALLREDUCE
             ),
-            ranks=self._dense_dp_ranks(t, stage),
+            ranks=self._group(t, None, None, stage),
             payload_bytes=payload,
             iteration=iteration,
             stage=stage,
@@ -877,7 +1016,7 @@ class GraphBuilder:
             rank=rank,
             op=CollectiveOp.ALLGATHER,
             kernel=KernelKind.PARAM_ALLGATHER,
-            ranks=self._dense_dp_ranks(t, stage),
+            ranks=self._group(t, None, None, stage),
             payload_bytes=gathered_bytes,
             iteration=iteration,
             stage=stage,
@@ -897,7 +1036,7 @@ class GraphBuilder:
             rank=rank,
             op=CollectiveOp.REDUCE_SCATTER,
             kernel=KernelKind.GRAD_REDUCE_SCATTER,
-            ranks=self._dense_dp_ranks(t, stage),
+            ranks=self._group(t, None, None, stage),
             payload_bytes=full_grad_bytes,
             iteration=iteration,
             stage=stage,
@@ -1039,7 +1178,7 @@ def build_inference_graph(
         mesh=mesh,
         microbatch_size=microbatch_size,
         global_batch_size=global_batch_size,
-        opts=OptimizationConfig(distributed_optimizer=False),
+        opts=INFERENCE_OPTIMIZATIONS,
         iterations=iterations,
         num_seq_splits=num_seq_splits,
         inference=True,

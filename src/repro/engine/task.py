@@ -186,18 +186,25 @@ class TaskGraph:
         return sum(len(q) for q in self.queues)
 
     def _validate_collective_consistency(self) -> None:
-        """Every collective task must appear in each participant's queue."""
-        appearances: dict[int, set[int]] = {}
+        """Every collective task must appear exactly once in each
+        participant's queue and in no other queue."""
+        holders: dict[int, list[int]] = {}
         tasks: dict[int, Task] = {}
+        collective = TaskKind.COLLECTIVE
         for rank, queue in enumerate(self.queues):
             for task in queue:
-                if task.kind is TaskKind.COLLECTIVE:
-                    appearances.setdefault(task.uid, set()).add(rank)
-                    tasks[task.uid] = task
-        for uid, ranks in appearances.items():
-            expected = set(tasks[uid].collective.ranks)
+                if task.kind is collective:
+                    ranks = holders.get(task.uid)
+                    if ranks is None:
+                        holders[task.uid] = [rank]
+                        tasks[task.uid] = task
+                    else:
+                        ranks.append(rank)
+        for uid, ranks in holders.items():
+            # ``ranks`` lists one entry per appearance, in rank order.
+            expected = sorted(tasks[uid].collective.ranks)
             if ranks != expected:
                 raise ValueError(
-                    f"collective {uid} appears in queues {sorted(ranks)} "
-                    f"but declares ranks {sorted(expected)}"
+                    f"collective {uid} appears in queues {ranks} "
+                    f"but declares ranks {expected}"
                 )

@@ -74,33 +74,40 @@ def _isolated_result_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro_cache"))
 
 
+#: A small dense transformer (fast to simulate, divisible layers).
+TINY_DENSE = ModelConfig(
+    name="tiny-dense",
+    num_layers=8,
+    hidden_size=2048,
+    num_heads=16,
+    ffn_hidden_size=8192,
+    vocab_size=32000,
+    seq_length=1024,
+)
+
+#: A small Mixture-of-Experts transformer (4 experts, top-2).
+TINY_MOE = ModelConfig(
+    name="tiny-moe",
+    num_layers=8,
+    hidden_size=2048,
+    num_heads=16,
+    ffn_hidden_size=4096,
+    vocab_size=32000,
+    seq_length=1024,
+    moe=MoEConfig(num_experts=4, top_k=2),
+)
+
+
 @pytest.fixture
 def tiny_model() -> ModelConfig:
     """A small dense transformer (fast to simulate, divisible layers)."""
-    return ModelConfig(
-        name="tiny-dense",
-        num_layers=8,
-        hidden_size=2048,
-        num_heads=16,
-        ffn_hidden_size=8192,
-        vocab_size=32000,
-        seq_length=1024,
-    )
+    return TINY_DENSE
 
 
 @pytest.fixture
 def tiny_moe() -> ModelConfig:
     """A small Mixture-of-Experts transformer (4 experts, top-2)."""
-    return ModelConfig(
-        name="tiny-moe",
-        num_layers=8,
-        hidden_size=2048,
-        num_heads=16,
-        ffn_hidden_size=4096,
-        vocab_size=32000,
-        seq_length=1024,
-        moe=MoEConfig(num_experts=4, top_k=2),
-    )
+    return TINY_MOE
 
 
 def _small_airflow() -> AirflowLayout:

@@ -1,6 +1,8 @@
 """Tests for the task-graph builder."""
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.builder import (
     GraphBuilder,
@@ -9,9 +11,20 @@ from repro.engine.builder import (
     split_layers,
 )
 from repro.engine.kernels import KernelKind
-from repro.engine.task import TaskKind
+from repro.engine.task import (
+    CollectiveOp,
+    CollectiveSpec,
+    ComputeSpec,
+    Task,
+    TaskGraph,
+    TaskKind,
+)
+from repro.hardware.cluster import ClusterSpec, get_cluster
+from repro.hardware.interconnect import INFINIBAND_100G
+from repro.models.catalog import get_model
 from repro.parallelism.mapping import DeviceMesh
 from repro.parallelism.strategy import OptimizationConfig, ParallelismConfig
+from tests.conftest import TINY_DENSE, TINY_MOE, small_node
 
 
 def _mesh(cluster, **kwargs):
@@ -295,3 +308,175 @@ class TestInterleavedGraphs:
             iterations=1,
         )
         assert graph.total_tasks > 0
+
+
+def _collective(uid, ranks):
+    return Task(
+        uid=uid,
+        kind=TaskKind.COLLECTIVE,
+        kernel=KernelKind.DP_ALLREDUCE,
+        ranks=ranks,
+        collective=CollectiveSpec(
+            op=CollectiveOp.ALLREDUCE, ranks=ranks, payload_bytes=1.0
+        ),
+    )
+
+
+def _compute(uid, rank):
+    return Task(
+        uid=uid,
+        kind=TaskKind.COMPUTE,
+        kernel=KernelKind.FWD_GEMM,
+        ranks=(rank,),
+        compute=ComputeSpec(flops=1.0),
+    )
+
+
+class TestCollectiveCheck:
+    """TaskGraph holds each collective once per declared participant."""
+
+    def _graph(self, queues):
+        return TaskGraph(
+            queues=queues, num_iterations=1, tokens_per_iteration=1
+        )
+
+    def test_accepts_one_entry_per_participant(self):
+        ar = _collective(0, (0, 1))
+        self._graph([[_compute(1, 0), ar], [ar], [_compute(2, 2)]])
+
+    def test_rejects_missing_participant(self):
+        ar = _collective(0, (0, 1))
+        with pytest.raises(ValueError, match="collective 0"):
+            self._graph([[ar], [_compute(1, 1)]])
+
+    def test_rejects_extra_queue(self):
+        ar = _collective(0, (0, 1))
+        with pytest.raises(ValueError, match="collective 0"):
+            self._graph([[ar], [ar], [ar]])
+
+    def test_rejects_duplicate_in_one_queue(self):
+        ar = _collective(0, (0, 1))
+        with pytest.raises(ValueError, match="collective 0"):
+            self._graph([[ar, ar], [ar]])
+
+
+# -- stamping: the built graph equals the slice-by-slice emission ---------
+
+
+def _reference_queues(builder: GraphBuilder) -> list[list[Task]]:
+    """What :meth:`GraphBuilder.build` stamps, emitted kernel by kernel:
+    every (iteration, outer-DP replica, EP index, stage) slice in turn."""
+    cfg = builder.cfg
+    for iteration in range(builder.iterations):
+        for dpo in range(cfg.dp_outer):
+            for e in range(cfg.ep):
+                for stage in range(cfg.pp):
+                    builder._emit_slice(iteration, dpo, e, stage)
+    return builder.queues
+
+
+@st.composite
+def _builder_cases(draw) -> dict:
+    """GraphBuilder keyword arguments over models, plans, schedules,
+    optimizations, inference and placements."""
+    moe = draw(st.booleans())
+    nodes = draw(st.sampled_from((1, 2, 3, 4)))
+    tp = draw(st.sampled_from((1, 2, 4)))
+    pp = draw(st.sampled_from((1, 2)))
+    world = 4 * nodes
+    assume(world % (tp * pp) == 0)
+    dp = world // (tp * pp)
+    ep = draw(st.sampled_from((1, 2, 4))) if moe else 1
+    assume(dp % ep == 0)
+    fsdp = draw(st.booleans()) if ep == 1 and dp > 1 else False
+    schedule = draw(
+        st.sampled_from(("1f1b", "interleaved", "zb-h1", "seq1f1b"))
+    )
+    config = ParallelismConfig(
+        tp=tp, pp=pp, dp=dp, ep=ep, use_fsdp=fsdp,
+        pipeline_schedule=schedule,
+    )
+    cluster = ClusterSpec(
+        name=f"small-{nodes}x4",
+        node=small_node(),
+        num_nodes=nodes,
+        inter_node_link=INFINIBAND_100G,
+    )
+    placement = draw(st.permutations(range(world)))
+    microbatch = draw(st.sampled_from((1, 2)))
+    microbatches = draw(st.integers(1, 4))
+    opts = OptimizationConfig(
+        activation_recompute=draw(st.booleans()),
+        cc_overlap=draw(st.booleans()),
+        distributed_optimizer=draw(st.booleans()),
+        lora=draw(st.booleans()),
+    )
+    return dict(
+        model=TINY_MOE if moe else TINY_DENSE,
+        mesh=DeviceMesh(cluster, config, tuple(placement)),
+        microbatch_size=microbatch,
+        global_batch_size=dp * microbatch * microbatches,
+        opts=opts,
+        iterations=draw(st.integers(1, 3)),
+        inference=draw(st.booleans()),
+    )
+
+
+def _swapped(placement_size: int, a: int, b: int) -> tuple[int, ...]:
+    placement = list(range(placement_size))
+    placement[a], placement[b] = placement[b], placement[a]
+    return tuple(placement)
+
+
+# CC overlap sizes the TP communication hidden in each compute kernel
+# from the TP group's physical GPUs: swapping ranks 8 and 60 gives two
+# replicas different hidden times, so they cannot share a template.
+_PLACED_CC_OVERLAP = dict(
+    model=get_model("gpt3-13b"),
+    mesh=DeviceMesh(
+        get_cluster("h100x64"),
+        ParallelismConfig(tp=4, pp=2, dp=8),
+        _swapped(64, 8, 60),
+    ),
+    microbatch_size=1,
+    global_batch_size=16,
+    opts=OptimizationConfig(cc_overlap=True),
+    iterations=2,
+    inference=False,
+)
+
+
+class TestStamping:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_builder_cases())
+    @example(case=_PLACED_CC_OVERLAP)
+    def test_build_equals_slice_emission(self, case):
+        try:
+            graph = GraphBuilder(**case).build()
+        except ValueError:
+            # Shapes the builder rejects (batch or sequence splits that
+            # do not divide) have nothing to compare.
+            assume(False)
+        reference = _reference_queues(GraphBuilder(**case))
+        assert len(graph.queues) == len(reference)
+        for rank, (built, expected) in enumerate(
+            zip(graph.queues, reference)
+        ):
+            assert built == expected, f"rank {rank}"
+        shared: dict[int, Task] = {}
+        for queue in graph.queues:
+            for task in queue:
+                if task.kind is TaskKind.COLLECTIVE:
+                    assert shared.setdefault(task.uid, task) is task
+
+    def test_placed_cc_overlap_replicas_differ(self):
+        # The pinned example exercises a replica whose hidden TP time
+        # differs from the template's.
+        graph = GraphBuilder(**_PLACED_CC_OVERLAP).build()
+        hidden = {
+            task.compute.overlapped_comm_s
+            for queue in graph.queues
+            for task in queue
+            if task.kernel is KernelKind.FWD_GEMM
+        }
+        assert len(hidden) > 1
