@@ -302,12 +302,12 @@ class GraphBuilder:
         if copies < 1:
             return block
         queues = self.queues
-        lengths = {rank: len(queues[rank]) for rank in block}
+        template = [(rank, list(queues[rank])) for rank in block]
         next_uid = next(self._uid)
         next_msg = next(self._msg_uid)
         copied = set()
-        for rank in block:
-            for task in queues[rank]:
+        for rank, tasks in template:
+            for task in tasks:
                 if (
                     iteration_stride
                     or task.kind is not TaskKind.COLLECTIVE
@@ -322,12 +322,12 @@ class GraphBuilder:
             msg_shift = k * next_msg
             iteration = k * iteration_stride
             made: dict[int, Task] = {}
-            for rank in block:
+            for rank, tasks in template:
                 dst = rank + shift
                 own = (dst,)
                 hidden = self._retime(rank, dst)
                 out = queues[dst]
-                for task in queues[rank][: lengths[rank]]:
+                for task in tasks:
                     index = order.get(task.uid)
                     if index is None:
                         out.append(task)

@@ -382,7 +382,7 @@ def _builder_cases(draw) -> dict:
     moe = draw(st.booleans())
     nodes = draw(st.sampled_from((1, 2, 3, 4)))
     tp = draw(st.sampled_from((1, 2, 4)))
-    pp = draw(st.sampled_from((1, 2)))
+    pp = draw(st.sampled_from((1, 2, 4)))
     world = 4 * nodes
     assume(world % (tp * pp) == 0)
     dp = world // (tp * pp)
