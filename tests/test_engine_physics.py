@@ -178,6 +178,99 @@ class TestFastPathDifferential:
                 )
 
 
+class TestReferenceDifferential:
+    """VectorPhysics + PowerVector against the scalar reference stepper.
+
+    :mod:`tests.reference_physics` steps one ``NodeThermalState`` and
+    one ``DvfsGovernor`` per node; the vector path must reproduce it to
+    floating-point reduction noise on every step, through static faults
+    and every mid-run knob the simulator turns.
+    """
+
+    @pytest.mark.parametrize("cluster_name",
+                             ["mi250x32", "h100x64", "h200x32"])
+    def test_vector_matches_reference(self, cluster_name):
+        from repro.engine.physics import PowerVector, VectorPhysics
+        from repro.hardware.cluster import get_cluster
+        from repro.power.model import Activity, gpu_power
+        from tests.reference_physics import ReferencePhysics, bursty_activity
+
+        cluster = get_cluster(cluster_name)
+        gpu = cluster.node.gpu
+        n, nodes, steps = cluster.total_gpus, cluster.num_nodes, 900
+        rng = np.random.default_rng(0)
+        activity = bursty_activity(rng, steps, n)
+        # Two step sizes: the simulator's 0.05 s and a longer one, so the
+        # run spans the heatsink time constant.
+        dts = rng.choice([0.05, 0.25], size=steps)
+        faults = FaultSpec(node_power_cap_scale={1: 0.7},
+                           node_max_clock={0: 0.9})
+        sag = np.ones(nodes)
+        sag[2] = 0.3
+        # Hot enough for the last node to cross its throttle point.
+        hot = np.zeros(nodes)
+        hot[-1] = gpu.throttle_temp_c - 59.0
+        knobs = {
+            50: ("set_ambient_offsets", hot),
+            150: ("set_setpoints",
+                  rng.choice([1.0, 0.95, 0.85, 0.75], size=n)),
+            300: ("set_node_budget_scales", sag),
+            450: ("set_ambient_offsets", np.zeros(nodes)),
+            600: ("set_node_budget_scales", np.ones(nodes)),
+            800: ("set_setpoints", np.ones(n)),
+        }
+
+        vector = VectorPhysics(cluster, faults)
+        power = PowerVector(cluster)
+        reference = ReferencePhysics(cluster, faults)
+        busy = gpu_power(gpu, Activity(compute=0.75), 1.0)
+        vector.prewarm(busy)
+        reference.prewarm(busy)
+        # The full governor chain is the only caller of _settle_stats
+        # inside step().
+        full_steps = []
+        settle = vector._settle_stats
+
+        def counting_settle(lanes=None):
+            full_steps.append(1)
+            settle(lanes)
+
+        vector._settle_stats = counting_settle
+
+        hot_steps = 0
+        for j in range(steps):
+            if j in knobs:
+                method, value = knobs[j]
+                getattr(vector, method)(value)
+                getattr(reference, method)(value)
+            if j == 0 or not np.array_equal(activity[j], activity[j - 1]):
+                power.refresh_intensity(*activity[j])
+            powers = power.powers(vector.freq_flat)
+            vector.step(dts[j], powers)
+            expected = reference.step(dts[j], *activity[j])
+            np.testing.assert_allclose(powers[0], expected, rtol=RTOL)
+            np.testing.assert_allclose(vector.die_c[0], reference.die_c,
+                                       rtol=RTOL)
+            np.testing.assert_allclose(vector.sink_c[0], reference.sink_c,
+                                       rtol=RTOL)
+            np.testing.assert_allclose(vector.freq[0], reference.freq,
+                                       rtol=RTOL)
+            hot_steps += bool((reference.die_c > gpu.throttle_temp_c).any())
+        vector._settle_stats = settle
+        np.testing.assert_allclose(
+            vector.throttle_ratios(), reference.throttle_ratios(),
+            rtol=RTOL, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            vector.mean_freq_ratios(), reference.mean_freq_ratios(),
+            rtol=RTOL, atol=1e-12,
+        )
+        # Both governor paths ran, and the thermal throttle engaged.
+        assert 0 < len(full_steps) < steps
+        assert hot_steps > 0
+        assert max(reference.throttle_ratios()) > 0
+
+
 class TestLaneAxis:
     """An L-lane VectorPhysics is L one-lane instances, bit for bit."""
 

@@ -7,13 +7,16 @@ from. The digests below extend that digest with every telemetry series
 per-GPU fabric traffic, over canonical runs that between them walk every
 branch of :class:`~repro.engine.physics.VectorPhysics`: the governor's
 quiet path, static setpoint ceilings, a node power cap (cap factor and
-floor clamp), a closed-loop governor re-actuating setpoints mid-run, and
-transient budget/inlet faults.
+floor clamp), closed-loop governors re-actuating setpoints mid-run (the
+thermal one, and the straggler one with its busy-fraction input), and
+transient faults of every kind. Two cases change the workload instead
+of the settings (:data:`WORKLOADS`): a MoE run with expert all-to-alls,
+and communication overlap with activation recompute.
 
-They were captured before the physics stepper gained its lane axis, so
-they prove the ``lanes=1`` path performs the same float operations. If a
-deliberate physics change ever invalidates them, recapture them in the
-same commit and say so in the message.
+The first five were captured before the physics stepper gained its lane
+axis, so they prove the ``lanes=1`` path performs the same float
+operations. If a deliberate physics change ever invalidates them,
+recapture them in the same commit and say so in the message.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.core.experiment import execute_training
 from repro.core.faults import FaultEvent, FaultKind, FaultSpec, FaultTimeline
 from repro.engine.simulator import SimSettings
 from repro.hardware.interconnect import LinkKind
+from repro.parallelism.strategy import OptimizationConfig
 from repro.powerctl import PowerControlConfig, static_setpoint
 from tests.test_schedule_identity import outcome_digest
 
@@ -60,6 +64,12 @@ def physics_digest(outcome) -> str:
     return h.hexdigest()
 
 
+def _fault(kind: FaultKind, **event) -> SimSettings:
+    return SimSettings(
+        fault_timeline=FaultTimeline(events=(FaultEvent(kind=kind, **event),))
+    )
+
+
 CASES = {
     "default": SimSettings(),
     "static-0.75": SimSettings(power_control=static_setpoint(0.75)),
@@ -87,6 +97,34 @@ CASES = {
             )
         )
     ),
+    "straggler-governor": SimSettings(
+        power_control=PowerControlConfig(
+            governor="straggler", control_interval_s=0.05
+        )
+    ),
+    "moe-alltoall": SimSettings(),
+    "cc-overlap-recompute": SimSettings(),
+    "link-degrade": _fault(
+        FaultKind.LINK_DEGRADE, node=1, time_s=0.2, duration_s=3.0,
+        severity=0.2,
+    ),
+    "gpu-failstop": _fault(
+        FaultKind.GPU_FAILSTOP, node=3, time_s=0.5, duration_s=1.0
+    ),
+    "ecc-stall": _fault(
+        FaultKind.ECC_STALL, node=0, time_s=0.3, duration_s=2.0,
+        severity=0.4,
+    ),
+}
+
+#: ``execute_training`` overrides for the cases that vary the workload.
+WORKLOADS = {
+    "moe-alltoall": dict(model="mixtral-4x7b", parallelism="EP4-TP2-PP2"),
+    "cc-overlap-recompute": dict(
+        optimizations=OptimizationConfig(
+            cc_overlap=True, activation_recompute=True
+        )
+    ),
 }
 
 GOLDENS = {
@@ -100,21 +138,34 @@ GOLDENS = {
         "6db9d70fdba04b309da3042dff85f8267bafe3167690fb28c604a83530d863dc",
     "thermal-governor":
         "783c6538f3f3dd1b551577dfd596502d843b3b52b5226374d701294d199b2194",
+    "cc-overlap-recompute":
+        "f4f34fe7a6d27f6c4a5ab6883bbda94d4d76c41d9d28ab0a55c5f3c0b390b4e5",
+    "ecc-stall":
+        "b7d0c742a834566e78241d8622e2d90972781fe904c30bfc4c8a11cf626718cc",
+    "gpu-failstop":
+        "55ea00ac8381f8a29e284b5cbd24a387bb65cc254c21d1f50c00764554a4f952",
+    "link-degrade":
+        "22db7015c2fbcfc71ea0f942390361a97d689d15ea19526447d937ea91629bc3",
+    "moe-alltoall":
+        "a8ddaae1ffd0feaa2d247581cfed23bf1c7857809de116cf3919b46f15e2b570",
+    "straggler-governor":
+        "fcb06f5f67edc06736083c3c6359b054e0e7cadfbd68be768c795fb020e15824",
 }
 
 
-def _run(settings: SimSettings):
-    return execute_training(
-        "gpt3-13b",
-        "mi250x32",
-        "TP4-PP2",
+def _run(case: str):
+    kwargs = dict(
+        model="gpt3-13b",
+        cluster="mi250x32",
+        parallelism="TP4-PP2",
         microbatch_size=1,
         global_batch_size=8,
         iterations=2,
-        settings=settings,
-    ).outcome
+    )
+    kwargs.update(WORKLOADS.get(case, {}))
+    return execute_training(**kwargs, settings=CASES[case]).outcome
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_serial_physics_output_is_pinned(case):
-    assert physics_digest(_run(CASES[case])) == GOLDENS[case]
+    assert physics_digest(_run(case)) == GOLDENS[case]
