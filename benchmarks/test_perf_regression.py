@@ -1,13 +1,15 @@
-"""Perf-regression benchmark: optimized simulation stack vs reference.
+"""Perf-regression benchmark: vectorized physics vs the scalar reference.
 
-Times the canonical mi250x32 sweep on both simulator backends —
-``fast_path=False`` is the original scalar implementation kept as the
-oracle/baseline, ``fast_path=True`` is the vectorized physics +
-collective-cost memoisation + cheap-recording path — and asserts the
-optimized path clears ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x). The
-persistent result cache is explicitly out of the measurement: every run
-here is a cold ``execute_training`` call, so the speedup comes from the
-hot-path work alone.
+``test_simulation_hot_path_speedup`` steps the simulator's physics
+(:class:`~repro.engine.physics.VectorPhysics` with ``PowerVector``) and
+the scalar reference model of ``tests/reference_physics.py`` (one
+``NodeThermalState`` and ``DvfsGovernor`` per node, Python loops) over
+the same bursty activity trace on mi250x32, healthy and with a
+power-capped node, and asserts the vector path clears
+``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) per physics step. It also times
+the canonical mi250x32 ``execute_training`` sweep, with the persistent
+result cache out of the measurement, so the end-to-end cost of a cold
+run is tracked alongside.
 
 Writes ``BENCH_simulation.json`` at the repo root so the performance
 trajectory is tracked from PR to PR (CI uploads it as an artifact).
@@ -18,9 +20,15 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.experiment import execute_training
+from repro.core.faults import HEALTHY, FaultSpec
 from repro.core.store import persistence_disabled
-from repro.engine.simulator import SimSettings
+from repro.engine.physics import PowerVector, VectorPhysics
+from repro.hardware.cluster import MI250_X32
+from repro.power.model import Activity, gpu_power
+from tests.reference_physics import ReferencePhysics, bursty_activity
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_simulation.json"
 
@@ -30,11 +38,51 @@ CANONICAL_SWEEP = [
     ("llama3-30b", "mi250x32", "TP4-PP4-DP2"),
 ]
 
+#: Physics scenarios: the quiet governor path dominates a healthy
+#: cluster; a power-capped node takes the full chain every step.
+PHYSICS_SCENARIOS = {
+    "healthy": HEALTHY,
+    "capped": FaultSpec(node_power_cap_scale={1: 0.35}),
+}
+PHYSICS_STEPS = 1500
+PHYSICS_DT_S = 0.05
+
 REPEATS = 2  # best-of, to shrug off scheduler noise
 
 
-def _best_time(model: str, cluster: str, parallelism: str,
-               fast: bool) -> float:
+def _step_vector(faults: FaultSpec, activity: np.ndarray,
+                 prewarm_w: float) -> float:
+    """Seconds to step the vector path over ``activity``."""
+    physics = VectorPhysics(MI250_X32, faults)
+    power = PowerVector(MI250_X32)
+    physics.prewarm(prewarm_w)
+    start = time.perf_counter()
+    for j in range(len(activity)):
+        # The simulator refreshes the intensity only when a kernel
+        # started or finished since the last step.
+        if j == 0 or not np.array_equal(activity[j], activity[j - 1]):
+            power.refresh_intensity(*activity[j])
+        physics.step(PHYSICS_DT_S, power.powers(physics.freq_flat))
+    return time.perf_counter() - start
+
+
+def _step_reference(faults: FaultSpec, activity: np.ndarray,
+                    prewarm_w: float) -> float:
+    """Seconds to step the scalar reference over ``activity``."""
+    physics = ReferencePhysics(MI250_X32, faults)
+    physics.prewarm(prewarm_w)
+    levels = activity.tolist()
+    start = time.perf_counter()
+    for compute, comm, memory in levels:
+        physics.step(PHYSICS_DT_S, compute, comm, memory)
+    return time.perf_counter() - start
+
+
+def _best(fn, *args) -> float:
+    return min(fn(*args) for _ in range(REPEATS))
+
+
+def _best_run_time(model: str, cluster: str, parallelism: str) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -45,7 +93,6 @@ def _best_time(model: str, cluster: str, parallelism: str,
             microbatch_size=1,
             global_batch_size=16,
             iterations=2,
-            settings=SimSettings(fast_path=fast),
         )
         best = min(best, time.perf_counter() - start)
         assert result.outcome.makespan_s > 0
@@ -54,36 +101,62 @@ def _best_time(model: str, cluster: str, parallelism: str,
 
 def test_simulation_hot_path_speedup():
     threshold = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
-    rows = []
+    activity = bursty_activity(
+        np.random.default_rng(0), PHYSICS_STEPS, MI250_X32.total_gpus
+    )
+    prewarm_w = gpu_power(MI250_X32.node.gpu, Activity(compute=0.75), 1.0)
+    physics_rows = []
+    for scenario, faults in PHYSICS_SCENARIOS.items():
+        reference = _best(_step_reference, faults, activity, prewarm_w)
+        optimized = _best(_step_vector, faults, activity, prewarm_w)
+        physics_rows.append(
+            {
+                "scenario": scenario,
+                "cluster": MI250_X32.name,
+                "steps": PHYSICS_STEPS,
+                "reference_us_per_step": round(
+                    reference / PHYSICS_STEPS * 1e6, 1
+                ),
+                "optimized_us_per_step": round(
+                    optimized / PHYSICS_STEPS * 1e6, 1
+                ),
+                "speedup": round(reference / optimized, 3),
+            }
+        )
+    total_reference = sum(r["reference_us_per_step"] for r in physics_rows)
+    total_optimized = sum(r["optimized_us_per_step"] for r in physics_rows)
+    speedup = total_reference / total_optimized
+
+    sweep_rows = []
     with persistence_disabled():
         for model, cluster, parallelism in CANONICAL_SWEEP:
-            reference = _best_time(model, cluster, parallelism, fast=False)
-            optimized = _best_time(model, cluster, parallelism, fast=True)
-            rows.append(
+            sweep_rows.append(
                 {
                     "model": model,
                     "cluster": cluster,
                     "parallelism": parallelism,
-                    "reference_s": round(reference, 4),
-                    "optimized_s": round(optimized, 4),
-                    "speedup": round(reference / optimized, 3),
+                    "optimized_s": round(
+                        _best_run_time(model, cluster, parallelism), 4
+                    ),
                 }
             )
-    total_reference = sum(row["reference_s"] for row in rows)
-    total_optimized = sum(row["optimized_s"] for row in rows)
-    speedup = total_reference / total_optimized
 
     BENCH_PATH.write_text(
         json.dumps(
             {
                 "benchmark": "simulation_hot_path",
-                "unit": f"seconds, best of {REPEATS}",
+                "unit": (
+                    f"microseconds per physics step / seconds per run, "
+                    f"best of {REPEATS}"
+                ),
                 "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
                 "threshold": threshold,
                 "speedup": round(speedup, 3),
-                "reference_total_s": round(total_reference, 4),
-                "optimized_total_s": round(total_optimized, 4),
-                "runs": rows,
+                "physics": physics_rows,
+                "optimized_total_s": round(
+                    sum(r["optimized_s"] for r in sweep_rows), 4
+                ),
+                "runs": sweep_rows,
             },
             indent=2,
         )
@@ -91,8 +164,8 @@ def test_simulation_hot_path_speedup():
     )
 
     assert speedup >= threshold, (
-        f"hot-path speedup regressed: {speedup:.2f}x < {threshold:.2f}x "
-        f"(details in {BENCH_PATH.name})"
+        f"physics-step speedup regressed: {speedup:.2f}x < "
+        f"{threshold:.2f}x (details in {BENCH_PATH.name})"
     )
 
 

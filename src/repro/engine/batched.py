@@ -45,7 +45,7 @@ per point. This module evaluates such a grid in three phases:
    takes the lane's ``(samples, num_gpus)`` slices of the batched
    physics pass as matrices.
 
-Grids that are not batchable (scalar physics backend, fault timelines,
+Grids that are not batchable (static faults, fault timelines,
 closed-loop governors, non-uniform per-GPU ceilings) take the ordinary
 cached per-config path through the same :func:`evaluate_grid` API; axes
 that change the task graph (microbatch, batch size, model, cluster)
@@ -1252,8 +1252,6 @@ def _batchable(kind: str, kwargs: dict) -> _Member | None:
     if kind not in ("train", "infer"):
         return None
     settings = _resolve_settings(kwargs)
-    if not settings.fast_path:
-        return None
     if settings.faults != HEALTHY:
         return None
     if settings.fault_timeline.events:

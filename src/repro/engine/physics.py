@@ -1,42 +1,32 @@
-"""Physics backends: thermal + DVFS co-simulation strategies.
+"""Physics: thermal + DVFS co-simulation of the whole cluster.
 
 The simulator integrates one RC thermal model and one DVFS governor per
-node at a fixed step. Two interchangeable backends implement that loop:
+node at a fixed step. :class:`VectorPhysics` (with :class:`PowerVector`
+for board powers) stacks that state into ``(lanes, num_nodes,
+gpus_per_node)`` numpy arrays and advances it with a handful of
+vectorized operations per step: inlet temperatures via a precomputed
+upstream-airflow matrix, the exact 2x2 matrix-exponential propagator
+applied to every (die, heatsink) pair at once, and a vectorized governor
+(power cap, throttle, recovery, clamp). Clock exponentiation
+(``freq ** 2.4``, the single most expensive scalar in the loop) is
+cached per GPU and recomputed only where the clock actually changed
+since the previous step.
 
-* :class:`ScalarPhysics` — the reference implementation, one
-  :class:`~repro.thermal.rc_model.NodeThermalState` and one
-  :class:`~repro.thermal.throttle.DvfsGovernor` per node, stepped with
-  plain Python loops. This is the original (pre-optimization) code path,
-  kept both as a differential-testing oracle and as the baseline the
-  perf-regression benchmark measures speedups against.
+Each lane is an independent copy of the cluster. Per lane: die and
+heatsink temperatures, clocks, setpoint ceilings and floors, the prewarm
+power, the governor's quiet-path flag, the observed time and the pending
+stats hold (with the throttle/clock integrals). Shared by all lanes: the
+hardware, the fault knobs (node budgets, clock limits, inlet offsets)
+and the propagator cache. The simulator steps one lane;
+:mod:`repro.engine.batched` steps one lane per replayed config, with an
+``active`` mask that freezes lanes whose run has ended.
 
-* :class:`VectorPhysics` (with :class:`PowerVector`) — the hot path,
-  and the only physics stepper of the fast path. State is stacked into
-  ``(lanes, num_nodes, gpus_per_node)`` numpy arrays and advanced with
-  a handful of vectorized operations per step: inlet temperatures via a
-  precomputed upstream-airflow matrix, the exact 2x2 matrix-exponential
-  propagator applied to every (die, heatsink) pair at once, and a
-  vectorized governor (power cap, throttle, recovery, clamp). Clock
-  exponentiation (``freq ** 2.4``, the single most expensive scalar in
-  the loop) is cached per GPU and recomputed only where the clock
-  actually changed since the previous step.
-
-  Each lane is an independent copy of the cluster. Per lane: die and
-  heatsink temperatures, clocks, setpoint ceilings and floors, the
-  prewarm power, the governor's quiet-path flag, the observed time and
-  the pending stats hold (with the throttle/clock integrals). Shared by
-  all lanes: the hardware, the fault knobs (node budgets, clock limits,
-  inlet offsets) and the propagator cache. The simulator steps one lane;
-  :mod:`repro.engine.batched` steps one lane per replayed config, with
-  an ``active`` mask that freezes lanes whose run has ended.
-
-Both backends expose the same small surface the simulator needs:
-``prewarm``, ``step``, ``freq_of``/``temp_of``, ``set_setpoints``,
-``throttle_ratios`` and ``mean_freq_ratios``. Numerical results agree to
-floating-point noise (the vector path reorders some reductions);
-``tests/test_engine_physics.py`` pins the two together, and
-``tests/test_physics_identity.py`` pins the vector path's output bit for
-bit.
+The per-node :class:`~repro.thermal.rc_model.NodeThermalState` and
+:class:`~repro.thermal.throttle.DvfsGovernor` objects are the scalar
+statement of the same model. ``tests/test_engine_physics.py`` steps them
+and this class on the same activity and requires agreement to
+floating-point reduction noise; ``tests/test_physics_identity.py`` pins
+the simulator's physics output bit for bit.
 """
 
 from __future__ import annotations
@@ -50,128 +40,13 @@ from repro.power.model import (
     COMPUTE_INTENSITY,
     FREQ_POWER_EXP,
     MEMORY_INTENSITY,
-    Activity,
-    gpu_power,
 )
-from repro.thermal.rc_model import NodeThermalState, _expm_2x2, _system_matrix
+from repro.thermal.rc_model import _expm_2x2, _system_matrix
 from repro.thermal.throttle import (
     HYSTERESIS_C,
     RECOVERY_STEP,
     THROTTLE_GAIN_PER_C,
-    DvfsGovernor,
 )
-
-
-class ScalarPhysics:
-    """Reference backend: per-node thermal/governor objects, Python loops."""
-
-    def __init__(self, cluster: ClusterSpec, faults: FaultSpec) -> None:
-        self.cluster = cluster
-        node = cluster.node
-        self.thermal = [
-            NodeThermalState(node) for _ in range(cluster.num_nodes)
-        ]
-        self.governors = [
-            DvfsGovernor(
-                node,
-                power_cap_scale=faults.power_cap_scale(i),
-                max_clock=faults.max_clock(i),
-            )
-            for i in range(cluster.num_nodes)
-        ]
-        # Static (whole-run) cap scales, kept so transient sags compose
-        # multiplicatively with them and clear back to exactly this.
-        self._static_cap_scale = [
-            faults.power_cap_scale(i) for i in range(cluster.num_nodes)
-        ]
-
-    def prewarm(self, power_w: float) -> None:
-        """Jump every node to the steady state of a uniform power draw."""
-        per_node = self.cluster.node.gpus_per_node
-        for thermal in self.thermal:
-            thermal.set_equilibrium([power_w] * per_node)
-
-    def step(
-        self,
-        dt_s: float,
-        activity_of,
-    ) -> None:
-        """Advance thermal + governor state by one step.
-
-        Args:
-            dt_s: integration step.
-            activity_of: callable ``gpu -> Activity`` giving the current
-                utilisation of each global GPU.
-        """
-        cluster = self.cluster
-        per_node = cluster.node.gpus_per_node
-        gpu_spec = cluster.node.gpu
-        for node_idx in range(cluster.num_nodes):
-            governor = self.governors[node_idx]
-            thermal = self.thermal[node_idx]
-            powers = []
-            for local in range(per_node):
-                gpu = node_idx * per_node + local
-                power = gpu_power(
-                    gpu_spec,
-                    activity_of(gpu),
-                    governor.freq_of(local),
-                )
-                powers.append(power)
-                self._power_out[gpu] = power
-            temps = thermal.step(dt_s, powers)
-            governor.update(dt_s, temps, powers)
-
-    def bind_power_out(self, power_out: list[float]) -> None:
-        """Register the per-GPU power list the backend writes into."""
-        self._power_out = power_out
-
-    def set_setpoints(self, setpoints) -> None:
-        """Apply per-GPU clock ceilings (global-GPU order, powerctl)."""
-        per_node = self.cluster.node.gpus_per_node
-        flat = [float(v) for v in np.asarray(setpoints).reshape(-1)]
-        for i, governor in enumerate(self.governors):
-            governor.setpoints = flat[i * per_node:(i + 1) * per_node]
-
-    def set_node_budget_scales(self, scales) -> None:
-        """Apply transient per-node power-budget multipliers (faults).
-
-        Composes with any static :class:`FaultSpec` cap; a scale of 1.0
-        restores the governor to exactly its whole-run value.
-        """
-        for i, governor in enumerate(self.governors):
-            governor.power_cap_scale = (
-                self._static_cap_scale[i] * float(scales[i])
-            )
-
-    def set_ambient_offsets(self, offsets) -> None:
-        """Apply transient per-node inlet/ambient offsets (degC)."""
-        for thermal, delta in zip(self.thermal, offsets):
-            thermal.set_ambient_offset(float(delta))
-
-    def freq_of(self, gpu: int) -> float:
-        """Current clock ratio of one global GPU."""
-        per_node = self.cluster.node.gpus_per_node
-        return self.governors[gpu // per_node].freq_of(gpu % per_node)
-
-    def temp_of(self, gpu: int) -> float:
-        """Current die temperature of one global GPU."""
-        per_node = self.cluster.node.gpus_per_node
-        return self.thermal[gpu // per_node].temps_c[gpu % per_node]
-
-    def throttle_ratios(self) -> list[float]:
-        """Per-GPU fraction of observed time spent throttled."""
-        values: list[float] = []
-        for governor in self.governors:
-            values.extend(governor.throttle_ratios())
-        return values
-
-    def mean_freq_ratios(self) -> list[float]:
-        """Per-GPU time-weighted mean clock ratio."""
-        values: list[float] = []
-        for governor in self.governors:
-            values.extend(s.mean_freq_ratio for s in governor.stats)
-        return values
 
 
 class VectorPhysics:
@@ -402,8 +277,8 @@ class VectorPhysics:
         """Apply per-GPU clock ceilings (global-GPU order, powerctl).
 
         Setpoints tighten the effective ceiling; they never widen the
-        hardware/fault one, mirroring the scalar governor's
-        ``min(ceiling, setpoint)``.
+        hardware/fault one, mirroring the ``min(ceiling, setpoint)`` of
+        :class:`~repro.thermal.throttle.DvfsGovernor`.
 
         Args:
             setpoints: one set of per-GPU ceilings for every lane
@@ -420,10 +295,10 @@ class VectorPhysics:
     def set_node_budget_scales(self, scales) -> None:
         """Apply transient per-node power-budget multipliers (faults).
 
-        Mirrors the scalar governor exactly: the budget and the clock
-        floor both follow the *combined* static x transient scale, and a
-        transient scale of 1.0 restores the whole-run values bit for
-        bit.
+        Mirrors :class:`~repro.thermal.throttle.DvfsGovernor` exactly:
+        the budget and the clock floor both follow the *combined* static
+        x transient scale, and a transient scale of 1.0 restores the
+        whole-run values bit for bit.
         """
         node = self.cluster.node
         combined = self._cap_scale * np.asarray(scales, dtype=float)
@@ -476,10 +351,6 @@ class VectorPhysics:
     def freq_of(self, gpu: int) -> float:
         """Current clock ratio of one global GPU (lane 0)."""
         return float(self.freq[0, gpu // self._g, gpu % self._g])
-
-    def temp_of(self, gpu: int) -> float:
-        """Current die temperature of one global GPU (lane 0)."""
-        return float(self.die_c[0, gpu // self._g, gpu % self._g])
 
     def throttle_ratios(self, lane: int = 0) -> list[float]:
         """Per-GPU fraction of a lane's observed time spent throttled."""
@@ -547,19 +418,3 @@ class PowerVector:
             self._freq_seen = freq_flat.copy()
         return self._idle + self._dynamic * self._freq_pow
 
-
-def reference_activity(
-    compute_active: list[float],
-    comm_active: list[float],
-    memory_active: list[float],
-):
-    """Scalar ``gpu -> Activity`` closure for :class:`ScalarPhysics`."""
-
-    def activity_of(gpu: int) -> Activity:
-        return Activity(
-            compute=min(1.0, max(0.0, compute_active[gpu])),
-            comm=min(1.0, max(0.0, comm_active[gpu])),
-            memory=min(1.0, max(0.0, memory_active[gpu])),
-        )
-
-    return activity_of

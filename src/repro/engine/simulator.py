@@ -29,12 +29,7 @@ from repro.comm.contention import NicContention
 from repro.comm.traffic import TrafficLedger
 from repro.core.faults import EMPTY_TIMELINE, HEALTHY, FaultSpec, FaultTimeline
 from repro.engine.kernels import KernelKind, KernelTable
-from repro.engine.physics import (
-    PowerVector,
-    ScalarPhysics,
-    VectorPhysics,
-    reference_activity,
-)
+from repro.engine.physics import PowerVector, VectorPhysics
 from repro.engine.task import CollectiveOp, ComputeSpec, Task, TaskGraph, TaskKind
 from repro.hardware.interconnect import LinkKind
 from repro.optimizations.overlap import OVERLAP_COMM_SLOWDOWN, fused_duration
@@ -47,7 +42,7 @@ from repro.powerctl.governor import (
     build_runtime,
 )
 from repro.resilience.runtime import FaultTrace, build_fault_runtime
-from repro.telemetry.monitor import GpuSample, TelemetryLog
+from repro.telemetry.monitor import TelemetryLog
 
 EPS = 2e-6
 
@@ -77,20 +72,14 @@ class SimSettings:
             equilibrium estimate.
         faults: node degradations active for the whole run (power
             failures, pinned clocks) — the paper's straggler incident.
-        fast_path: use the vectorized physics backend and the collective
-            cost memo (default). ``False`` selects the scalar reference
-            implementation — bit-for-bit the original code path — which
-            the differential tests and the perf-regression benchmark
-            use as their oracle/baseline. Results agree to floating-
-            point noise.
         power_control: closed-loop GPU power management
             (:mod:`repro.powerctl`). The default disables it entirely:
-            no runtime is built and both physics backends follow the
-            exact pre-powerctl code path, bit for bit.
+            no runtime is built and the physics follows the exact
+            pre-powerctl code path, bit for bit.
         fault_timeline: transient mid-run fault events
             (:mod:`repro.resilience`). The empty default builds no
-            fault runtime at all: both physics backends follow the
-            exact pre-resilience code path, bit for bit.
+            fault runtime at all: the physics follows the exact
+            pre-resilience code path, bit for bit.
         collective_timeout_s: NCCL-style watchdog — a rendezvous
             collective whose arrival skew exceeds this is recorded as a
             hang on the fault trace (only consulted when a fault
@@ -102,7 +91,6 @@ class SimSettings:
     thermal_prewarm: bool = True
     prewarm_busy_fraction: float = 0.75
     faults: FaultSpec = HEALTHY
-    fast_path: bool = True
     power_control: PowerControlConfig = NO_POWER_CONTROL
     fault_timeline: FaultTimeline = EMPTY_TIMELINE
     collective_timeout_s: float = 30.0
@@ -208,23 +196,14 @@ class Simulator:
         self._pcie_rate = [0.0] * num_gpus
 
         node = self.cluster.node
-        self._fast = self.settings.fast_path
-        if self._fast:
-            self._physics = VectorPhysics(self.cluster, self.settings.faults)
-            self._power_vec = PowerVector(self.cluster)
-            self._activity_dirty = True
-            self._last_power = [node.gpu.idle_watts] * num_gpus
-        else:
-            self._physics = ScalarPhysics(self.cluster, self.settings.faults)
-            self._last_power = [node.gpu.idle_watts] * num_gpus
-            self._physics.bind_power_out(self._last_power)
-            self._activity_of_ref = reference_activity(
-                self._compute_active, self._comm_active, self._memory_active
-            )
+        self._physics = VectorPhysics(self.cluster, self.settings.faults)
+        self._power_vec = PowerVector(self.cluster)
+        self._activity_dirty = True
+        self._last_power = [node.gpu.idle_watts] * num_gpus
 
         # Closed-loop power control (repro.powerctl). Everything below
         # is guarded on self._powerctl so the default stays a strict
-        # no-op on both backends.
+        # no-op.
         self._powerctl = build_runtime(
             self.settings.power_control, self.cluster
         )
@@ -239,7 +218,7 @@ class Simulator:
 
         # Transient fault injection (repro.resilience). Everything it
         # touches is guarded on self._faultrt, so the empty-timeline
-        # default stays a strict no-op on both backends.
+        # default stays a strict no-op.
         self._faultrt = build_fault_runtime(
             self.settings.fault_timeline,
             self.cluster,
@@ -258,9 +237,9 @@ class Simulator:
         self._comm_cache: dict[tuple, CommCost] = {}
         self._group_cache: dict[tuple[int, ...], tuple] = {}
         self._nic_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # Fast path folds the (heavily repeated, memoized) comm costs
-        # into the traffic ledger once at the end of the run instead of
-        # walking the ledger dicts on every send/collective.
+        # The (heavily repeated, memoized) comm costs are folded into the
+        # traffic ledger once at the end of the run instead of walking
+        # the ledger dicts on every send/collective.
         self._traffic_pending: dict[int, list] = {}
         self._pcie_memo: dict[int, list[tuple[int, float]]] = {}
         self._queues = graph.queues
@@ -372,7 +351,7 @@ class Simulator:
             share *= self._faultrt.link_scale(nodes, now)
         key = ("p2p", src_gpu, dst_gpu, spec.payload_bytes, spec.chunked,
                share)
-        cost = self._comm_cache.get(key) if self._fast else None
+        cost = self._comm_cache.get(key)
         if cost is None:
             cost = send_recv(
                 self.cluster,
@@ -382,8 +361,7 @@ class Simulator:
                 chunked=spec.chunked,
                 bandwidth_scale=share,
             )
-            if self._fast:
-                self._comm_cache[key] = cost
+            self._comm_cache[key] = cost
         duration = max(cost.duration_s, EPS)
         self._record_scaled_traffic(cost, 1)
         rates = self._begin_pcie_rates(cost, duration, repeat=1)
@@ -440,13 +418,12 @@ class Simulator:
                 task.uid, min(state.arrivals.values()), now
             )
         key = (spec.op, spec.ranks, spec.payload_bytes, share)
-        cost = self._comm_cache.get(key) if self._fast else None
+        cost = self._comm_cache.get(key)
         if cost is None:
             cost = _COLLECTIVE_FNS[spec.op](
                 self.cluster, gpus, spec.payload_bytes, bandwidth_scale=share
             )
-            if self._fast:
-                self._comm_cache[key] = cost
+            self._comm_cache[key] = cost
         comm_duration = cost.duration_s * spec.repeat
         self._record_scaled_traffic(cost, spec.repeat)
 
@@ -602,15 +579,8 @@ class Simulator:
     def _begin_pcie_rates(
         self, cost: CommCost, duration: float, repeat: int
     ) -> list[tuple[int, float]]:
-        entries = self._pcie_entries(cost) if self._fast else None
-        if entries is None:
-            entries = [
-                (gpu, pcie)
-                for gpu, by_kind in cost.link_bytes.items()
-                if (pcie := by_kind.get(LinkKind.PCIE, 0.0)) > 0
-            ]
         rates = []
-        for gpu, pcie in entries:
+        for gpu, pcie in self._pcie_entries(cost):
             rate = pcie * repeat / duration
             self._pcie_rate[gpu] += rate
             rates.append((gpu, rate))
@@ -633,9 +603,6 @@ class Simulator:
             self._pcie_rate[gpu] = max(0.0, self._pcie_rate[gpu] - rate)
 
     def _record_scaled_traffic(self, cost: CommCost, repeat: int) -> None:
-        if not self._fast:
-            self.traffic.record(cost, repeat)
-            return
         entry = self._traffic_pending.get(id(cost))
         if entry is None:
             # The cost object is held by the value (and the comm memo),
@@ -677,22 +644,17 @@ class Simulator:
     def _physics_step(self, dt: float) -> None:
         if self._faultrt is not None:
             self._faultrt.apply_boundaries(self._phys_time, self._physics)
-        if self._fast:
-            if self._activity_dirty:
-                self._power_vec.refresh_intensity(
-                    self._compute_active,
-                    self._comm_active,
-                    self._memory_active,
-                )
-                self._activity_dirty = False
-            physics = self._physics
-            powers = self._power_vec.powers(physics.freq_flat)
-            physics.step(dt, powers)
-            self._last_power = powers[0]
-        else:
-            # ScalarPhysics writes per-GPU powers into the bound
-            # self._last_power list as a side effect.
-            self._physics.step(dt, self._activity_of_ref)
+        if self._activity_dirty:
+            self._power_vec.refresh_intensity(
+                self._compute_active,
+                self._comm_active,
+                self._memory_active,
+            )
+            self._activity_dirty = False
+        physics = self._physics
+        powers = self._power_vec.powers(physics.freq_flat)
+        physics.step(dt, powers)
+        self._last_power = powers[0]
         self._phys_time += dt
         if self._phys_time >= self._next_sample:
             self._sample_telemetry(self._phys_time)
@@ -708,25 +670,14 @@ class Simulator:
         if self._phys_time + 1e-9 < self._next_control:
             return
         runtime = self._powerctl
-        if self._fast:
-            temps = self._physics.die_c.reshape(-1)
-            freqs = self._physics.freq_flat[0]
-        else:
-            num = self.cluster.total_gpus
-            temps = np.array(
-                [self._physics.temp_of(g) for g in range(num)]
-            )
-            freqs = np.array(
-                [self._physics.freq_of(g) for g in range(num)]
-            )
         busy = None
         if self._busy_time is not None and self._control_elapsed > 0:
             busy = self._busy_time / self._control_elapsed
         new = runtime.control(
             PowerCtlObservation(
                 time_s=self._phys_time,
-                temps_c=temps,
-                freq_ratio=freqs,
+                temps_c=self._physics.die_c.reshape(-1),
+                freq_ratio=self._physics.freq_flat[0],
                 power_w=np.asarray(self._last_power),
                 busy_fraction=busy,
                 dt_s=self._control_elapsed,
@@ -742,33 +693,16 @@ class Simulator:
         )
 
     def _sample_telemetry(self, time_s: float) -> None:
-        if self._fast:
-            physics = self._physics
-            self.telemetry.record_step(
-                time_s,
-                self._last_power,
-                physics.die_c.reshape(-1),
-                physics.freq_flat[0],
-                np.asarray(self._compute_active) > 0,
-                np.asarray(self._comm_active) > 0,
-                np.maximum(np.asarray(self._pcie_rate), 0.0),
-            )
-            return
-        for gpu in range(self.cluster.total_gpus):
-            self.telemetry.record(
-                gpu,
-                GpuSample(
-                    time_s=time_s,
-                    power_w=self._last_power[gpu],
-                    temp_c=self._physics.temp_of(gpu),
-                    freq_ratio=self._physics.freq_of(gpu),
-                    compute_util=(
-                        1.0 if self._compute_active[gpu] > 0 else 0.0
-                    ),
-                    comm_util=1.0 if self._comm_active[gpu] > 0 else 0.0,
-                    pcie_bytes_per_s=max(0.0, self._pcie_rate[gpu]),
-                ),
-            )
+        physics = self._physics
+        self.telemetry.record_step(
+            time_s,
+            self._last_power,
+            physics.die_c.reshape(-1),
+            physics.freq_flat[0],
+            np.asarray(self._compute_active) > 0,
+            np.asarray(self._comm_active) > 0,
+            np.maximum(np.asarray(self._pcie_rate), 0.0),
+        )
 
     # ------------------------------------------------------------------
     # Misc

@@ -30,7 +30,7 @@ from repro.telemetry.metrics import (
     temperature_heatmap,
     window_stats,
 )
-from repro.telemetry.monitor import GpuSample, GpuSeries, TelemetryLog
+from repro.telemetry.monitor import GpuSeries, TelemetryLog
 
 __all__ = [
     "FLEET_TELEMETRY_HEADER",
@@ -49,7 +49,6 @@ __all__ = [
     "group_node_incidents",
     "ClusterStats",
     "EfficiencySummary",
-    "GpuSample",
     "GpuSeries",
     "GpuStats",
     "TelemetryLog",

@@ -25,19 +25,6 @@ _FIELDS = (
 )
 
 
-@dataclass(slots=True)
-class GpuSample:
-    """One telemetry sample of one GPU."""
-
-    time_s: float
-    power_w: float
-    temp_c: float
-    freq_ratio: float
-    compute_util: float
-    comm_util: float
-    pcie_bytes_per_s: float
-
-
 @dataclass
 class GpuSeries:
     """Telemetry time series of one GPU, as parallel numpy arrays."""
@@ -74,14 +61,12 @@ class GpuSeries:
 class TelemetryLog:
     """Collected samples for every GPU of a run.
 
-    Two append paths feed the log. :meth:`record` appends one sample for
-    one GPU into per-GPU column lists (the scalar physics backend).
     :meth:`record_step` writes one aligned sample for *all* GPUs at once
-    — the simulator's hot path — as one row of a growable
-    ``(samples, num_gpus)`` matrix per field, plus one entry of a shared
-    sample-time vector; :meth:`trim` drops the unused capacity when a
-    run ends, so a stored log pickles seven arrays. :meth:`series`
-    stitches both stores together for one GPU.
+    as one row of a growable ``(samples, num_gpus)`` matrix per field,
+    plus one entry of a shared sample-time vector; :meth:`trim` drops
+    the unused capacity when a run ends, so a stored log pickles seven
+    arrays. :meth:`from_matrices` builds a log from whole matrices (the
+    batched replay), and :meth:`series` reads one GPU's column.
 
     ``==`` is exact: every field equal, arrays compared element for
     element.
@@ -89,8 +74,6 @@ class TelemetryLog:
 
     num_gpus: int
     sample_interval_s: float
-    # Per-GPU column lists of the record() path, created on first use.
-    _cols: list[list[list[float]]] = field(default_factory=list, repr=False)
     # Sample times (capacity,) and one (capacity, num_gpus) matrix per
     # non-time field; the first _count rows are filled.
     _times: np.ndarray | None = field(default=None, repr=False)
@@ -121,21 +104,6 @@ class TelemetryLog:
             _matrices=tuple(np.asarray(m, dtype=float) for m in matrices),
             _count=len(times),
         )
-
-    def record(self, gpu: int, sample: GpuSample) -> None:
-        """Append one sample for one GPU."""
-        if not self._cols:
-            self._cols = [
-                [[] for _ in _FIELDS] for _ in range(self.num_gpus)
-            ]
-        cols = self._cols[gpu]
-        cols[0].append(sample.time_s)
-        cols[1].append(sample.power_w)
-        cols[2].append(sample.temp_c)
-        cols[3].append(sample.freq_ratio)
-        cols[4].append(sample.compute_util)
-        cols[5].append(sample.comm_util)
-        cols[6].append(sample.pcie_bytes_per_s)
 
     def record_step(
         self,
@@ -190,27 +158,22 @@ class TelemetryLog:
 
     def num_samples(self, gpu: int) -> int:
         """Number of samples recorded for one GPU."""
-        per_gpu = len(self._cols[gpu][0]) if self._cols else 0
-        return per_gpu + self._count
+        return self._count
 
     def series(self, gpu: int) -> GpuSeries:
-        """Materialise one GPU's samples as arrays."""
-        cols = self._cols[gpu] if self._cols else [()] * len(_FIELDS)
-        arrays = [np.asarray(col, dtype=float) for col in cols]
+        """Materialise one GPU's samples as arrays (copies)."""
         n = self._count
-        if n:
-            arrays = [np.concatenate([arrays[0], self._times[:n]])] + [
-                np.concatenate([arrays[i + 1], matrix[:n, gpu]])
-                for i, matrix in enumerate(self._matrices)
-            ]
+        power, temp, freq, compute, comm, pcie = (
+            matrix[:n, gpu].copy() for matrix in self._matrices
+        )
         return GpuSeries(
-            times_s=arrays[0],
-            power_w=arrays[1],
-            temp_c=arrays[2],
-            freq_ratio=arrays[3],
-            compute_util=arrays[4],
-            comm_util=arrays[5],
-            pcie_bytes_per_s=arrays[6],
+            times_s=self._times[:n].copy(),
+            power_w=power,
+            temp_c=temp,
+            freq_ratio=freq,
+            compute_util=compute,
+            comm_util=comm,
+            pcie_bytes_per_s=pcie,
         )
 
     def __eq__(self, other) -> bool:
@@ -220,7 +183,6 @@ class TelemetryLog:
         return (
             self.num_gpus == other.num_gpus
             and self.sample_interval_s == other.sample_interval_s
-            and self._cols == other._cols
             and n == other._count
             and np.array_equal(self._times[:n], other._times[:n])
             and all(

@@ -4,8 +4,8 @@ The batched engine's contract is bitwise: whatever path a grid takes
 through :func:`repro.engine.batched.evaluate_grid` — anchored replay,
 certificate-failure fallback, or plain per-config runs — every field of
 every result must equal the serial run. The hypothesis section samples
-random small grids on both physics backends to enforce that; the
-deterministic sections prove the fast path actually engages (a parity
+random small grids on two clusters to enforce that; the deterministic
+sections prove the replay fast path actually engages (a parity
 test that silently fell back would be vacuous), and the pool/broker
 sections cover work-stealing, worker-death respawn, and SLO admission.
 """
@@ -41,7 +41,7 @@ def _fresh_memo():
     sweep_mod._CACHE.clear()
 
 
-def _train_kwargs(setpoint, microbatch, fast, cluster=CLUSTER):
+def _train_kwargs(setpoint, microbatch, cluster=CLUSTER):
     return dict(
         model=MODEL,
         cluster=cluster,
@@ -49,9 +49,7 @@ def _train_kwargs(setpoint, microbatch, fast, cluster=CLUSTER):
         microbatch_size=microbatch,
         global_batch_size=8,
         iterations=2,
-        settings=settings_for_setpoint(
-            SimSettings(fast_path=fast), setpoint
-        ),
+        settings=settings_for_setpoint(SimSettings(), setpoint),
     )
 
 
@@ -71,22 +69,17 @@ class TestBatchedEqualsSerial:
             unique=True,
         ),
         microbatch=st.sampled_from([1, 2]),
-        fast=st.booleans(),
         cluster=st.sampled_from(CLUSTERS),
     )
     # A lane whose last full physics step came early must hold its
     # thermal state while longer lanes keep stepping; here the 0.9 lane
     # used to cool before its final partial step.
-    @example(
-        setpoints=[0.6, 0.75, 0.9], microbatch=1, fast=True,
-        cluster="h200x32",
-    )
-    def test_training_grid_parity(self, setpoints, microbatch, fast,
-                                  cluster):
+    @example(setpoints=[0.6, 0.75, 0.9], microbatch=1, cluster="h200x32")
+    def test_training_grid_parity(self, setpoints, microbatch, cluster):
         import repro.core.sweep as sweep_mod
 
         payloads = [
-            ("train", _train_kwargs(s, microbatch, fast, cluster))
+            ("train", _train_kwargs(s, microbatch, cluster))
             for s in setpoints
         ]
         with persistence_disabled():
@@ -110,9 +103,8 @@ class TestBatchedEqualsSerial:
             max_size=2,
             unique=True,
         ),
-        fast=st.booleans(),
     )
-    def test_inference_grid_parity(self, setpoints, fast):
+    def test_inference_grid_parity(self, setpoints):
         import repro.core.sweep as sweep_mod
 
         payloads = [
@@ -124,9 +116,7 @@ class TestBatchedEqualsSerial:
                     parallelism="TP4-PP2",
                     microbatch_size=1,
                     global_batch_size=8,
-                    settings=settings_for_setpoint(
-                        SimSettings(fast_path=fast), s
-                    ),
+                    settings=settings_for_setpoint(SimSettings(), s),
                 ),
             )
             for s in setpoints
@@ -143,7 +133,7 @@ class TestBatchedEqualsSerial:
     def test_fast_path_grid_actually_batches(self, monkeypatch):
         """The parity tests above are vacuous if everything falls back.
 
-        On a known-good grid (capped setpoints, fast path) the anchor
+        On a known-good grid (capped setpoints) the anchor
         runs once and every other config is reconstructed from the
         vector replay: ``_plain_run`` must not fire at all.
         """
@@ -169,7 +159,7 @@ class TestBatchedEqualsSerial:
             counting_reconstruct,
         )
         payloads = [
-            ("train", _train_kwargs(s, 1, True))
+            ("train", _train_kwargs(s, 1))
             for s in (0.9, 0.85, 0.8)
         ]
         with persistence_disabled():
@@ -180,9 +170,9 @@ class TestBatchedEqualsSerial:
 
     def test_grid_dedup_shares_results(self):
         payloads = [
-            ("train", _train_kwargs(0.9, 1, True)),
-            ("train", _train_kwargs(0.8, 1, True)),
-            ("train", _train_kwargs(0.9, 1, True)),
+            ("train", _train_kwargs(0.9, 1)),
+            ("train", _train_kwargs(0.8, 1)),
+            ("train", _train_kwargs(0.9, 1)),
         ]
         with persistence_disabled():
             results = evaluate_grid(payloads, cache=False)
@@ -237,7 +227,7 @@ class TestWorkerPool:
         from repro.serve.workers import WorkerPool
 
         payloads = [
-            ("train", _train_kwargs(setpoint, 1, True))
+            ("train", _train_kwargs(setpoint, 1))
             for setpoint in (1.0, 0.9)
         ]
         report = ExecutionReport()

@@ -4,7 +4,7 @@ the energy-optimal setpoint search.
 The headline invariants pinned here:
 
 * the no-op governor (and a static cap at boost) is **bit-identical** to
-  a run without power control, on both physics backends;
+  a run without power control;
 * the energy-optimal search on the paper's thermally saturated H100
   reference configuration saves >= 10% energy at <= 5% step-time cost.
 """
@@ -133,37 +133,33 @@ class TestNoOpBitIdentity:
         physics.set_setpoints(np.full(small_cluster.total_gpus, 0.8))
         assert physics._eff_ceiling is not physics._ceiling
 
-    @pytest.mark.parametrize("fast", [False, True], ids=["scalar", "fast"])
     def test_explicit_none_matches_default(
-        self, tiny_model, small_cluster, fast_settings, fast
+        self, tiny_model, small_cluster, fast_settings
     ):
-        base = dataclasses.replace(fast_settings, fast_path=fast)
         kwargs = dict(
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
         )
-        plain = execute_training(**kwargs, settings=base)
+        plain = execute_training(**kwargs, settings=fast_settings)
         explicit = execute_training(
-            **kwargs, settings=_settings(base, NO_POWER_CONTROL)
+            **kwargs, settings=_settings(fast_settings, NO_POWER_CONTROL)
         )
         assert_run_results_equal(explicit, plain)
         assert plain.outcome.power_control is None
 
-    @pytest.mark.parametrize("fast", [False, True], ids=["scalar", "fast"])
     def test_static_at_boost_matches_no_control(
-        self, tiny_model, small_cluster, fast_settings, fast
+        self, tiny_model, small_cluster, fast_settings
     ):
         # A static ceiling of 1.0 exercises the governed code path
         # (set_setpoints, control ticks) yet must not move a single bit
-        # of physics output on either backend.
-        base = dataclasses.replace(fast_settings, fast_path=fast)
+        # of physics output.
         kwargs = dict(
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
         )
-        plain = execute_training(**kwargs, settings=base)
+        plain = execute_training(**kwargs, settings=fast_settings)
         capped = execute_training(
-            **kwargs, settings=_settings(base, static_setpoint(1.0))
+            **kwargs, settings=_settings(fast_settings, static_setpoint(1.0))
         )
         assert_run_results_equal(capped, plain)
 

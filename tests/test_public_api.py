@@ -117,14 +117,21 @@ LEGACY_NAMES = {
     "validate_schedule",
     "pipeline_bubble_fraction",
     "PipelineOp",
+    # The scalar physics backend and its per-GPU telemetry sample; the
+    # simulator has one physics path (VectorPhysics), and the scalar
+    # model lives on only as tests/reference_physics.py.
+    "ScalarPhysics",
+    "reference_activity",
+    "GpuSample",
 }
 
 #: Removed modules: importing them (or anything under them) is barred.
 LEGACY_MODULES = ("repro.inference", "repro.engine.schedule")
 
 #: Removed keyword spellings: ``ParallelismConfig(interleaved=True)``
-#: is ``pipeline_schedule="interleaved"``.
-LEGACY_KEYWORDS = {"interleaved"}
+#: is ``pipeline_schedule="interleaved"``; ``SimSettings(fast_path=...)``
+#: selected the removed scalar physics backend.
+LEGACY_KEYWORDS = {"interleaved", "fast_path"}
 
 #: Every tree the scan covers.
 SCANNED_ROOTS = {
@@ -268,6 +275,9 @@ class TestNoInternalLegacyUse:
         import dataclasses
         import importlib
 
+        from repro import telemetry
+        from repro.engine import physics
+        from repro.engine.simulator import SimSettings
         from repro.parallelism.strategy import ParallelismConfig
 
         for module in LEGACY_MODULES:
@@ -279,3 +289,10 @@ class TestNoInternalLegacyUse:
         assert "interleaved" not in {
             f.name for f in dataclasses.fields(ParallelismConfig)
         }
+        assert "fast_path" not in {
+            f.name for f in dataclasses.fields(SimSettings)
+        }
+        for module, name in ((physics, "ScalarPhysics"),
+                             (physics, "reference_activity"),
+                             (telemetry, "GpuSample")):
+            assert not hasattr(module, name), name

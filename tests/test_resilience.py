@@ -2,7 +2,7 @@
 
 Covers the full tentpole surface: the fault taxonomy and seeded
 generators, the strict no-op invariant (an empty timeline is
-bit-identical to the pre-resilience engine on both physics backends),
+bit-identical to the pre-resilience engine),
 the per-kind engine effects, collective-timeout hang detection, the
 fleet delegation of interrupt accounting, and the paper-level
 acceptance ordering fail-stop <= hot-spare <= elastic on
@@ -113,21 +113,18 @@ class TestEmptyTimelineBitIdentity:
             FaultTimeline(events=()), small_cluster
         ) is None
 
-    @pytest.mark.parametrize("fast", [False, True],
-                             ids=["scalar", "vector"])
     def test_explicit_empty_matches_default(
-        self, tiny_model, small_cluster, fast_settings, fast
+        self, tiny_model, small_cluster, fast_settings
     ):
-        base = dataclasses.replace(fast_settings, fast_path=fast)
         kwargs = dict(
             model=tiny_model, cluster=small_cluster,
             parallelism="TP2-PP2", global_batch_size=8,
         )
-        plain = execute_training(**kwargs, settings=base)
+        plain = execute_training(**kwargs, settings=fast_settings)
         explicit = execute_training(
             **kwargs,
             settings=dataclasses.replace(
-                base, fault_timeline=EMPTY_TIMELINE,
+                fast_settings, fault_timeline=EMPTY_TIMELINE,
                 collective_timeout_s=12.5,
             ),
         )
@@ -140,9 +137,9 @@ class TestEngineEffects:
     """Each fault kind perturbs the run the way its physics says."""
 
     def _run(self, tiny_model, small_cluster, fast_settings,
-             timeline=None, fast=False, **extra):
+             timeline=None, **extra):
         settings = dataclasses.replace(
-            fast_settings, fast_path=fast,
+            fast_settings,
             **({"fault_timeline": timeline} if timeline else {}),
             **extra,
         )
@@ -233,32 +230,6 @@ class TestEngineEffects:
         assert faulted.hang_detections()
         hang = trace.hangs[0]
         assert hang.phase == "detected" and hang.kind == "hang"
-
-    @pytest.mark.parametrize("kind", list(FaultKind))
-    def test_backends_agree_under_faults(
-        self, tiny_model, small_cluster, fast_settings, kind
-    ):
-        event = FaultEvent(
-            kind=kind, node=0, time_s=0.05, duration_s=0.4,
-        )
-        runs = {}
-        for fast in (False, True):
-            runs[fast] = self._run(
-                tiny_model, small_cluster, fast_settings,
-                timeline=_timeline(event), fast=fast,
-            )
-        scalar, vector = runs[False], runs[True]
-        # The two physics backends are oracle and optimization of each
-        # other; faults must not open a gap beyond floating-point
-        # reduction noise (the same tolerance the fast-path
-        # differential suite uses).
-        assert vector.outcome.makespan_s == pytest.approx(
-            scalar.outcome.makespan_s, rel=1e-9
-        )
-        assert (
-            vector.outcome.fault_trace.applied
-            == scalar.outcome.fault_trace.applied
-        )
 
 
 SYNTHETIC = JobProfile(

@@ -2,8 +2,7 @@
 
 The digests below were captured from the pre-refactor engine (commit
 11416d6, where the engine emitted hardcoded per-rank op lists
-directly) over both physics backends and the optimization toggles that
-change emission order. The schedule-graph rework
+directly) over the optimization toggles that change emission order. The schedule-graph rework
 (:mod:`repro.schedules` feeding ``engine/builder.py``) must reproduce
 every one of them field-for-field — same records, same timestamps, same
 collective keys — or it silently changed simulated physics for every
@@ -21,7 +20,6 @@ import hashlib
 import pytest
 
 from repro.core.experiment import execute_inference, execute_training
-from repro.engine.simulator import SimSettings
 from repro.parallelism.strategy import OptimizationConfig, ParallelismConfig
 
 
@@ -62,7 +60,7 @@ def _strategy(**extra) -> ParallelismConfig:
     return ParallelismConfig(tp=2, pp=4, dp=4, **extra)
 
 
-def _train(strategy: ParallelismConfig, fast: bool,
+def _train(strategy: ParallelismConfig,
            opts: OptimizationConfig | None = None) -> str:
     result = execute_training(
         "gpt3-13b",
@@ -72,7 +70,6 @@ def _train(strategy: ParallelismConfig, fast: bool,
         microbatch_size=1,
         global_batch_size=16,
         iterations=2,
-        settings=SimSettings(fast_path=fast),
     )
     return outcome_digest(result.outcome)
 
@@ -80,18 +77,12 @@ def _train(strategy: ParallelismConfig, fast: bool,
 ACT_CC = OptimizationConfig(activation_recompute=True, cc_overlap=True)
 
 BASE_GOLDENS = {
-    ("1f1b", True):
+    "1f1b":
         "5dcf0015de50b25e3a024e4fe61a4f7f2bdbb4b87225ace53a3c4ed0d17aea5d",
-    ("1f1b", False):
-        "10432c5823d195e0b34b7de083ba2e8a901ca34c2d3fdfb5f07a41fe4d77d389",
-    ("interleaved", True):
+    "interleaved":
         "9ec49548e1b8d7b290db8bc532ae3479a9a0392a494a8a088dd0e5cda4ba0988",
-    ("interleaved", False):
-        "b071f34b434e8da2b02c0d773c6fbc4e7ee5a7af8c907a640deedc830d648562",
-    ("gpipe", True):
+    "gpipe":
         "da9b0d2577cf4c789f1cb8b32f5185c05889eae1d0cf441fc207fed62631c7c9",
-    ("gpipe", False):
-        "d2ac43bf0e90e15aa51a12275f28f2023de883f4c12a6b676dc28a5c9d046cb0",
 }
 
 OPT_GOLDENS = {
@@ -113,17 +104,13 @@ def _strategy_for(schedule: str) -> ParallelismConfig:
 
 
 class TestLegacySchedulesBitIdentical:
-    @pytest.mark.parametrize(
-        "schedule,fast", sorted(BASE_GOLDENS), ids=str
-    )
-    def test_base_run_matches_prerefactor_engine(self, schedule, fast):
-        assert _train(_strategy_for(schedule), fast) == (
-            BASE_GOLDENS[(schedule, fast)]
-        )
+    @pytest.mark.parametrize("schedule", sorted(BASE_GOLDENS))
+    def test_base_run_matches_prerefactor_engine(self, schedule):
+        assert _train(_strategy_for(schedule)) == BASE_GOLDENS[schedule]
 
     @pytest.mark.parametrize("schedule", sorted(OPT_GOLDENS))
     def test_recompute_overlap_run_matches(self, schedule):
-        assert _train(_strategy_for(schedule), True, ACT_CC) == (
+        assert _train(_strategy_for(schedule), ACT_CC) == (
             OPT_GOLDENS[schedule]
         )
 
@@ -153,6 +140,4 @@ class TestLegacySchedulesBitIdentical:
             microbatch_size=1, global_batch_size=16, iterations=2,
             pipeline_schedule="gpipe",
         )
-        assert outcome_digest(via_kwarg.outcome) == (
-            BASE_GOLDENS[("gpipe", True)]
-        )
+        assert outcome_digest(via_kwarg.outcome) == BASE_GOLDENS["gpipe"]

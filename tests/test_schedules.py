@@ -247,7 +247,7 @@ class TestBatchedScheduleGrids:
             global_batch_size=8,
             iterations=2,
             settings=settings_for_setpoint(
-                SimSettings(fast_path=True), setpoint
+                SimSettings(), setpoint
             ),
         )
         if schedule != "1f1b":

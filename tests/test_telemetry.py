@@ -12,26 +12,30 @@ from repro.telemetry.metrics import (
     temperature_heatmap,
     window_stats,
 )
-from repro.telemetry.monitor import GpuSample, TelemetryLog
+from repro.telemetry.monitor import TelemetryLog
 
 
 def _make_log(num_gpus=4, samples=10, dt=0.1) -> TelemetryLog:
     log = TelemetryLog(num_gpus=num_gpus, sample_interval_s=dt)
+    gpu = np.arange(num_gpus)
     for i in range(samples):
-        t = i * dt
-        for gpu in range(num_gpus):
-            log.record(
-                gpu,
-                GpuSample(
-                    time_s=t,
-                    power_w=500.0 + 10 * gpu,
-                    temp_c=60.0 + 5 * gpu + 0.1 * i,
-                    freq_ratio=1.0 - 0.02 * gpu,
-                    compute_util=1.0,
-                    comm_util=0.0,
-                    pcie_bytes_per_s=1e9 * gpu,
-                ),
-            )
+        log.record_step(
+            i * dt,
+            power_w=500.0 + 10 * gpu,
+            temp_c=60.0 + 5 * gpu + 0.1 * i,
+            freq_ratio=1.0 - 0.02 * gpu,
+            compute_util=np.ones(num_gpus),
+            comm_util=np.zeros(num_gpus),
+            pcie_bytes_per_s=1e9 * gpu,
+        )
+    return log
+
+
+def _one_sample_log(temps) -> TelemetryLog:
+    """One sample per GPU at t=0: 500 W, full compute, given die temps."""
+    log = TelemetryLog(num_gpus=len(temps), sample_interval_s=0.1)
+    ones, zeros = np.ones(len(temps)), np.zeros(len(temps))
+    log.record_step(0.0, 500.0 * ones, temps, ones, ones, zeros, zeros)
     return log
 
 
@@ -88,12 +92,7 @@ class TestWindowStats:
 
 class TestHeatmaps:
     def test_temperature_heatmap_shape(self):
-        log = TelemetryLog(num_gpus=32, sample_interval_s=0.1)
-        for gpu in range(32):
-            log.record(
-                gpu,
-                GpuSample(0.0, 500.0, 60.0 + gpu % 8, 1.0, 1.0, 0.0, 0.0),
-            )
+        log = _one_sample_log([60.0 + gpu % 8 for gpu in range(32)])
         matrix = temperature_heatmap(window_stats(log), H200_X32)
         assert matrix.shape == (4, 8)
         assert matrix[0, 7] > matrix[0, 0]
@@ -106,12 +105,9 @@ class TestHeatmaps:
         assert np.all(normalized[1] == 0.0)
 
     def test_front_rear_gap(self):
-        log = TelemetryLog(num_gpus=32, sample_interval_s=0.1)
-        for gpu in range(32):
-            temp = 80.0 if (gpu % 8) >= 4 else 65.0
-            log.record(
-                gpu, GpuSample(0.0, 500.0, temp, 1.0, 1.0, 0.0, 0.0)
-            )
+        log = _one_sample_log(
+            [80.0 if (gpu % 8) >= 4 else 65.0 for gpu in range(32)]
+        )
         gap = front_rear_gap_c(window_stats(log), H200_X32)
         assert gap == pytest.approx(15.0)
 
