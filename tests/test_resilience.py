@@ -22,7 +22,6 @@ from repro.core.faults import (
     FaultTimeline,
     generate_fault_timeline,
 )
-from repro.engine.simulator import SimSettings
 from repro.resilience import build_fault_runtime
 from repro.resilience.recovery import (
     POLICIES,

@@ -2,11 +2,11 @@
 
 The digests below were captured from the pre-refactor engine (commit
 11416d6, where the engine emitted hardcoded per-rank op lists
-directly) over the optimization toggles that change emission order. The schedule-graph rework
-(:mod:`repro.schedules` feeding ``engine/builder.py``) must reproduce
-every one of them field-for-field — same records, same timestamps, same
-collective keys — or it silently changed simulated physics for every
-downstream benchmark.
+directly) over the optimization toggles that change emission order.
+The schedule-graph rework (:mod:`repro.schedules` feeding
+``engine/builder.py``) must reproduce every one of them field-for-field
+— same records, same timestamps, same collective keys — or it silently
+changed simulated physics for every downstream benchmark.
 
 If a deliberate physics change ever invalidates these, recapture them
 in the same commit and say so in the message; they are not free to
