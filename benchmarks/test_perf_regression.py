@@ -9,7 +9,9 @@ power-capped node, and asserts the vector path clears
 ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) per physics step. It also times
 the canonical mi250x32 ``execute_training`` sweep, with the persistent
 result cache out of the measurement, so the end-to-end cost of a cold
-run is tracked alongside.
+run is tracked alongside: per run, its best time, its kernel-record
+count and the host microseconds per record (a report only; nothing
+gates on them).
 
 Writes ``BENCH_simulation.json`` at the repo root so the performance
 trajectory is tracked from PR to PR (CI uploads it as an artifact).
@@ -82,8 +84,11 @@ def _best(fn, *args) -> float:
     return min(fn(*args) for _ in range(REPEATS))
 
 
-def _best_run_time(model: str, cluster: str, parallelism: str) -> float:
+def _best_run_time(model: str, cluster: str,
+                   parallelism: str) -> tuple[float, int]:
+    """Best-of wall seconds of a cold run, and its kernel-record count."""
     best = float("inf")
+    records = 0
     for _ in range(REPEATS):
         start = time.perf_counter()
         result = execute_training(
@@ -96,7 +101,8 @@ def _best_run_time(model: str, cluster: str, parallelism: str) -> float:
         )
         best = min(best, time.perf_counter() - start)
         assert result.outcome.makespan_s > 0
-    return best
+        records = len(result.outcome.records)
+    return best, records
 
 
 def test_simulation_hot_path_speedup():
@@ -130,14 +136,15 @@ def test_simulation_hot_path_speedup():
     sweep_rows = []
     with persistence_disabled():
         for model, cluster, parallelism in CANONICAL_SWEEP:
+            best_s, records = _best_run_time(model, cluster, parallelism)
             sweep_rows.append(
                 {
                     "model": model,
                     "cluster": cluster,
                     "parallelism": parallelism,
-                    "optimized_s": round(
-                        _best_run_time(model, cluster, parallelism), 4
-                    ),
+                    "optimized_s": round(best_s, 4),
+                    "kernel_records": records,
+                    "us_per_record": round(best_s / records * 1e6, 2),
                 }
             )
 

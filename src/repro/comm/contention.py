@@ -28,19 +28,28 @@ class NicContention:
         The share is computed *after* registering, against the most
         contended involved node.
         """
+        if not nodes:
+            return 1.0
+        active = self._active
         for node in nodes:
-            self._check(node)
-            self._active[node] = self._active.get(node, 0) + 1
-        return self.share(nodes)
+            if not 0 <= node < self.num_nodes:
+                self._check(node)
+            active[node] = active.get(node, 0) + 1
+        worst = max(map(active.__getitem__, nodes))
+        if worst <= 1:
+            return 1.0
+        return max(MIN_SHARE, 1.0 / worst)
 
     def end(self, nodes: tuple[int, ...]) -> None:
         """Unregister a flow previously passed to :meth:`begin`."""
+        active = self._active
         for node in nodes:
-            self._check(node)
-            count = self._active.get(node, 0)
+            if not 0 <= node < self.num_nodes:
+                self._check(node)
+            count = active.get(node, 0)
             if count <= 0:
                 raise ValueError(f"no active flows on node {node}")
-            self._active[node] = count - 1
+            active[node] = count - 1
 
     def share(self, nodes: tuple[int, ...]) -> float:
         """Fair bandwidth share for a flow crossing ``nodes``' NICs."""

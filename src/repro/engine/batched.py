@@ -103,15 +103,17 @@ class _RecordingSimulator(Simulator):
         self.pop_log: list[tuple[str, int]] = []
         log = self.pop_log
 
+        # A heap entry is (time, seq, handler, task, rank, ...), or
+        # (time, seq, handler, task) for a collective.
         def wrap(name, fn):
             if name == "collective":
-                def handler(now, task):
-                    log.append((name, task.uid))
-                    fn(now, task)
+                def handler(sim, entry):
+                    log.append((name, entry[3].uid))
+                    fn(sim, entry)
             else:
-                def handler(now, task, rank, *rest):
-                    log.append((name, rank))
-                    fn(now, task, rank, *rest)
+                def handler(sim, entry):
+                    log.append((name, entry[4]))
+                    fn(sim, entry)
             return handler
 
         self._handlers = {

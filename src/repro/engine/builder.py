@@ -46,6 +46,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from repro.comm.collectives import allreduce
+from repro.engine.gcpause import gc_paused
 from repro.engine.kernels import KernelKind, stage_gemm_efficiency
 from repro.engine.task import (
     CollectiveOp,
@@ -239,6 +240,7 @@ class GraphBuilder:
     # Public entry point
     # ------------------------------------------------------------------
 
+    @gc_paused()
     def build(self) -> TaskGraph:
         """Emit the full multi-iteration task graph.
 

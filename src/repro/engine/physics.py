@@ -96,8 +96,9 @@ class VectorPhysics:
         ).copy()
 
         # Governor state per lane; fault knobs are per node and shared
-        # by every lane.
+        # by every lane. ``freq`` is replaced, never written in place.
         self.freq = np.ones(self._shape)
+        self._freq_flat = (None, None)
         self._cap_scale = np.array(
             [faults.power_cap_scale(i) for i in range(n)]
         )
@@ -180,13 +181,19 @@ class VectorPhysics:
                 changes no state at all (temperatures, clocks, stats and
                 observed time are frozen); ``None`` steps every lane.
         """
+        given = powers
         powers = powers.reshape(self._shape)
         # Equilibrium temperatures and the cap factor depend only on the
         # held powers; kernels start/finish far less often than physics
-        # steps, so reuse them while powers are unchanged.
+        # steps, so reuse them while powers are unchanged. PowerVector
+        # hands an unchanged result back as the same read-only object,
+        # so identity settles those hits without comparing values.
         cache = self._eq_cache
-        if cache is not None and np.array_equal(powers, cache[0]):
-            eq, cap, capped = cache[1:]
+        if cache is not None and (
+            (given is cache[0] and not given.flags.writeable)
+            or np.array_equal(powers, cache[1])
+        ):
+            eq, cap, capped = cache[2:]
         else:
             eq = self._inlets(powers) + powers * self._r_pair
             total = powers.sum(axis=2)
@@ -195,7 +202,7 @@ class VectorPhysics:
             cap = np.where(
                 over, self._budget / np.maximum(total, 1e-12), 1.0
             )[:, :, None]
-            self._eq_cache = (powers.copy(), eq, cap, capped)
+            self._eq_cache = (given, powers.copy(), eq, cap, capped)
 
         # Thermal: exact propagator toward the step's equilibrium.
         col0, col1 = self._propagator(dt_s)
@@ -341,16 +348,22 @@ class VectorPhysics:
 
     @property
     def freq_flat(self) -> np.ndarray:
-        """Clock ratios as ``(lanes, num_gpus)``, global-GPU order."""
-        return self.freq.reshape(self.lanes, -1)
+        """Clock ratios as ``(lanes, num_gpus)``, global-GPU order.
+
+        A read-only view; the same object is returned until a step
+        replaces the clocks, so consumers can detect a change by
+        identity.
+        """
+        source, flat = self._freq_flat
+        if source is not self.freq:
+            flat = self.freq.reshape(self.lanes, -1)
+            flat.flags.writeable = False
+            self._freq_flat = (self.freq, flat)
+        return flat
 
     def off_ceiling(self) -> np.ndarray:
         """Per-lane flag: some clock differs from its effective ceiling."""
         return (self.freq != self._eff_ceiling).any(axis=(1, 2))
-
-    def freq_of(self, gpu: int) -> float:
-        """Current clock ratio of one global GPU (lane 0)."""
-        return float(self.freq[0, gpu // self._g, gpu % self._g])
 
     def throttle_ratios(self, lane: int = 0) -> list[float]:
         """Per-GPU fraction of a lane's observed time spent throttled."""
@@ -379,7 +392,8 @@ class PowerVector:
     (shared by every lane) or per lane and GPU. The activity-derived
     term is recomputed only when some kernel started or finished since
     the last step, and the clock exponential only where the governor
-    actually moved a GPU's clock.
+    actually moved a GPU's clock. When neither changed, :meth:`powers`
+    returns the previous (read-only) array itself.
     """
 
     def __init__(self, cluster: ClusterSpec, lanes: int = 1) -> None:
@@ -393,6 +407,13 @@ class PowerVector:
         self._dynamic = np.zeros((1, self._num_gpus))
         self._freq_seen = np.ones(shape)
         self._freq_pow = np.ones(shape)
+        #: Activity levels of the last refresh, unclamped, stacked as
+        #: ``(3, num_gpus)`` or ``(3, lanes, num_gpus)``: compute, comm,
+        #: memory.
+        self.levels = np.zeros((3, self._num_gpus))
+        # The clock array the last powers() call saw, and its result.
+        self._freq_in: np.ndarray | None = None
+        self._powers: np.ndarray | None = None
 
     def refresh_intensity(self, compute_active, comm_active,
                           memory_active) -> None:
@@ -401,20 +422,42 @@ class PowerVector:
         Each argument holds per-GPU activity levels, ``(num_gpus,)`` for
         every lane or ``(lanes, num_gpus)``.
         """
-        clamp01 = lambda values: np.minimum(  # noqa: E731
-            np.maximum(np.asarray(values), 0.0), 1.0
+        self.levels = np.array(
+            (compute_active, comm_active, memory_active), dtype=float
         )
-        self._dynamic = self._span * clamp01(
-            COMPUTE_INTENSITY * clamp01(compute_active)
-            + COMM_INTENSITY * clamp01(comm_active)
-            + MEMORY_INTENSITY * clamp01(memory_active)
+        level = np.minimum(np.maximum(self.levels, 0.0), 1.0)
+        intensity = (
+            COMPUTE_INTENSITY * level[0]
+            + COMM_INTENSITY * level[1]
+            + MEMORY_INTENSITY * level[2]
+        )
+        self._dynamic = self._span * np.minimum(
+            np.maximum(intensity, 0.0), 1.0
         ).reshape(-1, self._num_gpus)
+        self._powers = None
 
     def powers(self, freq_flat: np.ndarray) -> np.ndarray:
-        """Board power per GPU, ``(lanes, num_gpus)``, for the clocks."""
-        changed = freq_flat != self._freq_seen
-        if changed.any():
-            self._freq_pow[changed] = freq_flat[changed] ** FREQ_POWER_EXP
-            self._freq_seen = freq_flat.copy()
-        return self._idle + self._dynamic * self._freq_pow
+        """Board power per GPU, ``(lanes, num_gpus)``, for the clocks.
+
+        The result is read-only. While the intensity and the clocks stay
+        as they were, the same array is returned again. A read-only
+        clock array seen before counts as unchanged without comparing
+        values (:attr:`VectorPhysics.freq_flat` is replaced, never
+        written).
+        """
+        if freq_flat is not self._freq_in or freq_flat.flags.writeable:
+            changed = freq_flat != self._freq_seen
+            if changed.any():
+                self._freq_pow[changed] = (
+                    freq_flat[changed] ** FREQ_POWER_EXP
+                )
+                self._freq_seen = freq_flat.copy()
+                self._powers = None
+            self._freq_in = freq_flat
+        powers = self._powers
+        if powers is None:
+            powers = self._idle + self._dynamic * self._freq_pow
+            powers.flags.writeable = False
+            self._powers = powers
+        return powers
 

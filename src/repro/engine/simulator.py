@@ -187,7 +187,9 @@ class Simulator:
 
         num_gpus = self.cluster.total_gpus
         self._pos = [0] * self.world
-        self._heap: list[tuple[float, int, str, tuple]] = []
+        # Heap entries are (time, seq, handler, *payload); ``seq`` breaks
+        # time ties in push order, so the handler is never compared.
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
 
         self._compute_active = [0.0] * num_gpus
@@ -200,6 +202,11 @@ class Simulator:
         self._power_vec = PowerVector(self.cluster)
         self._activity_dirty = True
         self._last_power = [node.gpu.idle_watts] * num_gpus
+        # Lane 0's clocks as Python floats, refreshed whenever a physics
+        # step replaces the clock array; a compute kernel reads its
+        # GPU's entry once, at its start.
+        self._freq = self._physics.freq
+        self._clocks = self._freq.reshape(-1).tolist()
 
         # Closed-loop power control (repro.powerctl). Everything below
         # is guarded on self._powerctl so the default stays a strict
@@ -230,7 +237,6 @@ class Simulator:
         self._gpu_of = [self.mesh.gpu_of(r) for r in range(self.world)]
         per_node = node.gpus_per_node
         self._node_of = [g // per_node for g in range(num_gpus)]
-        self._local_of = [g % per_node for g in range(num_gpus)]
         self._sustained = node.gpu.sustained_flops
         # Collective cost memo: (op/kind, group, payload, bandwidth
         # scale) -> CommCost, shared across microbatches and iterations.
@@ -261,13 +267,16 @@ class Simulator:
 
         self._phys_time = 0.0
         self._next_sample = 0.0
-        self._now = 0.0
 
+        # Completion handlers as plain functions called with the
+        # simulator, so a finished run holds no reference cycle and is
+        # freed by refcount. ``run`` reads them from here once.
+        cls = type(self)
         self._handlers = {
-            "compute": self._on_compute_done,
-            "send": self._on_send_done,
-            "recv": self._on_recv_done,
-            "collective": self._on_collective_done,
+            "compute": cls._on_compute_done,
+            "send": cls._on_send_done,
+            "recv": cls._on_recv_done,
+            "collective": cls._on_collective_done,
         }
 
     # ------------------------------------------------------------------
@@ -283,14 +292,28 @@ class Simulator:
             self._next_control = self._powerctl.config.control_interval_s
         if self.settings.thermal_prewarm:
             self._prewarm()
+        handlers = self._handlers
+        self._compute_done = handlers["compute"]
+        self._send_done = handlers["send"]
+        self._recv_done = handlers["recv"]
+        self._collective_done = handlers["collective"]
         for rank in range(self.world):
-            self._try_start(rank, 0.0)
-        while self._heap:
-            time_s, _, name, payload = heapq.heappop(self._heap)
-            self._now = time_s
-            self._advance_physics(time_s)
-            self._handlers[name](time_s, *payload)
-        makespan = self._now
+            self._start(rank, 0.0)
+
+        heap = self._heap
+        pop = heapq.heappop
+        dt = self.settings.physics_dt_s
+        physics_step = self._physics_step
+        phys_time = self._phys_time
+        now = 0.0
+        while heap:
+            entry = pop(heap)
+            now = entry[0]
+            while now - phys_time >= dt:
+                physics_step(dt)
+                phys_time = self._phys_time
+            entry[2](self, entry)
+        makespan = now
         self._flush_physics(makespan)
         self._flush_traffic()
         self._check_finished()
@@ -320,26 +343,50 @@ class Simulator:
     # Task dispatch
     # ------------------------------------------------------------------
 
-    def _try_start(self, rank: int, now: float) -> None:
+    def _start(self, rank: int, now: float) -> None:
+        """Start ``rank``'s next task (if any) at ``now``.
+
+        A compute kernel starts inline (:meth:`_kernel_duration`'s
+        formula): its duration divides its FLOPs by the GPU's clock at
+        this instant, then its activity stacks on the GPU and its
+        completion is pushed.
+        """
         queue = self._queues[rank]
         pos = self._pos[rank]
         if pos >= len(queue):
             return
         task = queue[pos]
-        if task.kind is TaskKind.COMPUTE:
-            self._start_compute(task, rank, now)
-        elif task.kind is TaskKind.SEND:
-            self._start_send(task, rank, now)
-        elif task.kind is TaskKind.RECV:
-            self._start_recv(task, rank, now)
-        else:
-            self._arrive_collective(task, rank, now)
-
-    def _start_compute(self, task: Task, rank: int, now: float) -> None:
+        kind = task.kind
+        if kind is not TaskKind.COMPUTE:
+            if kind is TaskKind.SEND:
+                self._start_send(task, rank, now)
+            elif kind is TaskKind.RECV:
+                self._start_recv(task, rank, now)
+            else:
+                self._arrive_collective(task, rank, now)
+            return
         gpu = self._gpu_of[rank]
-        duration = self._compute_duration(task.compute, gpu, now)
-        self._set_activity(gpu, task.compute.activity, +1)
-        self._push(now + duration, "compute", (task, rank, now))
+        spec = task.compute
+        duration = spec.fixed_duration_s
+        if duration is None:
+            duration = spec.flops / (
+                self._sustained * spec.efficiency * self._clocks[gpu]
+            )
+            if spec.overlapped_comm_s > 0:
+                duration = fused_duration(duration, spec.overlapped_comm_s)
+        if spec.min_duration_s > duration:
+            duration = spec.min_duration_s
+        if self._faultrt is not None:
+            duration = self._fault_penalty(duration, gpu, now)
+        activity = spec.activity
+        self._compute_active[gpu] += activity.compute
+        self._comm_active[gpu] += activity.comm
+        self._memory_active[gpu] += activity.memory
+        self._activity_dirty = True
+        heapq.heappush(self._heap, (
+            now + duration, next(self._seq), self._compute_done,
+            task, rank, now,
+        ))
 
     def _start_send(self, task: Task, rank: int, now: float) -> None:
         spec = task.p2p
@@ -367,33 +414,42 @@ class Simulator:
         rates = self._begin_pcie_rates(cost, duration, repeat=1)
         self._comm_active[src_gpu] += 1
         self._activity_dirty = True
-        self._delivery[spec.message_id] = now + duration
-        self._push(now + duration, "send", (task, rank, now, nodes, rates))
+        done = now + duration
+        self._delivery[spec.message_id] = done
+        heap, seq = self._heap, self._seq
+        heapq.heappush(heap, (
+            done, next(seq), self._send_done, task, rank, now, nodes, rates,
+        ))
         waiting = self._waiting.pop(spec.message_id, None)
         if waiting is not None:
             wtask, wrank, wstart = waiting
-            self._push(
-                now + duration + EPS, "recv", (wtask, wrank, wstart)
-            )
+            heapq.heappush(heap, (
+                done + EPS, next(seq), self._recv_done, wtask, wrank, wstart,
+            ))
 
     def _start_recv(self, task: Task, rank: int, now: float) -> None:
         gpu = self._gpu_of[rank]
         msg = task.p2p.message_id
         self._comm_active[gpu] += 1
         self._activity_dirty = True
-        if msg in self._delivery:
-            done = max(now, self._delivery[msg]) + EPS
-            self._push(done, "recv", (task, rank, now))
+        delivery = self._delivery.get(msg)
+        if delivery is not None:
+            heapq.heappush(self._heap, (
+                max(now, delivery) + EPS, next(self._seq), self._recv_done,
+                task, rank, now,
+            ))
         else:
             self._waiting[msg] = (task, rank, now)
 
     def _arrive_collective(self, task: Task, rank: int, now: float) -> None:
-        state = self._collectives.setdefault(task.uid, _RunningCollective())
-        state.arrivals[rank] = now
-        gpu = self._gpu_of[rank]
-        self._comm_active[gpu] += 1
+        state = self._collectives.get(task.uid)
+        if state is None:
+            state = self._collectives[task.uid] = _RunningCollective()
+        arrivals = state.arrivals
+        arrivals[rank] = now
+        self._comm_active[self._gpu_of[rank]] += 1
         self._activity_dirty = True
-        if len(state.arrivals) == len(task.collective.ranks):
+        if len(arrivals) == len(task.collective.ranks):
             self._start_collective(task, state, now)
 
     def _group_of(self, ranks: tuple[int, ...]) -> tuple:
@@ -428,43 +484,44 @@ class Simulator:
         self._record_scaled_traffic(cost, spec.repeat)
 
         duration = comm_duration
-        if task.overlap_compute is not None:
+        overlap = task.overlap_compute
+        if overlap is not None:
             compute_durations = [
-                self._compute_duration(task.overlap_compute, g, now)
-                for g in gpus
+                self._kernel_duration(overlap, g, now) for g in gpus
             ]
             duration = fused_duration(max(compute_durations), comm_duration)
+            activity = overlap.activity
             for g in gpus:
-                self._set_activity(g, task.overlap_compute.activity, +1)
+                self._compute_active[g] += activity.compute
+                self._comm_active[g] += activity.comm
+                self._memory_active[g] += activity.memory
+            self._activity_dirty = True
         duration = max(duration, EPS)
 
         state.group_start_s = now
         state.nic_nodes = nodes
         state.pcie_rates = self._begin_pcie_rates(cost, duration, spec.repeat)
         state.comm_duration_s = comm_duration
-        self._push(now + duration, "collective", (task,))
+        heapq.heappush(self._heap, (
+            now + duration, next(self._seq), self._collective_done, task,
+        ))
 
     # ------------------------------------------------------------------
-    # Completion handlers
+    # Completion handlers: ``handler(sim, entry)`` with the popped entry
     # ------------------------------------------------------------------
 
-    def _on_compute_done(
-        self, now: float, task: Task, rank: int, start: float
-    ) -> None:
+    def _on_compute_done(self, entry: tuple) -> None:
+        now, _, _, task, rank, start = entry
         gpu = self._gpu_of[rank]
-        self._set_activity(gpu, task.compute.activity, -1)
+        self._unstack(gpu, task.compute.activity)
         self._record(task, gpu, rank, start, now, task.kernel)
-        self._advance(task, rank, now)
+        self._pos[rank] += 1
+        # Pop times never decrease, so the latest finish is this one.
+        self._iteration_end[task.iteration] = now
+        self._start(rank, now)
 
-    def _on_send_done(
-        self,
-        now: float,
-        task: Task,
-        rank: int,
-        start: float,
-        nodes: tuple[int, ...],
-        rates: list[tuple[int, float]],
-    ) -> None:
+    def _on_send_done(self, entry: tuple) -> None:
+        now, _, _, task, rank, start, nodes, rates = entry
         gpu = self._gpu_of[rank]
         self._comm_active[gpu] -= 1
         self._activity_dirty = True
@@ -472,99 +529,101 @@ class Simulator:
         if nodes:
             self._contention.end(nodes)
         self._record(task, gpu, rank, start, now, task.kernel)
-        self._advance(task, rank, now)
+        self._pos[rank] += 1
+        self._iteration_end[task.iteration] = now
+        self._start(rank, now)
 
-    def _on_recv_done(
-        self, now: float, task: Task, rank: int, wait_start: float
-    ) -> None:
+    def _on_recv_done(self, entry: tuple) -> None:
+        now, _, _, task, rank, wait_start = entry
         gpu = self._gpu_of[rank]
         self._comm_active[gpu] -= 1
         self._activity_dirty = True
         self._record(task, gpu, rank, wait_start, now, task.kernel)
-        self._advance(task, rank, now)
+        self._pos[rank] += 1
+        self._iteration_end[task.iteration] = now
+        self._start(rank, now)
 
-    def _on_collective_done(self, now: float, task: Task) -> None:
+    def _on_collective_done(self, entry: tuple) -> None:
+        now, _, _, task = entry
         state = self._collectives.pop(task.uid)
         if state.nic_nodes:
             self._contention.end(state.nic_nodes)
         self._end_pcie_rates(state.pcie_rates)
-        for member in task.collective.ranks:
+        overlap = task.overlap_compute
+        if overlap is not None:
+            # Overlapped: the comm kernel spans only its own (slowed)
+            # duration; the fused compute kernel spans the full task.
+            group_start = state.group_start_s
+            comm_end = min(
+                now,
+                group_start + state.comm_duration_s * OVERLAP_COMM_SLOWDOWN,
+            )
+            fused_kernel = task.overlap_kernel or KernelKind.FWD_GEMM
+        members = task.collective.ranks
+        for member in members:
             gpu = self._gpu_of[member]
             self._comm_active[gpu] -= 1
-            self._activity_dirty = True
-            if task.overlap_compute is None:
+            if overlap is None:
                 # Rendezvous wait is charged to the comm kernel, as NCCL
                 # profilers report it.
-                self._record(
-                    task, gpu, member, state.arrivals[member], now,
-                    task.kernel,
-                )
+                self._record(task, gpu, member, state.arrivals[member], now,
+                             task.kernel)
             else:
-                # Overlapped: the comm kernel spans only its own (slowed)
-                # duration; the fused compute kernel spans the full task.
-                comm_end = min(
-                    now,
-                    state.group_start_s
-                    + state.comm_duration_s * OVERLAP_COMM_SLOWDOWN,
-                )
-                self._record(
-                    task, gpu, member, state.group_start_s, comm_end,
-                    task.kernel,
-                )
-                self._set_activity(gpu, task.overlap_compute.activity, -1)
-                self._record(
-                    task,
-                    gpu,
-                    member,
-                    state.group_start_s,
-                    now,
-                    task.overlap_kernel or KernelKind.FWD_GEMM,
-                )
-        for member in task.collective.ranks:
-            self._advance(task, member, now)
-
-    def _advance(self, task: Task, rank: int, now: float) -> None:
-        self._pos[rank] += 1
-        previous = self._iteration_end.get(task.iteration, 0.0)
-        self._iteration_end[task.iteration] = max(previous, now)
-        self._try_start(rank, now)
+                self._record(task, gpu, member, group_start, comm_end,
+                             task.kernel)
+                self._unstack(gpu, overlap.activity)
+                self._record(task, gpu, member, group_start, now,
+                             fused_kernel)
+        self._activity_dirty = True
+        self._iteration_end[task.iteration] = now
+        for member in members:
+            self._pos[member] += 1
+            self._start(member, now)
 
     # ------------------------------------------------------------------
     # Durations, activity, traffic helpers
     # ------------------------------------------------------------------
 
-    def _compute_duration(
+    def _kernel_duration(
         self, spec: ComputeSpec, gpu: int, now: float
     ) -> float:
-        if spec.fixed_duration_s is not None:
-            duration = max(spec.fixed_duration_s, spec.min_duration_s)
-        else:
-            freq = self._physics.freq_of(gpu)
+        """Duration of a compute kernel starting on ``gpu`` at ``now``.
+
+        :meth:`_start` inlines this formula for plain compute tasks;
+        this copy serves a collective's fused compute kernel.
+        """
+        duration = spec.fixed_duration_s
+        if duration is None:
             duration = spec.flops / (
-                self._sustained * spec.efficiency * freq
+                self._sustained * spec.efficiency * self._clocks[gpu]
             )
             if spec.overlapped_comm_s > 0:
                 duration = fused_duration(duration, spec.overlapped_comm_s)
-            duration = max(duration, spec.min_duration_s)
+        if spec.min_duration_s > duration:
+            duration = spec.min_duration_s
         if self._faultrt is not None:
-            delay, stretch = self._faultrt.compute_penalty(
-                self._node_of[gpu], now
-            )
-            if delay or stretch != 1.0:
-                duration = duration * stretch + delay
+            duration = self._fault_penalty(duration, gpu, now)
         return duration
 
-    def _set_activity(self, gpu: int, activity: Activity, delta: int) -> None:
-        """Stack (or unstack) a kernel's fractional activity on a GPU."""
-        self._compute_active[gpu] += delta * activity.compute
-        self._comm_active[gpu] += delta * activity.comm
-        self._memory_active[gpu] += delta * activity.memory
+    def _fault_penalty(self, duration: float, gpu: int, now: float) -> float:
+        """Apply an active fail-stop delay or ECC stretch on ``gpu``."""
+        delay, stretch = self._faultrt.compute_penalty(
+            self._node_of[gpu], now
+        )
+        if delay or stretch != 1.0:
+            duration = duration * stretch + delay
+        return duration
+
+    def _unstack(self, gpu: int, activity: Activity) -> None:
+        """Remove a finished kernel's fractional activity from a GPU."""
+        compute = self._compute_active[gpu] - activity.compute
+        comm = self._comm_active[gpu] - activity.comm
+        memory = self._memory_active[gpu] - activity.memory
+        self._compute_active[gpu] = compute
+        self._comm_active[gpu] = comm
+        self._memory_active[gpu] = memory
         self._activity_dirty = True
-        if min(
-            self._compute_active[gpu],
-            self._comm_active[gpu],
-            self._memory_active[gpu],
-        ) < -1e-9:
+        if compute < -1e-9 or comm < -1e-9 or memory < -1e-9:
             raise RuntimeError(f"negative activity level on GPU {gpu}")
 
     def _nic_nodes_for(self, gpus: tuple[int, ...]) -> tuple[int, ...]:
@@ -631,29 +690,28 @@ class Simulator:
             freq = float(np.mean(self._powerctl.setpoints))
         self._physics.prewarm(gpu_power(node.gpu, busy, freq))
 
-    def _advance_physics(self, to_time: float) -> None:
-        dt = self.settings.physics_dt_s
-        while to_time - self._phys_time >= dt:
-            self._physics_step(dt)
-
     def _flush_physics(self, end_time: float) -> None:
         remaining = end_time - self._phys_time
         if remaining > 1e-9:
             self._physics_step(remaining)
 
     def _physics_step(self, dt: float) -> None:
+        physics = self._physics
+        power_vec = self._power_vec
         if self._faultrt is not None:
-            self._faultrt.apply_boundaries(self._phys_time, self._physics)
+            self._faultrt.apply_boundaries(self._phys_time, physics)
         if self._activity_dirty:
-            self._power_vec.refresh_intensity(
+            power_vec.refresh_intensity(
                 self._compute_active,
                 self._comm_active,
                 self._memory_active,
             )
             self._activity_dirty = False
-        physics = self._physics
-        powers = self._power_vec.powers(physics.freq_flat)
+        powers = power_vec.powers(physics.freq_flat)
         physics.step(dt, powers)
+        if physics.freq is not self._freq:
+            self._freq = physics.freq
+            self._clocks = self._freq.reshape(-1).tolist()
         self._last_power = powers[0]
         self._phys_time += dt
         if self._phys_time >= self._next_sample:
@@ -665,7 +723,8 @@ class Simulator:
     def _powerctl_tick(self, dt: float) -> None:
         """Accrue governor inputs; actuate every control interval."""
         if self._busy_time is not None:
-            self._busy_time += dt * (np.asarray(self._compute_active) > 0)
+            # The levels the step's powers were refreshed from.
+            self._busy_time += dt * (self._power_vec.levels[0] > 0)
         self._control_elapsed += dt
         if self._phys_time + 1e-9 < self._next_control:
             return
@@ -694,22 +753,20 @@ class Simulator:
 
     def _sample_telemetry(self, time_s: float) -> None:
         physics = self._physics
+        levels = self._power_vec.levels
         self.telemetry.record_step(
             time_s,
             self._last_power,
             physics.die_c.reshape(-1),
             physics.freq_flat[0],
-            np.asarray(self._compute_active) > 0,
-            np.asarray(self._comm_active) > 0,
+            levels[0] > 0,
+            levels[1] > 0,
             np.maximum(np.asarray(self._pcie_rate), 0.0),
         )
 
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
-
-    def _push(self, time_s: float, name: str, payload: tuple) -> None:
-        heapq.heappush(self._heap, (time_s, next(self._seq), name, payload))
 
     def _check_finished(self) -> None:
         stuck = [

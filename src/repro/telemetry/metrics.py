@@ -52,36 +52,49 @@ class ClusterStats:
         )
 
 
+def _gpu_rows(matrix: np.ndarray) -> np.ndarray:
+    """A ``(samples, gpus)`` matrix as one contiguous row per GPU.
+
+    Reducing a contiguous row sums one GPU's samples in the same order
+    as reducing that GPU's own series, so the floats match it bit for
+    bit; a strided column would be summed in another order.
+    """
+    return np.ascontiguousarray(matrix.T)
+
+
+def _per_gpu_mean_max(matrix: np.ndarray) -> tuple[list, list]:
+    """Per-GPU mean and max of a ``(samples, gpus)`` matrix."""
+    rows = _gpu_rows(matrix)
+    return rows.mean(axis=1).tolist(), rows.max(axis=1).tolist()
+
+
 def window_stats(
     telemetry: TelemetryLog,
     start_s: float = 0.0,
     end_s: float = float("inf"),
 ) -> ClusterStats:
     """Compute per-GPU and aggregate statistics over a time window."""
-    per_gpu: list[GpuStats] = []
-    powers = []
-    for gpu in range(telemetry.num_gpus):
-        series = telemetry.series(gpu).window(start_s, end_s)
-        if len(series.times_s) == 0:
-            stats = GpuStats(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-        else:
-            stats = GpuStats(
-                avg_power_w=float(series.power_w.mean()),
-                peak_power_w=float(series.power_w.max()),
-                avg_temp_c=float(series.temp_c.mean()),
-                peak_temp_c=float(series.temp_c.max()),
-                mean_freq_ratio=float(series.freq_ratio.mean()),
-                avg_pcie_bytes_per_s=float(series.pcie_bytes_per_s.mean()),
-            )
-            powers.append(series.power_w)
-        per_gpu.append(stats)
-    if powers:
-        length = min(len(p) for p in powers)
-        total = np.sum([p[:length] for p in powers], axis=0)
+    times, power, temp, freq, _, _, pcie = telemetry.window(start_s, end_s)
+    if len(times) == 0 or telemetry.num_gpus == 0:
+        per_gpu = [GpuStats(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)] * (
+            telemetry.num_gpus
+        )
+        avg_power = peak_power = 0.0
+    else:
+        avg_power_w, peak_power_w = _per_gpu_mean_max(power)
+        avg_temp_c, peak_temp_c = _per_gpu_mean_max(temp)
+        mean_freq_ratio, _ = _per_gpu_mean_max(freq)
+        avg_pcie, _ = _per_gpu_mean_max(pcie)
+        per_gpu = [
+            GpuStats(*row)
+            for row in zip(avg_power_w, peak_power_w, avg_temp_c,
+                           peak_temp_c, mean_freq_ratio, avg_pcie)
+        ]
+        # The column sum of the GPU rows adds the GPUs in id order,
+        # sample by sample.
+        total = _gpu_rows(power).sum(axis=0)
         avg_power = float(total.mean())
         peak_power = float(total.max())
-    else:
-        avg_power = peak_power = 0.0
     return ClusterStats(
         per_gpu=tuple(per_gpu),
         avg_power_w=avg_power,

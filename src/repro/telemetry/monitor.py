@@ -176,6 +176,30 @@ class TelemetryLog:
             pcie_bytes_per_s=pcie,
         )
 
+    def window(
+        self, start_s: float = 0.0, end_s: float = float("inf")
+    ) -> tuple[np.ndarray, ...]:
+        """Samples in ``[start_s, end_s)``, every field at once.
+
+        Returns ``(times_s, power_w, temp_c, freq_ratio, compute_util,
+        comm_util, pcie_bytes_per_s)``: the ``(samples,)`` time vector,
+        then one ``(samples, num_gpus)`` matrix per field, all
+        read-only. When the selected samples are consecutive (sample
+        times ascend, as the simulator records them) these are views of
+        the log, otherwise copies.
+        """
+        n = self._count
+        times = self._times[:n]
+        rows = np.flatnonzero((times >= start_s) & (times < end_s))
+        if len(rows) and rows[-1] - rows[0] + 1 == len(rows):
+            rows = slice(rows[0], rows[-1] + 1)
+        window = (times[rows],) + tuple(
+            matrix[:n][rows] for matrix in self._matrices
+        )
+        for array in window:
+            array.flags.writeable = False
+        return window
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TelemetryLog):
             return NotImplemented

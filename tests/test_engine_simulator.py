@@ -1,8 +1,15 @@
 """Tests for the discrete-event simulator."""
 
+import heapq
+import weakref
+
 import pytest
 
+from repro.core.experiment import prepare_run
+from repro.core.faults import FaultEvent, FaultKind, FaultTimeline
+from repro.engine.batched import _RecordingSimulator
 from repro.engine.builder import build_training_graph
+from repro.engine.gcpause import gc_paused
 from repro.engine.kernels import KernelCategory, KernelKind
 from repro.engine.simulator import (
     DeadlockError,
@@ -19,6 +26,7 @@ from repro.engine.task import (
 )
 from repro.parallelism.mapping import DeviceMesh
 from repro.parallelism.strategy import OptimizationConfig, ParallelismConfig
+from repro.powerctl import static_setpoint
 
 
 def _run(model, cluster, settings, iterations=2, opts=None, **cfg):
@@ -248,3 +256,89 @@ class TestStragglerFeedback:
             base.telemetry.series(0).temp_c.mean()
             != permuted.telemetry.series(0).temp_c.mean()
         )
+
+
+class TestRunLifetime:
+    def test_finished_run_is_freed_without_gc(
+        self, tiny_model, small_cluster, fast_settings, monkeypatch
+    ):
+        """A finished simulator holds no reference cycle, so it (and the
+        graph and memos it holds) dies by refcount, not at some later
+        cyclic collection."""
+        refs = []
+        real_run = Simulator.run
+
+        def run(self):
+            refs.append(weakref.ref(self))
+            return real_run(self)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        with gc_paused():
+            outcome = _run(tiny_model, small_cluster, fast_settings,
+                           tp=2, pp=2, dp=2)
+            assert len(refs) == 1
+            assert refs[0]() is None
+        assert len(outcome.records) > 0
+
+
+#: Cells for the recorder guard: (prepare_run overrides, settings).
+_DISPATCH_CELLS = {
+    "moe-alltoall": (
+        dict(model="mixtral-4x7b", parallelism="EP4-TP2-PP2"),
+        SimSettings(),
+    ),
+    "cc-overlap": (
+        dict(optimizations=OptimizationConfig(cc_overlap=True)),
+        SimSettings(),
+    ),
+    "gpu-failstop": (
+        {},
+        SimSettings(fault_timeline=FaultTimeline(events=(FaultEvent(
+            kind=FaultKind.GPU_FAILSTOP, node=3, time_s=0.5,
+            duration_s=1.0,
+        ),))),
+    ),
+    "static-governor": (
+        {}, SimSettings(power_control=static_setpoint(0.75)),
+    ),
+}
+
+
+class TestRecordingDispatch:
+    """The batched replay's anchor logs pops through the handler table;
+    it must run the very loop a plain simulator runs."""
+
+    @pytest.mark.parametrize("cell", sorted(_DISPATCH_CELLS))
+    def test_recorder_equals_plain_run(self, cell, monkeypatch):
+        overrides, settings = _DISPATCH_CELLS[cell]
+        kwargs = dict(
+            model="gpt3-13b", cluster="mi250x32", parallelism="TP4-PP2",
+            microbatch_size=1, global_batch_size=8, iterations=2,
+        )
+        kwargs.update(overrides)
+        run = prepare_run(**kwargs)
+        plain = Simulator(run.mesh, run.graph, settings).run()
+
+        pops = []
+        real_pop = heapq.heappop
+
+        def counting_pop(heap):
+            pops.append(1)
+            return real_pop(heap)
+
+        recorder = _RecordingSimulator(run.mesh, run.graph, settings)
+        with monkeypatch.context() as patch:
+            patch.setattr(heapq, "heappop", counting_pop)
+            recorded = recorder.run()
+
+        assert len(recorder.pop_log) == len(pops) > 0
+        assert recorded.records == plain.records
+        assert recorded.telemetry == plain.telemetry
+        assert recorded.traffic == plain.traffic
+        assert recorded.power_control == plain.power_control
+        assert recorded.fault_trace == plain.fault_trace
+        assert recorded == plain
+        if cell == "static-governor":
+            assert plain.power_control is not None
+        if cell == "gpu-failstop":
+            assert plain.fault_trace is not None

@@ -89,6 +89,67 @@ class TestWindowStats:
         stats = window_stats(_make_log(), start_s=100.0, end_s=200.0)
         assert stats.avg_power_w == 0.0
 
+    @pytest.fixture(scope="class")
+    def throttling_run(self):
+        from repro.core.experiment import execute_training
+
+        outcome = execute_training(
+            model="gpt3-13b", cluster="h200x32", parallelism="TP4-PP2",
+            microbatch_size=1, global_batch_size=32, iterations=2,
+        ).outcome
+        assert max(outcome.throttle_ratio) > 0.1
+        return outcome
+
+    @pytest.mark.parametrize("window", [
+        (0.0, float("inf")), "measured", (100.0, 200.0),
+    ])
+    def test_float_bits_match_per_gpu_series_loop(self, throttling_run,
+                                                  window):
+        """The matrix path keeps every float of the per-GPU loop it
+        replaced, on a run whose clocks and powers differ per GPU."""
+        telemetry = throttling_run.telemetry
+        if window == "measured":
+            window = (throttling_run.iteration_end_s[0],
+                      throttling_run.makespan_s)
+        assert window_stats(telemetry, *window) == (
+            _series_loop_window_stats(telemetry, *window)
+        )
+
+
+def _series_loop_window_stats(telemetry, start_s, end_s):
+    """``window_stats`` as a loop over per-GPU series (the reference)."""
+    from repro.telemetry.metrics import ClusterStats, GpuStats
+
+    per_gpu, powers = [], []
+    for gpu in range(telemetry.num_gpus):
+        series = telemetry.series(gpu).window(start_s, end_s)
+        if len(series.times_s) == 0:
+            per_gpu.append(GpuStats(0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
+            continue
+        per_gpu.append(GpuStats(
+            avg_power_w=float(series.power_w.mean()),
+            peak_power_w=float(series.power_w.max()),
+            avg_temp_c=float(series.temp_c.mean()),
+            peak_temp_c=float(series.temp_c.max()),
+            mean_freq_ratio=float(series.freq_ratio.mean()),
+            avg_pcie_bytes_per_s=float(series.pcie_bytes_per_s.mean()),
+        ))
+        powers.append(series.power_w)
+    avg_power = peak_power = 0.0
+    if powers:
+        total = np.sum(powers, axis=0)
+        avg_power, peak_power = float(total.mean()), float(total.max())
+    return ClusterStats(
+        per_gpu=tuple(per_gpu),
+        avg_power_w=avg_power,
+        peak_power_w=peak_power,
+        avg_temp_c=float(np.mean([g.avg_temp_c for g in per_gpu])),
+        peak_temp_c=float(np.max([g.peak_temp_c for g in per_gpu])),
+        mean_freq_ratio=float(
+            np.mean([g.mean_freq_ratio for g in per_gpu])
+        ),
+    )
+
 
 class TestHeatmaps:
     def test_temperature_heatmap_shape(self):
