@@ -9,18 +9,26 @@ the broker's steady-state hit rate is 90% and the wall-clock ratio is
 dominated by the cache fast path. Asserts the broker clears
 ``REPRO_SERVE_MIN_SPEEDUP`` (default 5x).
 
+It then replays the hits over one keep-alive HTTP connection to a
+live :class:`repro.serve.BrokerServer` and reports the median ms per
+hit, once with the next request sent as soon as an answer arrives
+(back to back) and once with a pause between requests (idle). These
+two figures are a report, not a gate.
+
 Writes ``BENCH_serve.json`` at the repo root so serving throughput is
 tracked from PR to PR (CI uploads it as an artifact).
 """
 
 import asyncio
+import http.client
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
 from repro.api import SimRequest, submit
-from repro.serve import Broker, BrokerConfig
+from repro.serve import Broker, BrokerConfig, BrokerServer
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
@@ -35,6 +43,9 @@ DISTINCT = [
 ]
 
 REPEATS = 10  # 5 distinct x 10 = 50 requests, 45 of them hits
+
+#: Pause between HTTP hits in the idle pass.
+IDLE_PAUSE_S = 0.05
 
 
 def _requests() -> list[SimRequest]:
@@ -61,6 +72,27 @@ async def _serve_batch(requests: list[SimRequest]) -> tuple[float, dict]:
     return elapsed, broker.metrics.to_dict()
 
 
+def _http_hit_ms(address: str, requests: list[SimRequest],
+                 pause_s: float) -> float:
+    """Median ms per cache hit over one keep-alive connection, sleeping
+    ``pause_s`` after each answer (0: back to back)."""
+    host, port = address.rsplit(":", 1)
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    samples = []
+    try:
+        for request in requests:
+            body = request.to_json()
+            start = time.perf_counter()
+            connection.request("POST", "/v1/simulate", body=body)
+            answer = json.loads(connection.getresponse().read())
+            samples.append(time.perf_counter() - start)
+            assert answer["cached"], answer
+            time.sleep(pause_s)
+    finally:
+        connection.close()
+    return statistics.median(samples) * 1000.0
+
+
 def test_serve_cache_hit_throughput(tmp_path, monkeypatch):
     # The benchmark owns its store: conftest here does not isolate it.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serve_cache"))
@@ -80,6 +112,12 @@ def test_serve_cache_hit_throughput(tmp_path, monkeypatch):
 
     warm_s, metrics = asyncio.run(_serve_batch(requests))
 
+    # Every request is now a memo hit.
+    with BrokerServer(BrokerConfig(concurrency=2, use_processes=False),
+                      port=0) as server:
+        hit_ms_back_to_back = _http_hit_ms(server.address, requests, 0.0)
+        hit_ms_idle = _http_hit_ms(server.address, requests, IDLE_PAUSE_S)
+
     speedup = cold_s / warm_s
     payload = {
         "benchmark": "serve_cache_hit_throughput",
@@ -92,6 +130,8 @@ def test_serve_cache_hit_throughput(tmp_path, monkeypatch):
         "speedup": round(speedup, 2),
         "throughput_rps": round(len(requests) / warm_s, 1),
         "p99_latency_s": round(metrics["latency_p99_s"], 5),
+        "http_hit_ms_back_to_back": round(hit_ms_back_to_back, 3),
+        "http_hit_ms_idle": round(hit_ms_idle, 3),
         "threshold": threshold,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")

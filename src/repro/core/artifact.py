@@ -17,43 +17,9 @@ from repro.trace.export import write_trace_csv
 
 
 def run_summary(result: RunResult) -> dict:
-    """JSON-serialisable summary of one run's headline metrics."""
-    efficiency = result.efficiency()
-    stats = result.stats()
-    return {
-        "model": result.model.name,
-        "cluster": result.cluster.name,
-        "parallelism": result.parallelism.name,
-        "dp": result.parallelism.dp,
-        "optimizations": result.optimizations.label,
-        "microbatch_size": result.microbatch_size,
-        "measured_iterations": result.measured_iterations,
-        "step_time_s": efficiency.step_time_s,
-        "tokens_per_s": efficiency.tokens_per_s,
-        "tokens_per_s_per_gpu": efficiency.tokens_per_s_per_gpu,
-        "tokens_per_joule": efficiency.tokens_per_joule,
-        "energy_j": efficiency.energy_j,
-        "avg_power_w": stats.avg_power_w,
-        "peak_power_w": stats.peak_power_w,
-        "avg_temp_c": stats.avg_temp_c,
-        "peak_temp_c": stats.peak_temp_c,
-        "mean_freq_ratio": stats.mean_freq_ratio,
-        "front_rear_gap_c": result.front_rear_gap_c(),
-        "max_throttle_ratio": max(result.throttle_ratio()),
-        "communication_skew": result.communication_skew(),
-        "per_gpu_energy_j": result.per_gpu_energy_j(),
-        "power_governor": (
-            result.outcome.power_control.governor
-            if result.outcome.power_control is not None
-            else "none"
-        ),
-        "fault_events_applied": result.fault_events_applied(),
-        "hangs_detected": len(result.hang_detections()),
-        "kernel_seconds": {
-            category.value: seconds
-            for category, seconds in result.kernel_breakdown().seconds.items()
-        },
-    }
+    """JSON-serialisable summary of one run's headline metrics (a fresh
+    copy of :meth:`RunResult.summary`, computed once per result)."""
+    return result.summary()
 
 
 def write_run_artifact(result: RunResult, directory: str | Path) -> Path:

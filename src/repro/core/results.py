@@ -30,6 +30,8 @@ from repro.trace.chakra import (
     mean_breakdown,
     per_rank_breakdown,
     pressure_summary,
+    rank_mean,
+    rank_skew,
 )
 
 
@@ -57,6 +59,11 @@ class RunResult:
     outcome: SimOutcome
     placement: tuple[int, ...] = ()
 
+    #: :meth:`summary`'s memo. A class attribute, not a field, so it
+    #: takes no part in ``==`` or ``repr``; :meth:`__getstate__` keeps
+    #: it out of pickles.
+    _summary = None
+
     def __post_init__(self) -> None:
         if not 0 <= self.warmup_iterations < self.outcome.num_iterations:
             raise ValueError(
@@ -64,6 +71,11 @@ class RunResult:
             )
         if not self.placement:
             self.placement = tuple(range(self.cluster.total_gpus))
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_summary", None)
+        return state
 
     # -- measurement window -------------------------------------------
 
@@ -98,8 +110,12 @@ class RunResult:
 
     # -- headline metrics -----------------------------------------------
 
-    def efficiency(self) -> EfficiencySummary:
-        """Throughput and energy efficiency over the measured window."""
+    def efficiency(self, energy_j: float | None = None) -> EfficiencySummary:
+        """Throughput and energy efficiency over the measured window.
+
+        ``energy_j`` is the window's cluster energy when the caller has
+        already integrated it.
+        """
         return efficiency_summary(
             self.outcome.telemetry,
             tokens=self.measured_tokens,
@@ -107,6 +123,7 @@ class RunResult:
             end_s=self.window_end_s,
             num_gpus=self.cluster.total_gpus,
             num_iterations=self.measured_iterations,
+            energy_j=energy_j,
         )
 
     def stats(self) -> ClusterStats:
@@ -144,13 +161,9 @@ class RunResult:
 
     def per_gpu_energy_j(self) -> list[float]:
         """Per-GPU energy (trapezoidal) over the measured window."""
-        telemetry = self.outcome.telemetry
-        return [
-            telemetry.series(gpu)
-            .window(self.window_start_s, self.window_end_s)
-            .energy_joules()
-            for gpu in range(self.cluster.total_gpus)
-        ]
+        return self.outcome.telemetry.gpu_energy_joules(
+            self.window_start_s, self.window_end_s
+        )
 
     def per_gpu_mean_power_w(self) -> list[float]:
         """Per-GPU mean board power over the measured window."""
@@ -193,6 +206,70 @@ class RunResult:
         """Time-weighted occupancy/warps/threadblocks (Figure 20)."""
         window = self.window_end_s - self.window_start_s
         return pressure_summary(self.measured_records(), window)
+
+    # -- summary -----------------------------------------------------------
+
+    def summary(self) -> dict:
+        """JSON-serialisable headline metrics of the run.
+
+        Computed on the first call and kept with the result. Every call
+        returns a fresh copy, so a caller may add keys or edit the
+        per-GPU energy list or the kernel-seconds dict without changing
+        later answers.
+        """
+        summary = self._summary
+        if summary is None:
+            summary = self._summary = self._compute_summary()
+        return {
+            **summary,
+            "per_gpu_energy_j": list(summary["per_gpu_energy_j"]),
+            "kernel_seconds": dict(summary["kernel_seconds"]),
+        }
+
+    def _compute_summary(self) -> dict:
+        """:meth:`summary`, computing each part once: one record
+        filter, one per-rank breakdown, one :func:`window_stats` and
+        one energy integral."""
+        per_rank = per_rank_breakdown(self.measured_records())
+        stats = self.stats()
+        per_gpu_energy = self.per_gpu_energy_j()
+        # Adds the GPUs in id order, as TelemetryLog.total_energy_joules.
+        efficiency = self.efficiency(energy_j=sum(per_gpu_energy))
+        breakdown = rank_mean(per_rank).scaled(1.0 / self.measured_iterations)
+        power_control = self.outcome.power_control
+        return {
+            "model": self.model.name,
+            "cluster": self.cluster.name,
+            "parallelism": self.parallelism.name,
+            "dp": self.parallelism.dp,
+            "optimizations": self.optimizations.label,
+            "microbatch_size": self.microbatch_size,
+            "measured_iterations": self.measured_iterations,
+            "step_time_s": efficiency.step_time_s,
+            "tokens_per_s": efficiency.tokens_per_s,
+            "tokens_per_s_per_gpu": efficiency.tokens_per_s_per_gpu,
+            "tokens_per_joule": efficiency.tokens_per_joule,
+            "energy_j": efficiency.energy_j,
+            "avg_power_w": stats.avg_power_w,
+            "peak_power_w": stats.peak_power_w,
+            "avg_temp_c": stats.avg_temp_c,
+            "peak_temp_c": stats.peak_temp_c,
+            "mean_freq_ratio": stats.mean_freq_ratio,
+            "front_rear_gap_c": front_rear_gap_c(stats, self.cluster),
+            "max_throttle_ratio": max(self.throttle_ratio()),
+            "communication_skew": rank_skew(per_rank),
+            "per_gpu_energy_j": per_gpu_energy,
+            "power_governor": (
+                power_control.governor if power_control is not None
+                else "none"
+            ),
+            "fault_events_applied": self.fault_events_applied(),
+            "hangs_detected": len(self.hang_detections()),
+            "kernel_seconds": {
+                category.value: seconds
+                for category, seconds in breakdown.seconds.items()
+            },
+        }
 
     # -- naming ----------------------------------------------------------
 

@@ -27,6 +27,11 @@ class KernelCategory(Enum):
     OPTIMIZER = "Optimizer"
     IDLE = "Idle"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is consistent with ==; Enum's own __hash__ hashes
+    # the name in Python on every dict lookup keyed by a member.
+    __hash__ = object.__hash__
+
 
 class KernelKind(Enum):
     """Concrete kernel types emitted by the task-graph builder."""

@@ -42,6 +42,9 @@ class CollectiveOp(Enum):
     REDUCE_SCATTER = "reduce_scatter"
     ALLTOALL = "alltoall"
 
+    # C-level identity hash (see repro.engine.kernels.KernelCategory).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class ComputeSpec:

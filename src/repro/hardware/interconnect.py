@@ -23,6 +23,9 @@ class LinkKind(Enum):
     PCIE = "pcie"
     INFINIBAND = "infiniband"
 
+    # C-level identity hash (see repro.engine.kernels.KernelCategory).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class LinkSpec:

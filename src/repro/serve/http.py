@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -63,13 +64,23 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(self, code: int, body: dict,
                    headers: dict | None = None) -> None:
         payload = json.dumps(body).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        # Compose the response in memory and send it in one write: sent
+        # as two, the body waits behind Nagle's algorithm for the
+        # client's delayed ACK of the headers (about 40 ms per
+        # back-to-back keep-alive request).
+        wire, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(code)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(payload)
+            response = self.wfile.getvalue()
+        finally:
+            self.wfile = wire
+        wire.write(response)
 
     def _not_found(self) -> None:
         self._send_json(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hardware.cluster import ClusterSpec
-from repro.telemetry.monitor import TelemetryLog
+from repro.telemetry.monitor import TelemetryLog, gpu_rows
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,9 @@ class ClusterStats:
         )
 
 
-def _gpu_rows(matrix: np.ndarray) -> np.ndarray:
-    """A ``(samples, gpus)`` matrix as one contiguous row per GPU.
-
-    Reducing a contiguous row sums one GPU's samples in the same order
-    as reducing that GPU's own series, so the floats match it bit for
-    bit; a strided column would be summed in another order.
-    """
-    return np.ascontiguousarray(matrix.T)
-
-
 def _per_gpu_mean_max(matrix: np.ndarray) -> tuple[list, list]:
     """Per-GPU mean and max of a ``(samples, gpus)`` matrix."""
-    rows = _gpu_rows(matrix)
+    rows = gpu_rows(matrix)
     return rows.mean(axis=1).tolist(), rows.max(axis=1).tolist()
 
 
@@ -90,9 +80,7 @@ def window_stats(
             for row in zip(avg_power_w, peak_power_w, avg_temp_c,
                            peak_temp_c, mean_freq_ratio, avg_pcie)
         ]
-        # The column sum of the GPU rows adds the GPUs in id order,
-        # sample by sample.
-        total = _gpu_rows(power).sum(axis=0)
+        total = gpu_rows(power).sum(axis=0)
         avg_power = float(total.mean())
         peak_power = float(total.max())
     return ClusterStats(
@@ -174,12 +162,20 @@ def efficiency_summary(
     end_s: float,
     num_gpus: int,
     num_iterations: int,
+    energy_j: float | None = None,
 ) -> EfficiencySummary:
-    """Throughput/energy summary for ``tokens`` processed in a window."""
+    """Throughput/energy summary for ``tokens`` processed in a window.
+
+    ``energy_j`` is the window's cluster energy when the caller has
+    already integrated it (:meth:`TelemetryLog.total_energy_joules`).
+    """
     duration = end_s - start_s
     if duration <= 0:
         raise ValueError("window must have positive duration")
-    energy = telemetry.total_energy_joules(start_s, end_s)
+    energy = (
+        telemetry.total_energy_joules(start_s, end_s)
+        if energy_j is None else energy_j
+    )
     return EfficiencySummary(
         tokens_per_s=tokens / duration,
         tokens_per_s_per_gpu=tokens / duration / num_gpus,

@@ -25,6 +25,17 @@ _FIELDS = (
 )
 
 
+def gpu_rows(matrix: np.ndarray) -> np.ndarray:
+    """A ``(samples, gpus)`` matrix as one contiguous row per GPU.
+
+    Reducing a contiguous row sums one GPU's samples in the same order
+    as reducing that GPU's own series, so the floats match it bit for
+    bit; a strided column would be summed in another order. The column
+    sum of the rows adds the GPUs in id order, sample by sample.
+    """
+    return np.ascontiguousarray(matrix.T)
+
+
 @dataclass
 class GpuSeries:
     """Telemetry time series of one GPU, as parallel numpy arrays."""
@@ -217,31 +228,37 @@ class TelemetryLog:
 
     __hash__ = None
 
-    def all_series(self) -> list[GpuSeries]:
-        """Series for every GPU, indexed by physical GPU id."""
-        return [self.series(g) for g in range(self.num_gpus)]
+    def gpu_energy_joules(
+        self, start_s: float = 0.0, end_s: float = float("inf")
+    ) -> list[float]:
+        """Per-GPU trapezoidal energy over a time window, by GPU id.
+
+        ``np.trapezoid`` integrates each GPU as one contiguous row, so
+        every value equals :meth:`GpuSeries.energy_joules` on that GPU's
+        windowed series bit for bit.
+        """
+        times, power = self.window(start_s, end_s)[:2]
+        if len(times) < 2:
+            return [0.0] * self.num_gpus
+        return np.trapezoid(gpu_rows(power), times).tolist()
 
     def total_energy_joules(
         self, start_s: float = 0.0, end_s: float = float("inf")
     ) -> float:
-        """Cluster-wide energy over a time window."""
-        return sum(
-            self.series(g).window(start_s, end_s).energy_joules()
-            for g in range(self.num_gpus)
-        )
+        """Cluster-wide energy over a time window (GPUs added in id
+        order)."""
+        return sum(self.gpu_energy_joules(start_s, end_s))
 
     def aggregate_power(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, total power) across all GPUs on the common grid.
 
         Sample times are aligned by construction (the simulator samples
-        every GPU at the same instants).
+        every GPU at the same instants); each sample adds the GPUs in id
+        order.
         """
-        if self.num_gpus == 0 or self.num_samples(0) == 0:
+        n = self._count
+        if self.num_gpus == 0 or n == 0:
             return np.array([]), np.array([])
-        times = self.series(0).times_s
-        total = np.zeros_like(times)
-        for g in range(self.num_gpus):
-            series = self.series(g)
-            n = min(len(total), len(series.power_w))
-            total[:n] += series.power_w[:n]
-        return times, total
+        return self._times[:n].copy(), gpu_rows(self._matrices[0][:n]).sum(
+            axis=0
+        )

@@ -114,7 +114,12 @@ def mean_breakdown(
     records: KernelTable | list[KernelRecord],
 ) -> KernelBreakdown:
     """Kernel-category time averaged across ranks (Figures 3, 7, 8)."""
-    per_rank = per_rank_breakdown(records)
+    return rank_mean(per_rank_breakdown(records))
+
+
+def rank_mean(per_rank: dict[int, KernelBreakdown]) -> KernelBreakdown:
+    """:func:`mean_breakdown` of an already computed
+    :func:`per_rank_breakdown`."""
     if not per_rank:
         return KernelBreakdown()
     mean = KernelBreakdown()
@@ -130,7 +135,12 @@ def comm_skew(records: KernelTable | list[KernelRecord]) -> float:
     The paper uses cross-rank communication-time skew to show load
     imbalance under TP-heavy configurations (Figure 3, Section 4.2).
     """
-    per_rank = per_rank_breakdown(records)
+    return rank_skew(per_rank_breakdown(records))
+
+
+def rank_skew(per_rank: dict[int, KernelBreakdown]) -> float:
+    """:func:`comm_skew` of an already computed
+    :func:`per_rank_breakdown`."""
     comm_categories = (
         KernelCategory.ALLREDUCE,
         KernelCategory.SENDRECV,

@@ -5,6 +5,7 @@ urllib against a live ``BrokerServer``; in-process runners keep it fast.
 """
 
 import asyncio
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -188,6 +189,65 @@ class TestStatusEndpoints:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(server.address, REQUEST.to_json(), path="/v2/run")
         assert excinfo.value.code == 404
+
+
+class _CountingWriter:
+    """A socket writer that records the size of each write."""
+
+    def __init__(self, inner, sizes: list) -> None:
+        self._inner = inner
+        self._sizes = sizes
+
+    def write(self, data):
+        self._sizes.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestWire:
+    def test_each_response_is_one_write(self):
+        """Headers and body leave in one socket write. Sent as two, the
+        body of a back-to-back keep-alive answer waits behind Nagle's
+        algorithm for the client's delayed ACK of the headers."""
+        from repro.serve.http import _Handler
+
+        sizes: list[int] = []
+
+        class CountingHandler(_Handler):
+            def setup(self):
+                super().setup()
+                self.wfile = _CountingWriter(self.wfile, sizes)
+
+        server = BrokerServer(FAST, port=0)
+        server._httpd.RequestHandlerClass = CountingHandler
+        exchanges = [
+            ("POST", "/v1/simulate", REQUEST.to_json(), 200),  # miss
+            ("POST", "/v1/simulate", REQUEST.to_json(), 200),  # hit
+            ("POST", "/v1/simulate", "{not json", 400),
+            ("GET", "/v1/status", None, 200),
+            ("GET", "/v1/metrics", None, 200),
+            ("GET", "/nope", None, 404),
+        ]
+        with server:
+            host, port = server.address.rsplit(":", 1)
+            connection = http.client.HTTPConnection(host, int(port),
+                                                    timeout=30)
+            try:
+                lengths = []
+                for method, path, body, code in exchanges:
+                    connection.request(method, path, body=body)
+                    reply = connection.getresponse()
+                    payload = reply.read()
+                    assert reply.status == code
+                    json.loads(payload)
+                    lengths.append(len(payload))
+            finally:
+                connection.close()
+        assert len(sizes) == len(exchanges)
+        # Each write carries the whole response: headers plus body.
+        assert all(size > length for size, length in zip(sizes, lengths))
 
 
 class TestLifecycle:

@@ -39,6 +39,19 @@ def _one_sample_log(temps) -> TelemetryLog:
     return log
 
 
+@pytest.fixture(scope="module")
+def throttling_run():
+    """A run whose clocks and powers differ per GPU."""
+    from repro.core.experiment import execute_training
+
+    outcome = execute_training(
+        model="gpt3-13b", cluster="h200x32", parallelism="TP4-PP2",
+        microbatch_size=1, global_batch_size=32, iterations=2,
+    ).outcome
+    assert max(outcome.throttle_ratio) > 0.1
+    return outcome
+
+
 class TestTelemetryLog:
     def test_series_arrays_aligned(self):
         log = _make_log()
@@ -89,17 +102,6 @@ class TestWindowStats:
         stats = window_stats(_make_log(), start_s=100.0, end_s=200.0)
         assert stats.avg_power_w == 0.0
 
-    @pytest.fixture(scope="class")
-    def throttling_run(self):
-        from repro.core.experiment import execute_training
-
-        outcome = execute_training(
-            model="gpt3-13b", cluster="h200x32", parallelism="TP4-PP2",
-            microbatch_size=1, global_batch_size=32, iterations=2,
-        ).outcome
-        assert max(outcome.throttle_ratio) > 0.1
-        return outcome
-
     @pytest.mark.parametrize("window", [
         (0.0, float("inf")), "measured", (100.0, 200.0),
     ])
@@ -149,6 +151,75 @@ def _series_loop_window_stats(telemetry, start_s, end_s):
             np.mean([g.mean_freq_ratio for g in per_gpu])
         ),
     )
+
+
+class TestColumnarEnergy:
+    """Per-GPU energy, total energy and aggregate power read the
+    ``(samples, gpus)`` matrices and keep every float of the per-GPU
+    series loops they replaced."""
+
+    @pytest.mark.parametrize("window", [
+        (0.0, float("inf")), "measured", "one-sample", (100.0, 200.0),
+    ])
+    def test_energy_matches_per_gpu_series_loop(self, throttling_run,
+                                                window):
+        telemetry = throttling_run.telemetry
+        if window == "measured":
+            window = (throttling_run.iteration_end_s[0],
+                      throttling_run.makespan_s)
+        elif window == "one-sample":
+            window = _one_sample_window(telemetry)
+        reference = [
+            telemetry.series(gpu).window(*window).energy_joules()
+            for gpu in range(telemetry.num_gpus)
+        ]
+        assert telemetry.gpu_energy_joules(*window) == reference
+        assert telemetry.total_energy_joules(*window) == sum(reference)
+
+    def test_short_windows_hold_zero_and_one_sample(self, throttling_run):
+        """The short windows above really are that short, and both
+        integrate to zero."""
+        telemetry = throttling_run.telemetry
+        one_sample = _one_sample_window(telemetry)
+        assert len(telemetry.window(100.0, 200.0)[0]) == 0
+        assert len(telemetry.window(*one_sample)[0]) == 1
+        for window in ((100.0, 200.0), one_sample):
+            assert telemetry.gpu_energy_joules(*window) == (
+                [0.0] * telemetry.num_gpus
+            )
+
+    @pytest.mark.parametrize("log", ["run", "small", "one-sample", "empty"])
+    def test_aggregate_power_matches_per_gpu_series_loop(
+            self, throttling_run, log):
+        log = {
+            "run": throttling_run.telemetry,
+            "small": _make_log(),
+            "one-sample": _one_sample_log([60.0, 61.0, 62.0]),
+            "empty": TelemetryLog(num_gpus=2, sample_interval_s=0.1),
+        }[log]
+        times, power = log.aggregate_power()
+        ref_times, ref_power = _series_loop_aggregate_power(log)
+        assert times.shape == ref_times.shape
+        assert power.shape == ref_power.shape
+        assert (times == ref_times).all() and (power == ref_power).all()
+
+
+def _one_sample_window(telemetry) -> tuple[float, float]:
+    """A window holding only the log's first sample."""
+    first = telemetry.window()[0][0]
+    return first, first + telemetry.sample_interval_s / 2
+
+
+def _series_loop_aggregate_power(telemetry):
+    """``aggregate_power`` as a loop over per-GPU series (the
+    reference)."""
+    if telemetry.num_gpus == 0 or telemetry.num_samples(0) == 0:
+        return np.array([]), np.array([])
+    times = telemetry.series(0).times_s
+    total = np.zeros_like(times)
+    for gpu in range(telemetry.num_gpus):
+        total += telemetry.series(gpu).power_w
+    return times, total
 
 
 class TestHeatmaps:
