@@ -11,8 +11,9 @@ Three contracts from the schedule-graph subsystem (docs/schedules.md):
   point.
 * **Batched schedule grids** — a schedule x setpoint grid through
   :func:`repro.engine.batched.evaluate_grid` must not be slower than
-  serial per-point runs, must not silently fall back, and must match
-  serial field-for-field (each schedule anchors its own replay group).
+  serial per-point runs, must replay every lane beyond each anchor, and
+  must match serial field-for-field (each schedule anchors its own
+  replay group).
 * **Powerctl acceptance** — the energy-optimal static-clock setpoint on
   gpt3-13b / h100x64 measurably moves when the schedule changes from
   1F1B to ZB-H1, and the per-stage power profile shifts with it: less
@@ -34,6 +35,7 @@ from repro.core.experiment import execute_training
 from repro.core.store import persistence_disabled
 from repro.engine.simulator import SimSettings
 from repro.optimize import settings_for_setpoint
+from tests.conftest import lane_tally
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_schedules.json"
 
@@ -139,13 +141,6 @@ def test_schedule_grid_batches_no_slower_than_serial():
                 kwargs["pipeline_schedule"] = schedule
             payloads.append(("train", kwargs))
 
-    fallbacks = []
-    real_plain = batched_mod._plain_run
-
-    def counting_plain(kind, kwargs):
-        fallbacks.append(kind)
-        return real_plain(kind, kwargs)
-
     with persistence_disabled():
         clear_cache()
         start = time.perf_counter()
@@ -153,13 +148,10 @@ def test_schedule_grid_batches_no_slower_than_serial():
         serial_s = time.perf_counter() - start
 
         clear_cache()
-        batched_mod._plain_run = counting_plain
-        try:
+        with lane_tally() as tally:
             start = time.perf_counter()
             batched = batched_mod.evaluate_grid(payloads)
             batched_s = time.perf_counter() - start
-        finally:
-            batched_mod._plain_run = real_plain
 
     for want, got in zip(serial, batched):
         a, b = want.outcome, got.outcome
@@ -180,13 +172,15 @@ def test_schedule_grid_batches_no_slower_than_serial():
             "serial_s": round(serial_s, 4),
             "batched_s": round(batched_s, 4),
             "speedup": round(speedup, 3),
-            "fallback_points": len(fallbacks),
+            "replayed_lanes": tally.replayed,
+            "serial_lanes": dict(tally.serial),
             "threshold": min_speedup,
         },
     )
-    assert not fallbacks, (
-        f"{len(fallbacks)} schedule-grid points fell back to per-point "
-        "runs; each schedule is expected to form its own anchor group"
+    assert not tally.serial, (
+        f"schedule-grid lanes ran serially instead of replaying: "
+        f"{dict(tally.serial)}; each schedule is expected to form its "
+        "own anchor group"
     )
     assert speedup >= min_speedup, (
         f"schedule grid slower than serial: {speedup:.2f}x < "

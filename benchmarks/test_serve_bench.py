@@ -6,8 +6,10 @@ of the same 50 requests (``submit(cache=False)``, every one a fresh
 simulation). After the first pass over the 5 distinct configurations
 every remaining request is answered from the shared result store, so
 the broker's steady-state hit rate is 90% and the wall-clock ratio is
-dominated by the cache fast path. Asserts the broker clears
-``REPRO_SERVE_MIN_SPEEDUP`` (default 5x).
+dominated by the cache fast path. Each side is timed as the median of
+``REPETITIONS`` interleaved cold/warm repetitions, each warm pass on an
+empty memo and store, so one slow host window cannot decide the gate.
+Asserts the broker clears ``REPRO_SERVE_MIN_SPEEDUP`` (default 5x).
 
 It then replays the hits over one keep-alive HTTP connection to a
 live :class:`repro.serve.BrokerServer` and reports the median ms per
@@ -43,6 +45,9 @@ DISTINCT = [
 ]
 
 REPEATS = 10  # 5 distinct x 10 = 50 requests, 45 of them hits
+
+#: Interleaved cold/warm repetitions; each side's time is their median.
+REPETITIONS = 3
 
 #: Pause between HTTP hits in the idle pass.
 IDLE_PAUSE_S = 0.05
@@ -94,23 +99,32 @@ def _http_hit_ms(address: str, requests: list[SimRequest],
 
 
 def test_serve_cache_hit_throughput(tmp_path, monkeypatch):
-    # The benchmark owns its store: conftest here does not isolate it.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serve_cache"))
     import repro.core.sweep as sweep_mod
 
-    sweep_mod._CACHE.clear()
     threshold = float(
         os.environ.get("REPRO_SERVE_MIN_SPEEDUP", "5.0")
     )
     requests = _requests()
 
-    start = time.perf_counter()
-    for request in requests:
-        result = submit(request, cache=False)
-        assert result.outcome.makespan_s > 0
-    cold_s = time.perf_counter() - start
+    cold_runs, warm_runs = [], []
+    for repetition in range(REPETITIONS):
+        # The benchmark owns its store (conftest here does not isolate
+        # it); every warm pass starts from an empty store and memo.
+        monkeypatch.setenv(
+            "REPRO_CACHE_DIR", str(tmp_path / f"serve_cache_{repetition}")
+        )
+        sweep_mod._CACHE.clear()
+        start = time.perf_counter()
+        for request in requests:
+            result = submit(request, cache=False)
+            assert result.outcome.makespan_s > 0
+        cold_runs.append(time.perf_counter() - start)
 
-    warm_s, metrics = asyncio.run(_serve_batch(requests))
+        warm_s, metrics = asyncio.run(_serve_batch(requests))
+        warm_runs.append(warm_s)
+        assert metrics["hit_rate"] >= 0.9 - 1e-9, metrics
+    cold_s = statistics.median(cold_runs)
+    warm_s = statistics.median(warm_runs)
 
     # Every request is now a memo hit.
     with BrokerServer(BrokerConfig(concurrency=2, use_processes=False),
@@ -125,8 +139,11 @@ def test_serve_cache_hit_throughput(tmp_path, monkeypatch):
         "requests": len(requests),
         "distinct": len(DISTINCT),
         "cache_hit_rate": metrics["hit_rate"],
+        "repetitions": REPETITIONS,
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
+        "cold_runs_s": [round(t, 4) for t in cold_runs],
+        "warm_runs_s": [round(t, 4) for t in warm_runs],
         "speedup": round(speedup, 2),
         "throughput_rps": round(len(requests) / warm_s, 1),
         "p99_latency_s": round(metrics["latency_p99_s"], 5),
@@ -136,7 +153,6 @@ def test_serve_cache_hit_throughput(tmp_path, monkeypatch):
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    assert metrics["hit_rate"] >= 0.9 - 1e-9, metrics
     assert speedup >= threshold, (
         f"broker served the 90%-hit batch only {speedup:.2f}x faster "
         f"than cold execution (threshold {threshold}x): {payload}"

@@ -7,7 +7,9 @@ ways: one simulation per point (the pre-batched code path) and one
 graph, replay the rest over lane-batched physics). The batched pass must
 clear ``REPRO_BENCH_MIN_BATCHED_SPEEDUP`` (default 5x) AND reproduce the
 serial results field-for-field — a fast-but-wrong grid is a failure, as
-is a correct grid that silently fell back to per-point runs.
+is a correct grid whose lanes ran as serial simulations instead of
+replaying (each group has 23 lanes beyond its anchor, well above the
+replay threshold).
 
 A second benchmark times a 50-request cold ``submit_many`` batch on a
 4-worker pool vs a single worker (skipped on machines with fewer than 4
@@ -29,6 +31,7 @@ from repro.core.experiment import execute_training
 from repro.core.store import persistence_disabled
 from repro.engine.simulator import SimSettings
 from repro.powerctl.config import PowerControlConfig
+from tests.conftest import lane_tally
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_sweep_batched.json"
 
@@ -90,13 +93,6 @@ def test_batched_sweep_speedup():
     )
     payloads = _grid_payloads()
 
-    fallbacks = []
-    real_plain = batched_mod._plain_run
-
-    def counting_plain(kind, kwargs):
-        fallbacks.append(kind)
-        return real_plain(kind, kwargs)
-
     with persistence_disabled():
         clear_cache()
         start = time.perf_counter()
@@ -104,13 +100,10 @@ def test_batched_sweep_speedup():
         serial_s = time.perf_counter() - start
 
         clear_cache()
-        batched_mod._plain_run = counting_plain
-        try:
+        with lane_tally() as tally:
             start = time.perf_counter()
             batched = batched_mod.evaluate_grid(payloads)
             batched_s = time.perf_counter() - start
-        finally:
-            batched_mod._plain_run = real_plain
 
     _assert_field_equal(serial, batched)
     speedup = serial_s / batched_s
@@ -133,16 +126,18 @@ def test_batched_sweep_speedup():
                 "speedup": round(speedup, 3),
                 "serial_s": round(serial_s, 4),
                 "batched_s": round(batched_s, 4),
-                "fallback_points": len(fallbacks),
+                "replayed_lanes": tally.replayed,
+                "serial_lanes": dict(tally.serial),
             },
             indent=2,
         )
         + "\n"
     )
 
-    assert not fallbacks, (
-        f"{len(fallbacks)} grid points fell back to per-point runs; "
-        "the benchmark grid is expected to batch fully"
+    assert not tally.serial, (
+        f"grid lanes ran serially instead of replaying: "
+        f"{dict(tally.serial)}; the benchmark grid is expected to batch "
+        "fully"
     )
     assert speedup >= threshold, (
         f"batched sweep speedup regressed: {speedup:.2f}x < "

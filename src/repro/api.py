@@ -737,8 +737,9 @@ def submit_many(
 
     Duplicate requests (same :meth:`SimRequest.digest`) simulate once.
     With ``jobs == 1`` cacheable requests stay in-process and batch
-    through :func:`repro.engine.batched.evaluate_grid` (shared-graph
-    grids anchor once and replay). With ``jobs > 1`` (values below 1
+    through :func:`repro.engine.batched.evaluate_grid` (a shared-graph
+    grid builds its graph once, then replays or runs each point on
+    it). With ``jobs > 1`` (values below 1
     mean auto) the whole batch shares one persistent
     :class:`repro.serve.workers.WorkerPool` — workers are spawned once
     for the batch, steal work from each other, and crashed payloads are

@@ -145,8 +145,8 @@ def map_runs(
 
     With ``jobs <= 1`` (or a single payload) payloads stay in-process
     and route through :func:`repro.engine.batched.evaluate_grid`, which
-    groups configs sharing a task graph into one anchor simulation plus
-    vectorized replays (cache semantics identical to
+    groups configs sharing a task graph into one graph build plus
+    vectorized replays or simulations on it (cache semantics identical to
     :func:`repro.core.sweep.cached_run`; non-batchable payloads take the
     exact serial path). Otherwise payloads fan out over worker processes
     with the crash recovery described in the module docstring;

@@ -35,26 +35,36 @@ per point. This module evaluates such a grid in three phases:
    member and each p2p's rendezvous branch must match the anchor's, and
    the governed clock must equal the closed form after every physics
    step (violated exactly when thermal throttling or a power cap would
-   have engaged). Any lane failing any check silently falls back to an
-   ordinary per-config simulation, so batched results are
-   *field-by-field identical* to the serial path — pinned by
-   ``tests/test_batched.py``. A certified lane's outputs are handed
+   have engaged). A lane failing any check runs as an ordinary
+   simulation on the group's graph and comm-cost memos instead, and
+   the group counts it under the failed certificate's name, so batched
+   results are *field-by-field identical* to the serial path — pinned
+   by ``tests/test_batched.py``. A certified lane's outputs are handed
    over in the columns the replay already holds: its kernel records are
    a :class:`~repro.engine.kernels.KernelTable` built by permuting the
    anchor's record columns into the lane's pop order, and its telemetry
    takes the lane's ``(samples, num_gpus)`` slices of the batched
    physics pass as matrices.
 
+A replay costs about two to three runs on the shared graph whatever
+its lane count, so a group replays only when at least
+``_MIN_REPLAY_LANES`` members beyond the anchor are evaluated together;
+smaller batches (and every later single probe of a
+:class:`SetpointSession`) run each member as an ordinary simulation on
+the group's graph and memos, which skips the graph build and the comm
+costing of a fresh run.
+
 Grids that are not batchable (static faults, fault timelines,
 closed-loop governors, non-uniform per-GPU ceilings) take the ordinary
 cached per-config path through the same :func:`evaluate_grid` API; axes
 that change the task graph (microbatch, batch size, model, cluster)
-split the grid into one anchor+replay group per graph.
+split the grid into one group per graph.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -67,7 +77,13 @@ from repro.core.results import RunResult
 from repro.core.store import persistence_enabled, result_store
 from repro.engine.kernels import KernelKind, KernelTable, kind_codes
 from repro.engine.physics import PowerVector, VectorPhysics
-from repro.engine.simulator import EPS, SimOutcome, SimSettings, Simulator
+from repro.engine.simulator import (
+    EPS,
+    CommMemos,
+    SimOutcome,
+    SimSettings,
+    Simulator,
+)
 from repro.engine.task import Task, TaskKind
 from repro.optimizations.overlap import (
     OVERLAP_COMM_SLOWDOWN,
@@ -82,7 +98,7 @@ __all__ = ["evaluate_grid", "SetpointSession"]
 
 
 class _ReplayDiverged(Exception):
-    """Replay left the anchor's footprint; fall back to per-config runs."""
+    """Replay left the anchor's footprint; every lane runs serially."""
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +114,8 @@ class _RecordingSimulator(Simulator):
     own outcome is exactly what a plain ``Simulator`` produces.
     """
 
-    def __init__(self, mesh, graph, settings=None) -> None:
-        super().__init__(mesh, graph, settings)
+    def __init__(self, mesh, graph, settings=None, memos=None) -> None:
+        super().__init__(mesh, graph, settings, memos)
         self.pop_log: list[tuple[str, int]] = []
         log = self.pop_log
 
@@ -827,8 +843,8 @@ class _ReplayOutput:
         its final partial step alone. Lanes where the governed clock
         leaves the effective ceiling — a power cap or thermal throttle
         engaging, which the closed-form event times cannot represent —
-        are flagged; reconstruct rejects them and the caller falls back
-        to a plain per-config run.
+        are flagged; reconstruct rejects them and the group runs that
+        config as an ordinary simulation on the shared graph.
         """
         C = self._r.C
         cluster = self._anchor.cluster
@@ -839,6 +855,7 @@ class _ReplayOutput:
         power = PowerVector(cluster, lanes=C)
 
         ok = np.ones(C, dtype=bool)
+        ordered = ok.copy()
 
         # Per-lane setpoint ceilings and prewarm power, applied as
         # Simulator.run applies them (a ceiling of 1.0 leaves the
@@ -894,7 +911,8 @@ class _ReplayOutput:
                 boundary_mask[
                     inner[(inner > 0) & (inner <= N - 1)] - 1
                 ] = True
-                ok &= ~np.any(diffs[~boundary_mask] < 0, axis=0)
+                ordered = ~np.any(diffs[~boundary_mask] < 0, axis=0)
+                ok &= ordered
             if S:
                 span = float(self._boundaries[-1]) + 1.0
                 gpu_of_op = np.repeat(
@@ -985,6 +1003,7 @@ class _ReplayOutput:
 
         self._prep = {
             "ok": ok,
+            "ordered": ordered,
             "steps": steps_arr,
             "cnt": cnt,
             "sample_j": sample_j,
@@ -1005,10 +1024,16 @@ class _ReplayOutput:
     # -- per-config reconstruction --------------------------------------
 
     def reconstruct(self, lane: int, settings: SimSettings,
-                    graph) -> SimOutcome | None:
-        """Rebuild one lane's :class:`SimOutcome`; None if uncertified."""
+                    graph) -> SimOutcome | str:
+        """Rebuild one lane's :class:`SimOutcome`.
+
+        A lane that fails a certificate gets the certificate's name
+        instead: ``"strict order"``, ``"last arriver"``, ``"p2p
+        branch"``, ``"NIC order"``, ``"activity order"`` or
+        ``"clock"``.
+        """
         if not self.strict_ok[lane]:
-            return None
+            return "strict order"
         pos = self._lane_order(lane)
         P = self._P
         # pos1[p1]: lane pop position of pop tag p1 (prelude -> -1).
@@ -1023,7 +1048,7 @@ class _ReplayOutput:
         if self._coll_members.size and np.any(
             pos1[self._coll_members] > pos1[self._coll_anchor]
         ):
-            return None
+            return "last arriver"
         # Certificate: each p2p rendezvous resolves on the same side
         # (the completion push — the heap tie-breaker — moves pops when
         # the branch flips).
@@ -1031,7 +1056,7 @@ class _ReplayOutput:
             np.sign(pos1[self._p2p_send] - pos1[self._p2p_recv]),
             self._p2p_sign,
         ):
-            return None
+            return "p2p branch"
         # Certificate: NIC-contention ops keep their per-node order, so
         # every begin sees the anchor's counter state and the shares
         # (hence comm costs) used for this lane's times are exact.
@@ -1039,11 +1064,13 @@ class _ReplayOutput:
         # their anchor execution order.
         for ops in self._node_ops:
             if ops.size > 1 and np.any(np.diff(pos1[ops]) < 0):
-                return None
+                return "NIC order"
 
         prep = self._prep
-        if prep is None or not prep["ok"][lane]:
-            return None
+        if not prep["ordered"][lane]:
+            return "activity order"
+        if not prep["ok"][lane]:
+            return "clock"
         num_gpus = self._num_gpus
         makespan = float(self.makespans[lane])
         runtime = prep["runtimes"][lane]
@@ -1279,19 +1306,43 @@ def _group_key(member: _Member):
     return (member.kind, freeze(rest), freeze(neutral))
 
 
-class _BatchGroup:
-    """One shared-graph group: anchor once, replay every other member.
+#: Fewest members beyond the anchor that one evaluation replays; below
+#: it each member runs as an ordinary simulation on the group's graph
+#: and memos. One replay of L lanes costs, in runs on the shared graph
+#: (benchmarks/replay_crossover.py: six cells, all three clusters,
+#: dense and MoE; table in docs/performance.md section 4): L=1
+#: 2.0-2.4, L=2 1.9-2.5, L=3 2.1-2.7, L=6 2.6-3.6. Three lanes is the
+#: fewest whose replay costs no more than running them on every cell.
+_MIN_REPLAY_LANES = 3
 
-    The anchor (mesh, graph, instrumented simulator, comm-cost memo) is
-    retained, so a :class:`SetpointSession` can keep refining setpoints
-    against it across calls — each refinement is a single replay instead
-    of a full simulation.
+
+class _BatchGroup:
+    """One shared-graph group: one graph build, then replay or runs.
+
+    The group builds its graph once, from its first member, which runs
+    as the anchor. Members evaluated together replay against a
+    recording anchor when at least ``_MIN_REPLAY_LANES`` of them lie
+    beyond it. Every other member (a lane a certificate rejects, every
+    lane of a diverged replay, or a batch too small to replay) runs as
+    a plain :class:`Simulator` on the same graph, sharing the group's
+    :class:`CommMemos`; both paths equal a fresh serial run field by
+    field. The graph, memos and recording anchor are retained, so a
+    :class:`SetpointSession` keeps refining setpoints against them
+    across calls.
+
+    ``replayed`` counts members rebuilt from a replay, and ``serial``
+    counts every other non-anchor member by reason: a certificate name
+    (see :meth:`_ReplayOutput.reconstruct`), ``"replay diverged"`` or
+    ``"below lane count"``.
     """
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._run = None
+        self._memos = CommMemos()
         self._anchor: _RecordingSimulator | None = None
+        self.replayed = 0
+        self.serial: Counter[str] = Counter()
 
     def _build(self, kwargs: dict) -> None:
         # The graph key is every kwarg but ``settings`` (see _group_key),
@@ -1307,39 +1358,46 @@ class _BatchGroup:
             },
         )
 
+    def _simulator(self, member: _Member, cls=Simulator) -> Simulator:
+        return cls(
+            self._run.mesh, self._run.graph,
+            member.kwargs.get("settings"), self._memos,
+        )
+
     def _wrap(self, member: _Member, outcome: SimOutcome) -> RunResult:
         return self._run.result(
             outcome, member.kwargs.get("warmup_iterations", 1)
         )
 
     def evaluate(self, members: list[_Member]) -> list[RunResult]:
-        """Run every member, anchoring/replaying where possible."""
-        results: list[RunResult | None] = [None] * len(members)
-        start = 0
-        if self._anchor is None and members:
-            anchor_member = members[0]
-            self._build(anchor_member.kwargs)
-            simulator = _RecordingSimulator(
-                self._run.mesh, self._run.graph,
-                anchor_member.kwargs.get("settings"),
-            )
-            results[0] = self._wrap(anchor_member, simulator.run())
-            self._anchor = simulator
-            start = 1
-        rest = members[start:]
-        if rest:
-            outputs = self._replay(rest)
-            for offset, outcome in enumerate(outputs):
-                index = start + offset
-                if outcome is None:
-                    results[index] = _plain_run(
-                        members[index].kind, members[index].kwargs
-                    )
-                else:
-                    results[index] = self._wrap(members[index], outcome)
+        """Run every member, replaying where enough lanes share a call."""
+        fresh = self._run is None
+        if fresh:
+            self._build(members[0].kwargs)
+        # A call on a group with no recording anchor yet records its
+        # first member, so that member is not a lane.
+        if len(members) - (self._anchor is None) < _MIN_REPLAY_LANES:
+            if len(members) > fresh:
+                self.serial["below lane count"] += len(members) - fresh
+            return [
+                self._wrap(member, self._simulator(member).run())
+                for member in members
+            ]
+        results = []
+        if self._anchor is None:
+            self._anchor = self._simulator(members[0], _RecordingSimulator)
+            results.append(self._wrap(members[0], self._anchor.run()))
+        rest = members[len(results):]
+        for member, outcome in zip(rest, self._replay(rest)):
+            if isinstance(outcome, str):
+                self.serial[outcome] += 1
+                outcome = self._simulator(member).run()
+            else:
+                self.replayed += 1
+            results.append(self._wrap(member, outcome))
         return results
 
-    def _replay(self, members: list[_Member]) -> list[SimOutcome | None]:
+    def _replay(self, members: list[_Member]) -> list[SimOutcome | str]:
         try:
             replay = _VectorReplay(
                 self._anchor, [m.setpoint for m in members]
@@ -1352,7 +1410,7 @@ class _BatchGroup:
                 for lane, member in enumerate(members)
             ]
         except _ReplayDiverged:
-            return [None] * len(members)
+            return ["replay diverged"] * len(members)
 
 
 def _plain_run(kind: str, kwargs: dict) -> RunResult:
@@ -1406,9 +1464,10 @@ def evaluate_grid(
     :func:`repro.core.sweep.cached_run` per payload: identical memo /
     persistent-store cooperation (probe order, seeding, digests) and
     identical results — batchable subsets of the grid are grouped by
-    task graph and evaluated anchor+replay, everything else runs the
-    ordinary per-config path. Duplicate payloads collapse to one run and
-    return the same object.
+    task graph and evaluated on one build of it (see
+    :class:`_BatchGroup`), everything else runs the ordinary per-config
+    path. Duplicate payloads collapse to one run and return the same
+    object.
 
     Args:
         payloads: ``(kind, kwargs)`` pairs as accepted by ``cached_run``.
@@ -1469,11 +1528,14 @@ class SetpointSession:
 
     Setpoint searches (:func:`repro.optimize.optimize_setpoint`
     and friends) probe many static clock ceilings of the *same* run.
-    A session keeps the anchor simulation and its task graph alive
-    between calls, so the opening bracket batches into one anchor plus
-    replays and every later golden-section refinement is a single replay
-    instead of a full simulation. Results are cached exactly like
-    ``cached_run`` (same keys, memo, and store writes).
+    A session keeps its group's task graph, comm-cost memos and
+    recording anchor (if any) alive between calls, so every probe after
+    the first skips the graph build: a call with at least
+    ``_MIN_REPLAY_LANES`` new setpoints beyond the anchor replays, and
+    smaller ones (the opening three-probe bracket, each golden-section
+    refinement) run each setpoint as a simulation on the shared graph.
+    Results are cached exactly like ``cached_run`` (same keys, memo,
+    and store writes).
     """
 
     def __init__(self, kind: str,

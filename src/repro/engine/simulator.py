@@ -134,6 +134,29 @@ class SimOutcome:
 
 
 @dataclass(slots=True)
+class CommMemos:
+    """Communication memos a :class:`Simulator` fills as it runs.
+
+    Several simulators of one mesh may share one instance: each key
+    (collective op/p2p pair, rank group, GPU set, cost object) fixes its
+    value within a mesh, so a shared memo returns exactly what a fresh
+    one would compute. Never share one across meshes.
+
+    Attributes:
+        comm: (op/kind, group, payload, bandwidth scale) -> CommCost.
+        group: collective rank group -> (gpus, NIC nodes).
+        nic: GPU tuple -> the nodes whose NICs it crosses.
+        pcie: ``id`` of a memoised CommCost -> its (gpu, PCIe bytes)
+            pairs (the costs live in ``comm``, so the ids stay unique).
+    """
+
+    comm: dict[tuple, CommCost] = field(default_factory=dict)
+    group: dict[tuple[int, ...], tuple] = field(default_factory=dict)
+    nic: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
+    pcie: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
 class _RunningCollective:
     """Book-keeping of an in-flight rendezvous collective."""
 
@@ -169,13 +192,18 @@ def _column_recorder(columns: tuple[list, ...]):
 
 
 class Simulator:
-    """Executes a :class:`TaskGraph` on a :class:`DeviceMesh`."""
+    """Executes a :class:`TaskGraph` on a :class:`DeviceMesh`.
+
+    ``memos`` lets runs of one mesh share their communication memos
+    (see :class:`CommMemos`); by default each run starts empty.
+    """
 
     def __init__(
         self,
         mesh: DeviceMesh,
         graph: TaskGraph,
         settings: SimSettings | None = None,
+        memos: CommMemos | None = None,
     ) -> None:
         self.mesh = mesh
         self.graph = graph
@@ -238,16 +266,17 @@ class Simulator:
         per_node = node.gpus_per_node
         self._node_of = [g // per_node for g in range(num_gpus)]
         self._sustained = node.gpu.sustained_flops
-        # Collective cost memo: (op/kind, group, payload, bandwidth
-        # scale) -> CommCost, shared across microbatches and iterations.
-        self._comm_cache: dict[tuple, CommCost] = {}
-        self._group_cache: dict[tuple[int, ...], tuple] = {}
-        self._nic_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # Communication memos, shared across microbatches and
+        # iterations (and across runs, when the caller passes them).
+        memos = memos if memos is not None else CommMemos()
+        self._comm_cache = memos.comm
+        self._group_cache = memos.group
+        self._nic_cache = memos.nic
+        self._pcie_memo = memos.pcie
         # The (heavily repeated, memoized) comm costs are folded into the
         # traffic ledger once at the end of the run instead of walking
         # the ledger dicts on every send/collective.
         self._traffic_pending: dict[int, list] = {}
-        self._pcie_memo: dict[int, list[tuple[int, float]]] = {}
         self._queues = graph.queues
 
         self.telemetry = TelemetryLog(

@@ -173,10 +173,11 @@ class _ProbeRunner:
     """Evaluates setpoints through the run cache, memoising per search.
 
     Serial searches (``jobs == 1``) hold a
-    :class:`repro.engine.batched.SetpointSession` open across calls: the
-    opening bracket batches into one anchor simulation plus vectorized
-    replays, and each later golden-section refinement is a single replay
-    against the retained anchor instead of a full simulation. Parallel
+    :class:`repro.engine.batched.SetpointSession` open across calls, so
+    the task graph is built once per search: the opening bracket and
+    each later golden-section refinement run as simulations on the
+    retained graph and comm-cost memos (a batch of enough new setpoints,
+    as in :func:`evaluate_setpoints`, replays instead). Parallel
     searches fan out over worker processes as before; results are
     identical either way (same cache keys, field-for-field outcomes).
     """

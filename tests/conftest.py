@@ -7,7 +7,9 @@ cluster with the same airflow structure as the paper's HGX nodes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -61,6 +63,52 @@ def assert_run_results_equal(actual, expected) -> None:
                 getattr(sa, name), getattr(sb, name), err_msg=name
             )
         assert a.traffic.total_for(gpu) == b.traffic.total_for(gpu)
+
+
+class LaneTally:
+    """The batch groups made while :func:`lane_tally` was open."""
+
+    def __init__(self) -> None:
+        self.groups: list = []
+
+    @property
+    def replayed(self) -> int:
+        """Members rebuilt from a vectorized replay."""
+        return sum(group.replayed for group in self.groups)
+
+    @property
+    def serial(self) -> Counter:
+        """Every other non-anchor member, counted by reason."""
+        total: Counter = Counter()
+        for group in self.groups:
+            total.update(group.serial)
+        return total
+
+
+@contextlib.contextmanager
+def lane_tally(min_replay_lanes: int | None = None):
+    """Tally the replayed and serial lanes of the batch groups made
+    inside the block; ``min_replay_lanes`` overrides the group's lane
+    threshold while it is open."""
+    import repro.engine.batched as batched_mod
+
+    tally = LaneTally()
+    group_cls = batched_mod._BatchGroup
+    real_init = group_cls.__init__
+    real_min = batched_mod._MIN_REPLAY_LANES
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        tally.groups.append(self)
+
+    group_cls.__init__ = init
+    if min_replay_lanes is not None:
+        batched_mod._MIN_REPLAY_LANES = min_replay_lanes
+    try:
+        yield tally
+    finally:
+        group_cls.__init__ = real_init
+        batched_mod._MIN_REPLAY_LANES = real_min
 
 
 @pytest.fixture(autouse=True)

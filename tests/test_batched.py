@@ -23,7 +23,7 @@ from repro.core.store import persistence_disabled
 from repro.engine.batched import evaluate_grid
 from repro.engine.simulator import SimSettings
 from repro.optimize import settings_for_setpoint
-from tests.conftest import assert_run_results_equal
+from tests.conftest import assert_run_results_equal, lane_tally
 
 MODEL = "gpt3-13b"
 CLUSTER = "mi250x32"
@@ -82,7 +82,7 @@ class TestBatchedEqualsSerial:
             ("train", _train_kwargs(s, microbatch, cluster))
             for s in setpoints
         ]
-        with persistence_disabled():
+        with persistence_disabled(), lane_tally(min_replay_lanes=1):
             sweep_mod._CACHE.clear()
             batched = evaluate_grid(payloads, cache=False)
             serial = [
@@ -121,7 +121,7 @@ class TestBatchedEqualsSerial:
             )
             for s in setpoints
         ]
-        with persistence_disabled():
+        with persistence_disabled(), lane_tally(min_replay_lanes=1):
             sweep_mod._CACHE.clear()
             batched = evaluate_grid(payloads, cache=False)
             serial = [
@@ -131,22 +131,14 @@ class TestBatchedEqualsSerial:
             assert_run_results_equal(got, want)
 
     def test_fast_path_grid_actually_batches(self, monkeypatch):
-        """The parity tests above are vacuous if everything falls back.
+        """The parity tests above are vacuous if no lane replays.
 
-        On a known-good grid (capped setpoints) the anchor
-        runs once and every other config is reconstructed from the
-        vector replay: ``_plain_run`` must not fire at all.
+        On a known-good grid (capped setpoints) the anchor runs once
+        and every other config is reconstructed from the vector
+        replay: no non-anchor member may run serially.
         """
         import repro.engine.batched as batched_mod
 
-        plain_calls = []
-        real_plain = batched_mod._plain_run
-
-        def counting_plain(kind, kwargs):
-            plain_calls.append(kind)
-            return real_plain(kind, kwargs)
-
-        monkeypatch.setattr(batched_mod, "_plain_run", counting_plain)
         reconstructed = []
         real_reconstruct = batched_mod._ReplayOutput.reconstruct
 
@@ -162,10 +154,11 @@ class TestBatchedEqualsSerial:
             ("train", _train_kwargs(s, 1))
             for s in (0.9, 0.85, 0.8)
         ]
-        with persistence_disabled():
+        with persistence_disabled(), lane_tally(min_replay_lanes=1) as tally:
             results = evaluate_grid(payloads, cache=False)
         assert len(results) == 3
-        assert plain_calls == []  # no silent fallback
+        assert tally.serial == {}  # no serial lane
+        assert tally.replayed == 2
         assert len(reconstructed) == 2  # anchor + 2 replayed lanes
 
     def test_grid_dedup_shares_results(self):
@@ -178,6 +171,127 @@ class TestBatchedEqualsSerial:
             results = evaluate_grid(payloads, cache=False)
         assert results[0] is results[2]
         assert results[0] is not results[1]
+
+
+class TestLaneRouting:
+    """Which members replay and which run serially on the shared graph.
+
+    Members below the lane threshold, and lanes a certificate or a
+    diverged replay rejects, run as plain simulations on the group's
+    graph and memos; each is tallied with its reason and every result
+    still equals the serial run.
+    """
+
+    @hyp_settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        setpoints=st.lists(
+            st.sampled_from([1.0, 0.9, 0.825, 0.75, 0.7, 0.6]),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        ),
+        cluster=st.sampled_from(CLUSTERS),
+    )
+    # Serial lanes below the threshold, replayed lanes, and a throttling
+    # lane the clock certificate rejects.
+    @example(setpoints=[0.9, 0.8], cluster="mi250x32")
+    @example(setpoints=[0.6, 0.75, 0.9, 0.825, 0.7], cluster="mi250x32")
+    @example(setpoints=[0.6, 0.75, 0.9, 1.0], cluster="h200x32")
+    def test_default_threshold_grid_equals_serial(self, setpoints, cluster):
+        import repro.core.sweep as sweep_mod
+        from repro.engine.batched import _MIN_REPLAY_LANES
+
+        payloads = [("train", _train_kwargs(s, 1, cluster)) for s in setpoints]
+        with persistence_disabled(), lane_tally() as tally:
+            sweep_mod._CACHE.clear()
+            batched = evaluate_grid(payloads, cache=False)
+            serial = [execute_training(**kwargs) for _, kwargs in payloads]
+        for got, want in zip(batched, serial):
+            assert_run_results_equal(got, want)
+        # Every member but the anchor is tallied exactly once.
+        members = len(setpoints) - 1
+        assert tally.replayed + sum(tally.serial.values()) == members
+        if members < _MIN_REPLAY_LANES:
+            assert tally.replayed == 0
+
+    def test_three_point_grid_builds_one_graph(self, monkeypatch):
+        """Below the threshold a grid builds its graph once and runs each
+        member on it; nothing goes through the per-config path."""
+        import repro.core.experiment as experiment_mod
+        import repro.engine.batched as batched_mod
+        from repro.engine.simulator import Simulator
+
+        builds, runs, plain = [], [], []
+        real_build = experiment_mod.build_training_graph
+        real_run = Simulator.run
+        monkeypatch.setattr(
+            experiment_mod, "build_training_graph",
+            lambda **kw: builds.append(1) or real_build(**kw),
+        )
+        monkeypatch.setattr(
+            Simulator, "run", lambda self: runs.append(1) or real_run(self)
+        )
+        monkeypatch.setattr(
+            batched_mod, "_plain_run", lambda *args: plain.append(args)
+        )
+        payloads = [("train", _train_kwargs(s, 1)) for s in (0.9, 0.85, 0.8)]
+        with persistence_disabled(), lane_tally() as tally:
+            results = evaluate_grid(payloads, cache=False)
+        assert (len(builds), len(runs), plain) == (1, 3, [])
+        assert tally.serial == {"below lane count": 2}
+        assert tally.replayed == 0
+        for got, (_, kwargs) in zip(results, payloads):
+            assert_run_results_equal(got, execute_training(**kwargs))
+
+    def test_session_refinement_reuses_graph(self, monkeypatch):
+        import repro.core.experiment as experiment_mod
+        from repro.engine.batched import SetpointSession
+
+        builds = []
+        real_build = experiment_mod.build_training_graph
+        monkeypatch.setattr(
+            experiment_mod, "build_training_graph",
+            lambda **kw: builds.append(1) or real_build(**kw),
+        )
+        session = SetpointSession("train", lambda s: _train_kwargs(s, 1))
+        with persistence_disabled(), lane_tally() as tally:
+            first = session.evaluate([1.0, 0.9, 0.8], cache=False)
+            refined = session.evaluate([0.85], cache=False)
+        assert len(builds) == 1
+        assert tally.serial == {"below lane count": 3}
+        for setpoint, got in {**first, **refined}.items():
+            assert_run_results_equal(
+                got, execute_training(**_train_kwargs(setpoint, 1))
+            )
+
+    def test_throttling_lane_fails_the_clock_certificate(self):
+        payloads = [
+            ("train", _train_kwargs(s, 1, "h200x32")) for s in (0.8, 1.0)
+        ]
+        with persistence_disabled(), lane_tally(min_replay_lanes=1) as tally:
+            got = evaluate_grid(payloads, cache=False)[1]
+        assert tally.serial == {"clock": 1}
+        assert_run_results_equal(
+            got, execute_training(**_train_kwargs(1.0, 1, "h200x32"))
+        )
+
+    def test_diverged_replay_runs_every_lane_serially(self, monkeypatch):
+        import repro.engine.batched as batched_mod
+
+        def diverge(self):
+            raise batched_mod._ReplayDiverged("forced")
+
+        monkeypatch.setattr(batched_mod._VectorReplay, "run", diverge)
+        payloads = [("train", _train_kwargs(s, 1)) for s in (0.9, 0.8, 0.7)]
+        with persistence_disabled(), lane_tally(min_replay_lanes=1) as tally:
+            results = evaluate_grid(payloads, cache=False)
+        assert tally.serial == {"replay diverged": 2}
+        for got, (_, kwargs) in zip(results, payloads):
+            assert_run_results_equal(got, execute_training(**kwargs))
 
 
 def _square(x):

@@ -12,6 +12,7 @@ from repro.engine.builder import build_training_graph
 from repro.engine.gcpause import gc_paused
 from repro.engine.kernels import KernelCategory, KernelKind
 from repro.engine.simulator import (
+    CommMemos,
     DeadlockError,
     SimSettings,
     Simulator,
@@ -342,3 +343,48 @@ class TestRecordingDispatch:
             assert plain.power_control is not None
         if cell == "gpu-failstop":
             assert plain.fault_trace is not None
+
+
+#: Cells for the shared-memo check: (prepare_run overrides, settings of
+#: the run that reuses the anchor's memos). A link fault scales the
+#: bandwidth share that comm-cost keys carry.
+_MEMO_CELLS = {
+    "moe-alltoall": _DISPATCH_CELLS["moe-alltoall"],
+    "cc-overlap": _DISPATCH_CELLS["cc-overlap"],
+    "link-degrade": (
+        {},
+        SimSettings(fault_timeline=FaultTimeline(events=(FaultEvent(
+            kind=FaultKind.LINK_DEGRADE, node=1, time_s=5.0,
+            duration_s=4.0,
+        ),))),
+    ),
+}
+
+
+class TestSharedMemos:
+    """Runs of one mesh may share their communication memos: each run
+    equals a fresh one, field by field."""
+
+    @pytest.mark.parametrize("cell", sorted(_MEMO_CELLS))
+    def test_shared_memos_equal_fresh_runs(self, cell):
+        overrides, settings = _MEMO_CELLS[cell]
+        kwargs = dict(
+            model="gpt3-13b", cluster="mi250x32", parallelism="TP4-PP2",
+            microbatch_size=1, global_batch_size=8, iterations=2,
+        )
+        kwargs.update(overrides)
+        run = prepare_run(**kwargs)
+        anchor_settings = SimSettings(power_control=static_setpoint(0.75))
+
+        memos = CommMemos()
+        anchor = Simulator(run.mesh, run.graph, anchor_settings, memos).run()
+        filled = dict(memos.comm)
+        shared = Simulator(run.mesh, run.graph, settings, memos).run()
+
+        assert filled
+        assert all(memos.comm[key] is cost for key, cost in filled.items())
+        assert anchor == Simulator(run.mesh, run.graph, anchor_settings).run()
+        assert shared == Simulator(run.mesh, run.graph, settings).run()
+        if cell == "link-degrade":
+            assert shared.fault_trace is not None
+            assert set(memos.comm) - set(filled)  # scaled-share keys

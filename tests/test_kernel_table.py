@@ -43,6 +43,7 @@ from repro.trace.chakra import (
     per_rank_breakdown,
     pressure_summary,
 )
+from tests.conftest import lane_tally
 
 
 # -- reference: the record-by-record loops the columns replaced --------
@@ -343,9 +344,10 @@ class TestStoredOutputsStayColumnar:
             )
             for s in (0.9, 0.8)
         ]
-        with persistence_disabled():
+        with persistence_disabled(), lane_tally(min_replay_lanes=1) as tally:
             results = evaluate_grid(payloads, cache=False)
         assert len(results) == 2
+        assert tally.replayed == 1
         for result in results:
             self._assert_columnar(result.outcome)
 

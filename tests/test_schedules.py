@@ -270,36 +270,29 @@ class TestBatchedScheduleGrids:
         assert keys[2] == keys[3]
         assert keys[0] != keys[2]
 
-    def test_schedule_grid_batches_without_fallback(self, monkeypatch):
-        """A mixed-schedule grid must anchor+replay, never silently
-        fall back to plain runs, and match serial bit-for-bit."""
+    def test_schedule_grid_batches_without_fallback(self):
+        """A mixed-schedule grid must anchor+replay, never run a lane
+        serially, and match serial bit-for-bit."""
         import repro.core.sweep as sweep_mod
         import repro.engine.batched as batched_mod
         from repro.core.experiment import execute_training
         from repro.core.store import persistence_disabled
-        from tests.conftest import assert_run_results_equal
+        from tests.conftest import assert_run_results_equal, lane_tally
 
-        plain_calls = []
-        real_plain = batched_mod._plain_run
-
-        def counting_plain(kind, kwargs):
-            plain_calls.append(kind)
-            return real_plain(kind, kwargs)
-
-        monkeypatch.setattr(batched_mod, "_plain_run", counting_plain)
         payloads = [
             self._payload(s, sp)
             for s in ("1f1b", "zb-h1", "gpipe")
             for sp in (1.0, 0.85)
         ]
-        with persistence_disabled():
+        with persistence_disabled(), lane_tally(min_replay_lanes=1) as tally:
             sweep_mod._CACHE.clear()
             batched = batched_mod.evaluate_grid(payloads, cache=False)
             sweep_mod._CACHE.clear()
             serial = [
                 execute_training(**kwargs) for _, kwargs in payloads
             ]
-        assert plain_calls == []
+        assert tally.serial == {}
+        assert tally.replayed == 3  # one lane per schedule group
         for got, want in zip(batched, serial):
             assert_run_results_equal(got, want)
         zb = batched[2].efficiency().step_time_s
