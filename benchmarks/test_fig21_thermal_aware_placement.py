@@ -17,7 +17,7 @@ from repro.core.sweep import cached_run
 from repro.hardware.cluster import H200_X32, ClusterSpec
 from repro.hardware.node import HGX_H200_NODE
 from repro.parallelism.strategy import ParallelismConfig
-from repro.scheduling.thermal_aware import (
+from repro.datacenter.thermal_aware import (
     asymmetric_stage_layers,
     imbalance_percent,
     thermal_aware_placement,

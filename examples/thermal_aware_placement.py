@@ -15,7 +15,7 @@ Run:
 from repro import ParallelismConfig
 from repro.core import execute_training
 from repro.hardware.cluster import H200_X32
-from repro.scheduling.thermal_aware import (
+from repro.datacenter.thermal_aware import (
     asymmetric_stage_layers,
     thermal_aware_placement,
 )

@@ -77,25 +77,53 @@ _KIND_ALIASES = {
     "serve": "serving",
 }
 
-#: Keys accepted in :attr:`SimRequest.fleet` (mirroring the
-#: ``repro fleet`` CLI surface; see :meth:`SimRequest.to_fleet_config`).
-FLEET_KEYS = (
-    "clusters",
-    "policy",
-    "seed",
-    "num_jobs",
-    "mean_interarrival_s",
-    "power_cap_kw",
-    "cap_mode",
-    "node_mtbf_s",
-    "repair_time_s",
-    "recovery_policy",
-    "restart_delay_s",
-    "spare_swapin_s",
-    "reconfig_s",
-    "gpu_clock_limit",
-    "gpu_power_limit_w",
-)
+@dataclass(frozen=True)
+class FleetParams:
+    """The parameters a fleet request takes in :attr:`SimRequest.fleet`
+    (the ``repro fleet`` flags; see :meth:`SimRequest.to_fleet_config`)."""
+
+    clusters: tuple[str, ...] = field(
+        default=("h200x32",),
+        metadata={"help": "clusters in the fleet pool"})
+    policy: str = field(
+        default="packed",
+        metadata={"help": "placement: packed, spread, or thermal-aware"})
+    seed: int = field(default=0, metadata={"help": "arrival and fault seed"})
+    num_jobs: int = field(
+        default=12, metadata={"help": "number of arriving jobs"})
+    mean_interarrival_s: float = field(
+        default=20.0,
+        metadata={"help": "mean interarrival time (exponential)"})
+    power_cap_kw: float | None = field(
+        default=None, metadata={"help": "facility power cap in kW"})
+    cap_mode: str = field(
+        default="defer",
+        metadata={"help": "cap enforcement: defer or cap"})
+    node_mtbf_s: float = field(
+        default=0.0,
+        metadata={"help": "per-node mean time between failures (0 = off)"})
+    repair_time_s: float = field(
+        default=180.0, metadata={"help": "node repair time after a fault"})
+    recovery_policy: str = field(
+        default="failstop",
+        metadata={"help": "interrupted jobs: failstop, hot-spare, elastic"})
+    restart_delay_s: float = field(
+        default=0.0, metadata={"help": "failstop: delay before requeue"})
+    spare_swapin_s: float = field(
+        default=0.0, metadata={"help": "hot-spare: delay before requeue"})
+    reconfig_s: float = field(
+        default=0.0, metadata={"help": "elastic: delay before requeue"})
+    gpu_clock_limit: float | None = field(
+        default=None,
+        metadata={"help": "static clock ceiling on every placed job"})
+    gpu_power_limit_w: float | None = field(
+        default=None,
+        metadata={"help": "per-GPU board power limit in W (overrides "
+                          "gpu_clock_limit)"})
+
+
+#: Keys accepted in :attr:`SimRequest.fleet`.
+FLEET_KEYS = tuple(spec.name for spec in fields(FleetParams))
 
 _DEFAULT_FAULT_DURATION_S = 5.0
 _DEFAULT_FAULT_POWER_SCALE = 0.25
@@ -156,31 +184,77 @@ class SimRequest:
             at construction so equivalent spellings share one digest.
     """
 
-    kind: str = "training"
-    model: str = ""
-    cluster: str = ""
-    parallelism: str = ""
+    kind: str = field(
+        default="training",
+        metadata={"help": "request kind: training, inference, or serving"})
+    model: str = field(default="", metadata={"help": "catalog model name"})
+    cluster: str = field(
+        default="", metadata={"help": "catalog cluster name"})
+    parallelism: str = field(
+        default="",
+        metadata={"help": "paper-style strategy, e.g. TP2-PP16 or "
+                          "EP8-TP1-PP4"})
     optimizations: OptimizationConfig = field(
         default_factory=OptimizationConfig
     )
-    microbatch_size: int = 1
-    global_batch_size: int = DEFAULT_GLOBAL_BATCH
-    iterations: int = 2
-    warmup_iterations: int = 1
-    governor: str = "none"
-    freq_setpoint: float = 1.0
-    power_limit_w: float | None = None
-    fault_node: int | None = None
-    fault_power_scale: float | None = None
-    fault_time: float | None = None
-    fault_duration: float | None = None
-    fault_kind: str | None = None
-    fault_severity: float | None = None
+    microbatch_size: int = field(
+        default=1, metadata={"help": "sequences per microbatch"})
+    global_batch_size: int = field(
+        default=DEFAULT_GLOBAL_BATCH,
+        metadata={"help": "sequences per optimizer step"})
+    iterations: int = field(
+        default=2, metadata={"help": "simulated iterations"})
+    warmup_iterations: int = field(
+        default=1,
+        metadata={"help": "leading iterations left out of the metrics"})
+    governor: str = field(
+        default="none",
+        metadata={"help": "power governor: none, static, thermal, or "
+                          "straggler"})
+    freq_setpoint: float = field(
+        default=1.0,
+        metadata={"help": "clock-ratio ceiling in (0, 1]; below 1.0 "
+                          "implies the static governor"})
+    power_limit_w: float | None = field(
+        default=None,
+        metadata={"help": "per-GPU board power limit in W (implies the "
+                          "static governor)"})
+    fault_node: int | None = field(
+        default=None,
+        metadata={"help": "node hit by a power fault (Section 1 "
+                          "incident)"})
+    fault_power_scale: float | None = field(
+        default=None,
+        metadata={"help": "power-cap multiplier the faulted node is "
+                          "pinned to (0.25 when omitted)"})
+    fault_time: float | None = field(
+        default=None,
+        metadata={"help": "onset second of a transient timed fault on "
+                          "fault_node"})
+    fault_duration: float | None = field(
+        default=None,
+        metadata={"help": "timed fault duration in seconds (5 when "
+                          "omitted)"})
+    fault_kind: str | None = field(
+        default=None,
+        metadata={"help": "timed fault class: power_sag (default), "
+                          "link_degrade, gpu_failstop, thermal_runaway, "
+                          "or ecc_stall"})
+    fault_severity: float | None = field(
+        default=None,
+        metadata={"help": "kind-specific severity (per-kind paper value "
+                          "when omitted)"})
     timeout_s: float | None = None
     fleet: dict | None = None
     serving: Any = None
-    pipeline_schedule: str = "1f1b"
-    seq_splits: int | None = None
+    pipeline_schedule: str = field(
+        default="1f1b",
+        metadata={"help": "pipeline schedule: 1f1b, interleaved, gpipe, "
+                          "zb-h1, or seq1f1b"})
+    seq_splits: int | None = field(
+        default=None,
+        metadata={"help": "sequence splits per microbatch (schedule "
+                          "default when omitted)"})
 
     # -- validation -----------------------------------------------------
 
@@ -262,8 +336,8 @@ class SimRequest:
     def _validate_schedule(self, strategy, cluster) -> None:
         """Normalise the schedule name and check its constraints early.
 
-        Errors are spelled in the request's own vocabulary
-        (``--pipeline-schedule``, ``--global-batch-size``, ...) so a
+        Errors name the request's own fields (``pipeline_schedule``,
+        ``global_batch_size``, ...; the CLI spells them as flags) so a
         bad combination fails at construction with an actionable
         message instead of a builder-internal one at run time.
         """
@@ -284,8 +358,8 @@ class SimRequest:
             if self.seq_splits > 1 and not schedule_cls.supports_seq_splits:
                 raise ValueError(
                     f"the {canonical!r} schedule does not split "
-                    f"sequences; --seq-splits {self.seq_splits} needs a "
-                    "sequence-split schedule such as --pipeline-schedule "
+                    f"sequences; seq_splits {self.seq_splits} needs a "
+                    "sequence-split schedule such as pipeline_schedule "
                     "seq1f1b"
                 )
         if canonical != "interleaved":
@@ -293,7 +367,7 @@ class SimRequest:
         pp = strategy.pp
         _require(
             pp > 1,
-            "--pipeline-schedule interleaved needs a pipelined strategy "
+            "pipeline_schedule interleaved needs a pipelined strategy "
             f"(pp >= 2); {self.parallelism!r} has pp={pp}",
         )
         # Resolve dp the same way execution will, to check Megatron's
@@ -308,12 +382,12 @@ class SimRequest:
             if num_microbatches % pp:
                 raise ValueError(
                     "interleaved schedule requires num_microbatches to "
-                    f"be a multiple of num_stages: --global-batch-size "
-                    f"{self.global_batch_size} with --microbatch-size "
+                    f"be a multiple of num_stages: global_batch_size "
+                    f"{self.global_batch_size} with microbatch_size "
                     f"{self.microbatch_size} and dp={filled.dp} gives "
                     f"{num_microbatches} microbatches, not a multiple "
-                    f"of pp={pp}; adjust --global-batch-size or pick "
-                    "--pipeline-schedule 1f1b"
+                    f"of pp={pp}; adjust global_batch_size or pick "
+                    "pipeline_schedule 1f1b"
                 )
 
     def _validate_serving(self) -> None:
@@ -571,41 +645,38 @@ class SimRequest:
 
         _require(self.kind == "fleet",
                  f"to_fleet_config() on a {self.kind} request")
-        params = dict(self.fleet or {})
-        cap_kw = params.get("power_cap_kw")
+        params = FleetParams(**(self.fleet or {}))
         control = NO_POWER_CONTROL
-        if params.get("gpu_power_limit_w") is not None:
+        if params.gpu_power_limit_w is not None:
             control = PowerControlConfig(
-                governor="static",
-                power_limit_w=params["gpu_power_limit_w"],
+                governor="static", power_limit_w=params.gpu_power_limit_w
             )
-        elif params.get("gpu_clock_limit") is not None:
+        elif params.gpu_clock_limit is not None:
             control = PowerControlConfig(
-                governor="static",
-                freq_setpoint=params["gpu_clock_limit"],
+                governor="static", freq_setpoint=params.gpu_clock_limit
             )
-        seed = params.get("seed", 0)
+        cap_kw = params.power_cap_kw
         return FleetConfig(
-            clusters=tuple(params.get("clusters") or ("h200x32",)),
-            policy=params.get("policy", "packed"),
-            seed=seed,
+            clusters=tuple(params.clusters or ("h200x32",)),
+            policy=params.policy,
+            seed=params.seed,
             power_cap=PowerCapConfig(
                 facility_cap_w=(
                     math.inf if cap_kw is None else cap_kw * 1e3
                 ),
-                mode=params.get("cap_mode", "defer"),
+                mode=params.cap_mode,
             ),
             arrivals=ArrivalConfig(
-                num_jobs=params.get("num_jobs", 12),
-                mean_interarrival_s=params.get("mean_interarrival_s", 20.0),
-                seed=seed,
+                num_jobs=params.num_jobs,
+                mean_interarrival_s=params.mean_interarrival_s,
+                seed=params.seed,
             ),
-            node_mtbf_s=params.get("node_mtbf_s", 0.0),
-            repair_time_s=params.get("repair_time_s", 180.0),
-            recovery_policy=params.get("recovery_policy", "failstop"),
-            restart_delay_s=params.get("restart_delay_s", 0.0),
-            spare_swapin_s=params.get("spare_swapin_s", 0.0),
-            reconfig_s=params.get("reconfig_s", 0.0),
+            node_mtbf_s=params.node_mtbf_s,
+            repair_time_s=params.repair_time_s,
+            recovery_policy=params.recovery_policy,
+            restart_delay_s=params.restart_delay_s,
+            spare_swapin_s=params.spare_swapin_s,
+            reconfig_s=params.reconfig_s,
             power_control=control,
         )
 

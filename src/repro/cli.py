@@ -3,242 +3,178 @@
 Usage::
 
     python -m repro catalog
-    python -m repro configs --model gpt3-175b --cluster h200x32
     python -m repro run --model gpt3-175b --cluster h200x32 \\
-        --parallelism TP2-PP16 --act --output results/tp2pp16
+        --parallelism TP2-PP16 --activation-recompute --output results/a
+    python -m repro run --kind serving --model llama3-70b \\
+        --cluster h100x64 --trace diurnal --replicas 8 --autoscale
     python -m repro sweep --model gpt3-30b --cluster mi250x32 \\
-        --parallelism TP8-PP2 --parallelism TP2-PP8 --microbatch 1 2 4
+        --parallelism TP8-PP2 TP2-PP8 --freq-setpoint 0.8 1.0
     python -m repro figures --model gpt3-30b --cluster h200x32 \\
         --parallelism TP4-PP8-DP1 --output figures/
-    python -m repro full-sweep --cluster h200x32 --cluster h100x64 \\
-        --output results/
-    python -m repro fleet --policy thermal-aware --seed 0 \\
-        --power-cap-kw 10 --output results/fleet
-    python -m repro powerctl sweep --model gpt3-13b --cluster h100x64 \\
-        --parallelism TP4-PP2 --setpoint 0.6 0.7 0.8 0.9 1.0
-    python -m repro powerctl search --model gpt3-13b --cluster h100x64 \\
-        --parallelism TP4-PP2 --max-slowdown 0.05 --jobs 3
+    python -m repro full-sweep --cluster h200x32 --output results/
+    python -m repro fleet --policy thermal-aware --power-cap-kw 10
     python -m repro optimize --model gpt3-13b --cluster h100x64 \\
-        --objective energy_delay --max-slowdown 0.05
-    python -m repro optimize --kind serving --model llama3-70b \\
-        --cluster h100x64 --replicas 2 4 8 --gpus-per-replica 4 8
-    python -m repro run --model gpt3-13b --cluster h100x64 \\
-        --parallelism TP4-PP2 --fault-node 1 --fault-time 2.0 \\
-        --fault-kind power_sag --fault-duration 3.0
-    python -m repro resilience run --model gpt3-13b --cluster h100x64 \\
-        --parallelism TP4-PP2 --policy elastic --mtbf-s 3600
+        --parallelisms TP4-PP2 --schedules 1f1b zb-h1 --max-slowdown none
     python -m repro resilience sweep --model gpt3-13b --cluster h100x64 \\
-        --parallelism TP4-PP2 --mtbf-s 1800 3600 7200 --output results/res
-    python -m repro inferserve run --model llama3-70b --cluster h100x64 \\
-        --trace diurnal --daily-users 2e6 --replicas 8 --autoscale \\
-        --output results/serving
-    python -m repro inferserve sweep --model llama3-70b --cluster h100x64 \\
-        --setpoint 0.6 0.8 1.0 --search --jobs 3
+        --parallelism TP4-PP2 --mtbf-s 1800 3600 7200
     python -m repro serve --port 8053 --concurrency 2
     python -m repro chaos --scenario soak --seed 0 --json
-    python -m repro cache stats
     python -m repro cache clear
 
-Mirrors the paper artifact's script surface (prepare/launch/
-full_sweep/visualize) on top of the simulated testbed. Workload
-subcommands build a :class:`repro.api.SimRequest` and execute through
-:func:`repro.api.submit` — the same typed surface the ``serve`` broker
-speaks over HTTP.
-
-Conventions shared by every subcommand:
-
-- ``--json`` prints a machine-readable summary to stdout instead of the
-  human tables.
-- exit codes: 0 ok, 2 bad arguments (unknown names, invalid flag
-  combinations), 3 simulation/runtime failure (worker crash, timeout,
-  unplaceable fleet).
-- ``--jobs N`` fans simulations out over worker processes (``0`` =
-  auto); results are identical regardless of ``N``.
-- simulations are cached persistently under ``.repro_cache/``;
-  ``--cache-dir`` redirects the store and ``--no-cache`` skips it for
-  one invocation (see ``repro cache`` and docs/performance.md).
+Workload subcommands build a :class:`repro.api.SimRequest` (or an
+``OptimizeRequest``) and run it through the typed API the ``serve``
+broker speaks over HTTP. :func:`_add_fields` generates the flags of
+``run``, ``figures``, ``sweep``, ``optimize``, ``fleet`` and
+``resilience run|sweep`` from the fields of the schema each one builds,
+and the request classes do all the validation; docs/api.md ("CLI
+conventions") gives the rules, the shared ``--json``/``--jobs``/cache
+flags and the exit codes (0 ok, 2 bad arguments, 3 runtime failure).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
+import itertools
 import json
 import os
+import re
 import sys
 import tempfile
+import typing
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.api import SimRequest, submit, submit_many
+from repro.api import (
+    FleetParams, OptimizeRequest, SimRequest, submit, submit_many,
+)
 from repro.core.artifact import run_summary, write_run_artifact
-from repro.engine.simulator import SimSettings
 from repro.hardware.cluster import cluster_names, get_cluster
+from repro.inferserve.config import ServingConfig
 from repro.models.catalog import get_model, model_names
 from repro.parallelism.enumerate import ConfigSearchSpace, valid_configs
-from repro.parallelism.strategy import OptimizationConfig
+from repro.resilience.recovery import RecoveryConfig
 
-#: SimRequest field names -> the CLI spelling, so validation errors from
-#: :mod:`repro.api` read as flag errors (longest names first, so e.g.
-#: ``fault_power_scale`` is not half-rewritten by ``fault_power``).
-_FLAG_SPELLINGS = (
-    ("max_ttft_regression", "--max-ttft-regression"),
-    ("setpoint_tolerance", "--tolerance"),
-    ("fault_power_scale", "--fault-power-scale"),
-    ("pipeline_schedule", "--pipeline-schedule"),
-    ("global_batch_size", "--global-batch"),
-    ("gpus_per_replica", "--gpus-per-replica"),
-    ("microbatch_sizes", "--microbatch"),
-    ("microbatch_size", "--microbatch"),
-    ("max_slowdown", "--max-slowdown"),
-    ("setpoint_lo", "--lo"),
-    ("setpoint_hi", "--hi"),
-    ("power_cap_w", "--power-cap-w"),
-    ("beam_width", "--beam-width"),
-    ("refine_top", "--refine-top"),
-    ("allow_fsdp", "--allow-fsdp"),
-    ("fault_duration", "--fault-duration"),
-    ("fault_severity", "--fault-severity"),
-    ("freq_setpoint", "--freq-setpoint"),
-    ("power_limit_w", "--power-limit-w"),
-    ("fault_kind", "--fault-kind"),
-    ("fault_node", "--fault-node"),
-    ("fault_time", "--fault-time"),
-    ("timeout_s", "--timeout-s"),
-    ("seq_splits", "--seq-splits"),
+#: ``Any``-typed request fields that carry a nested schema.
+_NESTED = {"serving": ServingConfig}
+
+#: The grid axes of ``sweep``, outermost first.
+_SWEEP_AXES = (
+    "parallelism", "microbatch_size", "pipeline_schedule", "freq_setpoint",
 )
 
+#: A ``snake_case`` identifier: the only words an error rewrite touches.
+_FIELD_NAME = re.compile(r"\b[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b")
 
-def _flagify(message: str) -> str:
-    """Rewrite request-field names in an error to their flag spellings."""
-    for field_name, flag in _FLAG_SPELLINGS:
-        message = message.replace(field_name, flag)
-    return message
+#: Resolved field annotations, once per schema class.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _parse_as(kind: type, optional: bool):
+    """argparse ``type`` for one value of a field (``none`` -> None
+    for optional fields)."""
+
+    def parse(text: str):
+        if optional and text.lower() == "none":
+            return None
+        return kind(text)
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _add_fields(parser, cls, *, only=None, axes=(), defaults=None,
+                path=(), taken=None) -> list[tuple[str, tuple]]:
+    """Add one flag per documented field of dataclass ``cls``.
+
+    Returns ``(dest, field path)`` pairs for :func:`_values`. Top-level
+    scalars default to the field's default (or ``defaults[name]``);
+    list-valued fields, ``axes`` and nested fields are absent from the
+    namespace unless given, so the schema's own default applies.
+    """
+    taken = set() if taken is None else taken
+    hints = _type_hints(cls)
+    names = {spec.name for spec in dataclasses.fields(cls)}
+    specs: list[tuple[str, tuple]] = []
+    nested = []
+    for spec in dataclasses.fields(cls):
+        name = spec.metadata.get("flag", spec.name)
+        hint = _NESTED.get(spec.name, hints[spec.name])
+        if (only is not None and spec.name not in only) or name in taken:
+            continue
+        if dataclasses.is_dataclass(hint):
+            nested.append((spec.name, hint))
+            continue
+        if "help" not in spec.metadata:
+            continue
+        taken.add(name)
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        if optional:
+            hint = next(arg for arg in args if arg is not type(None))
+        many = typing.get_origin(hint) is tuple or spec.name in axes
+        if typing.get_origin(hint) is tuple:
+            hint = typing.get_args(hint)[0]
+        default = (defaults or {}).get(spec.name, spec.default)
+        text = _FIELD_NAME.sub(  # sibling fields named as flags
+            lambda m: _flag(m[0]) if m[0] in names else m[0],
+            spec.metadata["help"],
+        )
+        if default not in ("", None, ()):
+            shown = " ".join(map(str, default)) if isinstance(
+                default, tuple) else default
+            text += f" (default: {shown})"
+        options: dict = dict(
+            dest=name, help=text.replace("%", "%%"),
+            default=argparse.SUPPRESS if path or many else default,
+        )
+        if hint is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        else:
+            options["type"] = _parse_as(hint, optional)
+            if many:
+                options.update(action="extend", nargs="+")
+        parser.add_argument(_flag(name), **options)
+        specs.append((name, path + (spec.name,)))
+    for name, schema in nested:
+        specs += _add_fields(
+            parser, schema, path=path + (name,), taken=taken
+        )
+    return specs
+
+
+def _values(args: argparse.Namespace, specs=None) -> dict:
+    """The (nested) field values a generated-flag namespace carries."""
+    values: dict = {}
+    for dest, path in args._fields if specs is None else specs:
+        if hasattr(args, dest):
+            value = getattr(args, dest)
+            target = values
+            for key in path[:-1]:
+                target = target.setdefault(key, {})
+            target[path[-1]] = (
+                tuple(value) if isinstance(value, list) else value
+            )
+    return values
+
+
+def _flagify(message: str, args: argparse.Namespace) -> str:
+    """Spell the request fields an error names as this command's flags."""
+    flags = {
+        path[-1]: _flag(dest)
+        for dest, path in [*getattr(args, "_fields", ()),
+                           *getattr(args, "_workload", ())]
+    }
+    return _FIELD_NAME.sub(lambda m: flags.get(m[0], m[0]), message)
 
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags describing what to run (shared by run/figures/powerctl)."""
-    parser.add_argument("--model", required=True, help="catalog model name")
-    parser.add_argument("--cluster", required=True,
-                        help="catalog cluster name")
-    parser.add_argument(
-        "--parallelism", required=True,
-        help="paper-style strategy, e.g. TP2-PP16 or EP8-TP1-PP4",
-    )
-    parser.add_argument("--microbatch", type=int, default=1)
-    parser.add_argument("--global-batch", type=int, default=128)
-    parser.add_argument("--iterations", type=int, default=2)
-    parser.add_argument(
-        "--pipeline-schedule", default="1f1b",
-        help="pipeline schedule from the repro.schedules registry: "
-             "1f1b (default), interleaved, gpipe, zb-h1, seq1f1b",
-    )
-    parser.add_argument(
-        "--seq-splits", type=int, default=None,
-        help="sequence splits per microbatch (seq1f1b; schedule default "
-             "when omitted)",
-    )
-    parser.add_argument("--act", action="store_true",
-                        help="activation recomputation")
-    parser.add_argument("--cc", action="store_true",
-                        help="compute-communication overlap")
-    parser.add_argument("--lora", action="store_true",
-                        help="LoRA finetuning")
-
-
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_workload_arguments(parser)
-    parser.add_argument(
-        "--fail-node", type=int, default=None,
-        help="alias for --fault-node with the default power scale",
-    )
-    parser.add_argument(
-        "--fault-node", type=int, default=None,
-        help="inject a power fault on this node (Section 1 incident)",
-    )
-    parser.add_argument(
-        "--fault-power-scale", type=float, default=0.25,
-        help="power-cap multiplier the faulted node is pinned to",
-    )
-    parser.add_argument(
-        "--fault-time", type=float, default=None,
-        help="onset second of a transient timed fault on --fault-node "
-             "(instead of the whole-run fault above)",
-    )
-    parser.add_argument(
-        "--fault-duration", type=float, default=None,
-        help="timed fault duration in seconds (default 5)",
-    )
-    parser.add_argument(
-        "--fault-kind", default=None,
-        help="timed fault class: power_sag (default), link_degrade, "
-             "gpu_failstop, thermal_runaway, or ecc_stall",
-    )
-    parser.add_argument(
-        "--fault-severity", type=float, default=None,
-        help="kind-specific severity (default: per-kind paper value)",
-    )
-    parser.add_argument(
-        "--governor", default="none",
-        help="powerctl governor: none, static, thermal, or straggler",
-    )
-    parser.add_argument(
-        "--freq-setpoint", type=float, default=1.0,
-        help="static governor: uniform clock-ratio ceiling (implies "
-             "--governor static when below 1.0)",
-    )
-    parser.add_argument(
-        "--power-limit-w", type=float, default=None,
-        help="static governor: per-GPU board power limit in W (implies "
-             "--governor static)",
-    )
-
-
-def _opts_from(args: argparse.Namespace) -> OptimizationConfig:
-    return OptimizationConfig(
-        activation_recompute=args.act,
-        cc_overlap=args.cc,
-        lora=args.lora,
-    )
-
-
-def _request_from_args(args: argparse.Namespace) -> SimRequest:
-    """One run-style flag namespace -> the typed request it describes.
-
-    Validation (names, flag-group consistency, node ranges) happens in
-    :class:`SimRequest` itself; :func:`main` rewrites field names back
-    to flag spellings in any error.
-    """
-    node = getattr(args, "fault_node", None)
-    if node is None:
-        node = getattr(args, "fail_node", None)
-    return SimRequest(
-        kind="training",
-        model=args.model,
-        cluster=args.cluster,
-        parallelism=args.parallelism,
-        optimizations=_opts_from(args),
-        microbatch_size=args.microbatch,
-        global_batch_size=args.global_batch,
-        iterations=args.iterations,
-        governor=getattr(args, "governor", "none"),
-        freq_setpoint=getattr(args, "freq_setpoint", 1.0),
-        power_limit_w=getattr(args, "power_limit_w", None),
-        fault_node=node,
-        fault_power_scale=(
-            getattr(args, "fault_power_scale", None)
-            if node is not None else None
-        ),
-        fault_time=getattr(args, "fault_time", None),
-        fault_duration=getattr(args, "fault_duration", None),
-        fault_kind=getattr(args, "fault_kind", None),
-        fault_severity=getattr(args, "fault_severity", None),
-        pipeline_schedule=getattr(args, "pipeline_schedule", "1f1b"),
-        seq_splits=getattr(args, "seq_splits", None),
-    )
 
 
 def _print_summary(result) -> None:
@@ -276,36 +212,29 @@ def _print_summary(result) -> None:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     """List the models and clusters available."""
-    if getattr(args, "as_json", False):
+    models = [(name, get_model(name)) for name in model_names()]
+    clusters = [(name, get_cluster(name)) for name in cluster_names()]
+    if args.as_json:
         _emit_json({
             "models": [
-                {
-                    "name": name,
-                    "params_b": get_model(name).total_params / 1e9,
-                    "kind": "moe" if get_model(name).is_moe else "dense",
-                }
-                for name in model_names()
+                {"name": name, "params_b": model.total_params / 1e9,
+                 "kind": "moe" if model.is_moe else "dense"}
+                for name, model in models
             ],
             "clusters": [
-                {
-                    "name": name,
-                    "nodes": get_cluster(name).num_nodes,
-                    "gpus_per_node":
-                        get_cluster(name).node.gpus_per_node,
-                    "gpu": get_cluster(name).node.gpu.name,
-                }
-                for name in cluster_names()
+                {"name": name, "nodes": cluster.num_nodes,
+                 "gpus_per_node": cluster.node.gpus_per_node,
+                 "gpu": cluster.node.gpu.name}
+                for name, cluster in clusters
             ],
         })
         return 0
     print("models:")
-    for name in model_names():
-        model = get_model(name)
+    for name, model in models:
         kind = "MoE" if model.is_moe else "dense"
         print(f"  {name:<16} {model.total_params / 1e9:6.0f}B {kind}")
     print("clusters:")
-    for name in cluster_names():
-        cluster = get_cluster(name)
+    for name, cluster in clusters:
         print(
             f"  {name:<10} {cluster.num_nodes} nodes x "
             f"{cluster.node.gpus_per_node} {cluster.node.gpu.name}"
@@ -338,62 +267,99 @@ def cmd_configs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_outputs(request: SimRequest, result, output: str) -> dict:
+    """Write a run's artifact directory, or a serving deployment's
+    request/timeline CSVs and figure; returns the written paths."""
+    if request.kind != "serving":
+        return {"artifact": str(write_run_artifact(result, output))}
+    from repro.telemetry.export import (
+        write_serving_requests_csv,
+        write_serving_timeline_csv,
+    )
+    from repro.viz.figures import serving_timeline_figure
+
+    directory = Path(output)
+    paths = {
+        "requests_csv": str(write_serving_requests_csv(
+            result, directory / "serving_requests.csv")),
+        "timeline_csv": str(write_serving_timeline_csv(
+            result, directory / "serving_timeline.csv")),
+        "figure": str(directory / "serving.svg"),
+    }
+    serving_timeline_figure(result, path=directory / "serving.svg")
+    return paths
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    """Run one experiment; optionally write an artifact directory."""
-    request = _request_from_args(args)
+    """Run one experiment; optionally write its artifacts."""
+    request = SimRequest.from_dict(_values(args))
     result = submit(request)
-    fault_warning = None
+    serving = request.kind == "serving"
+    outputs = (
+        _write_outputs(request, result, args.output) if args.output
+        else {} if serving else {"artifact": None}
+    )
+    warning = None
     if request.fault_time is not None and \
             result.fault_events_applied() == 0:
         # Horizon is only known after the run: surface a fault that
         # landed past the end instead of silently simulating a clean run.
-        fault_warning = (
+        warning = (
             f"--fault-time {request.fault_time:g}s never fired; the run "
             f"ended at {result.window_end_s:.1f}s (raise --iterations or "
-            "--global-batch to lengthen the run)"
+            "--global-batch-size to lengthen the run)"
         )
-    directory = None
-    if args.output:
-        directory = write_run_artifact(result, args.output)
-    if getattr(args, "as_json", False):
-        payload = run_summary(result)
-        payload["request_digest"] = request.digest()
-        payload["artifact"] = (
-            str(directory) if directory is not None else None
-        )
-        if fault_warning is not None:
-            payload["warning"] = fault_warning
+    if args.as_json:
+        payload = asdict(result.metrics()) if serving else \
+            run_summary(result)
+        payload.update(request_digest=request.digest(), **outputs)
+        if warning is not None:
+            payload["warning"] = warning
         _emit_json(payload)
         return 0
-    _print_summary(result)
-    if fault_warning is not None:
-        print(f"warning: {fault_warning}", file=sys.stderr)
-    if directory is not None:
-        print(f"artifact      : {directory}")
+    if serving:
+        print(f"deployment    : {request.label}")
+        _print_serving_outcome(result)
+    else:
+        _print_summary(result)
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
+    for name, path in outputs.items():
+        if path is not None:
+            print(f"{name:<14}: {path}")
     return 0
 
 
+def _sweep_row(request: SimRequest, result) -> dict:
+    if request.kind == "serving":
+        return dict(setpoint=request.freq_setpoint, **asdict(result.metrics()))
+    efficiency = result.efficiency()
+    stats = result.stats()
+    return {
+        "strategy": request.parallelism,
+        "microbatch": request.microbatch_size,
+        "schedule": request.pipeline_schedule,
+        "setpoint": request.freq_setpoint,
+        "tokens_per_s": efficiency.tokens_per_s,
+        "energy_j": efficiency.energy_j,
+        "tokens_per_joule": efficiency.tokens_per_joule,
+        "peak_temp_c": stats.peak_temp_c,
+        "mean_freq_ratio": stats.mean_freq_ratio,
+    }
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a strategy x microbatch grid and print the table."""
+    """Run a strategy x microbatch x schedule x setpoint grid."""
     from repro.core.parallel import ExecutionReport
 
-    opts = _opts_from(args)
-    schedules = getattr(args, "pipeline_schedule", None) or ["1f1b"]
+    base = _values(args)
+    field_defaults = {
+        spec.name: spec.default for spec in dataclasses.fields(SimRequest)
+    }
+    axes = [base.pop(name, (field_defaults[name],)) for name in _SWEEP_AXES]
     requests = [
-        SimRequest(
-            kind="training",
-            model=args.model,
-            cluster=args.cluster,
-            parallelism=strategy,
-            optimizations=opts,
-            microbatch_size=microbatch,
-            global_batch_size=args.global_batch,
-            iterations=args.iterations,
-            pipeline_schedule=schedule,
-        )
-        for strategy in args.parallelism
-        for microbatch in args.microbatch
-        for schedule in schedules
+        SimRequest.from_dict({**base, **dict(zip(_SWEEP_AXES, point))})
+        for point in itertools.product(*axes)
     ]
     report = ExecutionReport()
     results = submit_many(requests, jobs=args.jobs, report=report)
@@ -403,33 +369,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"({report.describe()})",
             file=sys.stderr,
         )
-    rows = []
-    for request, result in zip(requests, results):
-        efficiency = result.efficiency()
-        stats = result.stats()
-        rows.append({
-            "strategy": request.parallelism,
-            "microbatch": request.microbatch_size,
-            "schedule": request.pipeline_schedule,
-            "tokens_per_s": efficiency.tokens_per_s,
-            "tokens_per_joule": efficiency.tokens_per_joule,
-            "peak_temp_c": stats.peak_temp_c,
-            "mean_freq_ratio": stats.mean_freq_ratio,
-        })
-    if getattr(args, "as_json", False):
+    rows = [
+        _sweep_row(request, result)
+        for request, result in zip(requests, results)
+    ]
+    if args.as_json:
         _emit_json({"rows": rows})
         return 0
-    print(
-        f"{'strategy':<16} {'mb':>3} {'schedule':<11} {'tok/s':>10} "
-        f"{'tok/J':>7} {'peakT':>6} {'clock':>6}"
-    )
+    if requests[0].kind == "serving":
+        print(f"{'setpoint':>8} {'goodput':>8} {'attain%':>8} "
+              f"{'ttft99':>8} {'J/token':>8}")
+        for row in rows:
+            print(
+                f"{row['setpoint']:>8.4f} {row['goodput_per_s']:>8.2f} "
+                f"{100 * row['slo_attainment']:>8.1f} "
+                f"{row['ttft_p99_s']:>8.3f} "
+                f"{row['energy_per_token_j']:>8.3f}"
+            )
+        return 0
+    print(f"{'strategy':<16} {'mb':>3} {'schedule':<11} {'setpoint':>8} "
+          f"{'tok/s':>10} {'energy_J':>12} {'tok/J':>7} {'peakT':>6} "
+          f"{'clock':>6}")
     for row in rows:
         print(
             f"{row['strategy']:<16} {row['microbatch']:>3} "
-            f"{row['schedule']:<11} "
-            f"{row['tokens_per_s']:>10,.0f} "
-            f"{row['tokens_per_joule']:>7.3f} "
-            f"{row['peak_temp_c']:>6.1f} "
+            f"{row['schedule']:<11} {row['setpoint']:>8.4f} "
+            f"{row['tokens_per_s']:>10,.0f} {row['energy_j']:>12,.0f} "
+            f"{row['tokens_per_joule']:>7.3f} {row['peak_temp_c']:>6.1f} "
             f"{row['mean_freq_ratio']:>6.3f}"
         )
     return 0
@@ -480,7 +446,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
         throughput_comparison,
     )
 
-    result = submit(_request_from_args(args))
+    request = SimRequest.from_dict(_values(args))
+    if request.kind == "serving":
+        raise ValueError(
+            "figures renders training and inference runs; "
+            "'run --kind serving --output DIR' writes the serving figure"
+        )
+    result = submit(request)
     output = Path(args.output)
     label = result.parallelism.name
     throughput_comparison({label: result}, path=output / "throughput.svg")
@@ -498,7 +470,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if result.outcome.power_control is not None:
         powerctl_timeline_figure(result, path=output / "powerctl.svg")
         names.append("powerctl.svg")
-    if getattr(args, "as_json", False):
+    if args.as_json:
         _emit_json({
             "output": str(output),
             "figures": [str(output / name) for name in names],
@@ -512,26 +484,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     """Simulate a multi-job fleet and print the goodput/energy summary."""
     from repro.datacenter import format_fleet_summary, simulate_fleet
 
-    request = SimRequest(
-        kind="fleet",
-        fleet={
-            "clusters": list(args.cluster or ("h200x32",)),
-            "policy": args.policy,
-            "seed": args.seed,
-            "num_jobs": args.num_jobs,
-            "mean_interarrival_s": args.mean_arrival_s,
-            "power_cap_kw": args.power_cap_kw,
-            "cap_mode": args.cap_mode,
-            "node_mtbf_s": args.mtbf_s,
-            "repair_time_s": args.repair_s,
-            "recovery_policy": args.recovery,
-            "restart_delay_s": args.restart_delay_s,
-            "spare_swapin_s": args.spare_swapin_s,
-            "reconfig_s": args.reconfig_s,
-            "gpu_clock_limit": args.gpu_clock_limit,
-            "gpu_power_limit_w": args.gpu_power_limit_w,
-        },
-    )
+    request = SimRequest(kind="fleet", fleet=_values(args))
     outcome = simulate_fleet(request.to_fleet_config(), jobs=args.jobs)
     telemetry_csv = timeline_svg = None
     if args.output:
@@ -544,15 +497,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
         timeline_svg = output / "fleet_timeline.svg"
         fleet_timeline_figure(outcome, path=timeline_svg)
-    if getattr(args, "as_json", False):
-        payload = asdict(outcome.metrics())
-        payload["telemetry_csv"] = (
-            str(telemetry_csv) if telemetry_csv else None
-        )
-        payload["timeline_svg"] = (
-            str(timeline_svg) if timeline_svg else None
-        )
-        _emit_json(payload)
+    if args.as_json:
+        _emit_json(dict(
+            asdict(outcome.metrics()),
+            telemetry_csv=str(telemetry_csv) if telemetry_csv else None,
+            timeline_svg=str(timeline_svg) if timeline_svg else None,
+        ))
         return 0
     print(format_fleet_summary(outcome.metrics()))
     if telemetry_csv is not None:
@@ -561,217 +511,39 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _powerctl_workload_kwargs(args: argparse.Namespace) -> dict:
-    return dict(
-        optimizations=_opts_from(args),
-        microbatch_size=args.microbatch,
-        global_batch_size=args.global_batch,
-        iterations=args.iterations,
-        settings=SimSettings(),
-        jobs=args.jobs,
-        # None (not "1f1b") keeps default-run cache keys unchanged.
-        pipeline_schedule=(
-            schedule if (schedule := getattr(
-                args, "pipeline_schedule", None)) != "1f1b" else None
-        ),
-        seq_splits=getattr(args, "seq_splits", None),
-    )
-
-
-def _probe_dict(probe, baseline) -> dict:
-    saving = (
-        1.0 - probe.energy_j / baseline.energy_j
-        if baseline.energy_j > 0 else 0.0
-    )
-    slowdown = (
-        probe.step_time_s / baseline.step_time_s - 1.0
-        if baseline.step_time_s > 0 else 0.0
-    )
-    return {
-        "setpoint": probe.setpoint,
-        "tokens_per_s": probe.tokens_per_s,
-        "energy_j": probe.energy_j,
-        "mean_freq_ratio": probe.mean_freq_ratio,
-        "peak_temp_c": probe.peak_temp_c,
-        "energy_saving_fraction": saving,
-        "slowdown_fraction": slowdown,
-        "feasible": probe.feasible,
-    }
-
-
-def _print_probe_table(probes, baseline) -> None:
-    print(
-        f"{'setpoint':>8} {'tok/s':>10} {'energy_J':>12} "
-        f"{'clock':>6} {'peakT':>6} {'dE%':>7} {'slow%':>6}"
-    )
-    for probe in sorted(probes, key=lambda p: p.setpoint):
-        row = _probe_dict(probe, baseline)
-        flag = "" if probe.feasible else "  (infeasible)"
-        print(
-            f"{probe.setpoint:>8.4f} {probe.tokens_per_s:>10,.0f} "
-            f"{probe.energy_j:>12,.0f} "
-            f"{probe.mean_freq_ratio:>6.3f} {probe.peak_temp_c:>6.1f} "
-            f"{100 * row['energy_saving_fraction']:>7.1f} "
-            f"{100 * row['slowdown_fraction']:>6.1f}{flag}"
-        )
-
-
-def cmd_powerctl_sweep(args: argparse.Namespace) -> int:
-    """Run a grid of static clock ceilings and print the table."""
-    from repro.optimize import evaluate_setpoints
-
-    rows = evaluate_setpoints(
-        args.model,
-        args.cluster,
-        args.parallelism,
-        args.setpoint,
-        **_powerctl_workload_kwargs(args),
-    )
-    baseline = max(rows, key=lambda row: row[0])[1]
-    base_eff = baseline.efficiency()
-    if getattr(args, "as_json", False):
-        _emit_json({
-            "rows": [
-                {
-                    "setpoint": setpoint,
-                    "tokens_per_s": result.efficiency().tokens_per_s,
-                    "energy_j": result.efficiency().energy_j,
-                    "tokens_per_joule":
-                        result.efficiency().tokens_per_joule,
-                    "mean_freq_ratio": result.stats().mean_freq_ratio,
-                    "peak_temp_c": result.stats().peak_temp_c,
-                }
-                for setpoint, result in rows
-            ],
-        })
-        return 0
-    print(
-        f"{'setpoint':>8} {'tok/s':>10} {'energy_J':>12} {'tok/J':>7} "
-        f"{'clock':>6} {'peakT':>6} {'dE%':>7} {'slow%':>6}"
-    )
-    for setpoint, result in rows:
-        eff = result.efficiency()
-        stats = result.stats()
-        saving = (
-            100.0 * (1.0 - eff.energy_j / base_eff.energy_j)
-            if base_eff.energy_j > 0 else 0.0
-        )
-        slowdown = 100.0 * (eff.step_time_s / base_eff.step_time_s - 1.0)
-        print(
-            f"{setpoint:>8.4f} {eff.tokens_per_s:>10,.0f} "
-            f"{eff.energy_j:>12,.0f} {eff.tokens_per_joule:>7.3f} "
-            f"{stats.mean_freq_ratio:>6.3f} {stats.peak_temp_c:>6.1f} "
-            f"{saving:>7.1f} {slowdown:>6.1f}"
-        )
-    return 0
-
-
-def cmd_powerctl_search(args: argparse.Namespace) -> int:
-    """Golden-section energy-optimal setpoint search."""
-    from repro.optimize import SearchSettings, optimize_setpoint
-
-    max_slowdown = args.max_slowdown if args.max_slowdown >= 0 else None
-    search = SearchSettings(
-        lo=args.lo,
-        hi=args.hi,
-        tolerance=args.tolerance,
-        edp_exponent=args.edp_exponent,
-        max_slowdown=max_slowdown,
-    )
-    outcome = optimize_setpoint(
-        args.model,
-        args.cluster,
-        args.parallelism,
-        search=search,
-        **_powerctl_workload_kwargs(args),
-    )
-    directory = None
-    if args.output:
-        directory = write_run_artifact(outcome.best_result, args.output)
-        if outcome.best_result.outcome.power_control is not None:
-            from repro.viz.figures import powerctl_timeline_figure
-
-            powerctl_timeline_figure(
-                outcome.best_result, path=directory / "powerctl.svg"
-            )
-    if getattr(args, "as_json", False):
-        _emit_json({
-            "best_setpoint": outcome.best.setpoint,
-            "energy_saving_fraction": outcome.energy_saving_fraction,
-            "slowdown_fraction": outcome.slowdown_fraction,
-            "probes": [
-                _probe_dict(probe, outcome.baseline)
-                for probe in sorted(
-                    outcome.probes, key=lambda p: p.setpoint
-                )
-            ],
-            "iterations": outcome.iterations,
-            "artifact": str(directory) if directory else None,
-        })
-        return 0
-    print(
-        f"search        : energy x delay^{search.edp_exponent:g}, "
-        f"bracket [{search.lo:g}, {search.hi:g}], "
-        f"{len(outcome.probes)} probes "
-        f"({outcome.iterations} refinements)"
-    )
-    _print_probe_table(outcome.probes, outcome.baseline)
-    print(
-        f"best setpoint : {outcome.best.setpoint:.4f} "
-        f"({100 * outcome.energy_saving_fraction:.1f}% energy saved, "
-        f"{100 * outcome.slowdown_fraction:+.1f}% step time)"
-    )
-    if directory is not None:
-        print(f"artifact      : {directory}")
-    return 0
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Joint configuration auto-search (docs/optimize.md)."""
-    from repro.api import OptimizeRequest
     from repro.core.parallel import resolve_jobs
     from repro.optimize import run_optimize
 
-    serving = None
-    if args.serving is not None:
-        serving = json.loads(args.serving)
-    request = OptimizeRequest(
-        kind=args.kind,
-        model=args.model,
-        cluster=args.cluster,
-        objective=args.objective,
-        max_slowdown=(
-            None if args.max_slowdown < 0 else args.max_slowdown
-        ),
-        max_ttft_regression=args.max_ttft_regression,
-        power_cap_w=args.power_cap_w,
-        global_batch_size=args.global_batch,
-        iterations=args.iterations,
-        microbatch_sizes=tuple(args.microbatch),
-        schedules=tuple(args.schedule) if args.schedule else None,
-        parallelisms=(
-            tuple(args.parallelism) if args.parallelism else None
-        ),
-        allow_fsdp=args.allow_fsdp,
-        beam_width=args.beam_width,
-        refine_top=args.refine_top,
-        setpoint_lo=args.lo,
-        setpoint_hi=args.hi,
-        setpoint_tolerance=args.tolerance,
-        replicas=tuple(args.replicas or ()),
-        gpus_per_replica=tuple(args.gpus_per_replica or ()),
-        serving=serving,
-        timeout_s=args.timeout_s,
-    )
+    request = OptimizeRequest.from_dict(_values(args))
+    if args.output and request.kind == "serving":
+        raise ValueError(
+            "--output writes a training search's best run; pass the best "
+            "deployment to 'run --kind serving --output DIR'"
+        )
     jobs = 1 if args.jobs == 1 else resolve_jobs(args.jobs)
     result = run_optimize(request, jobs=jobs)
-    if getattr(args, "as_json", False):
-        _emit_json(result.to_dict())
+    best = result.best
+    outputs = {}
+    if args.output:
+        best_run = SimRequest(
+            model=request.model, cluster=request.cluster,
+            parallelism=best.parallelism,
+            microbatch_size=best.microbatch_size,
+            global_batch_size=request.global_batch_size,
+            iterations=request.iterations,
+            pipeline_schedule=best.pipeline_schedule,
+            freq_setpoint=best.setpoint,
+        )
+        outputs = _write_outputs(best_run, submit(best_run), args.output)
+    if args.as_json:
+        _emit_json({**result.to_dict(), **outputs})
         return 0
     prune = result.prune
     print(
         f"search        : min {result.objective} over {prune.raw} "
-        f"candidates ({args.model} on {args.cluster}, "
+        f"candidates ({request.model} on {request.cluster}, "
         f"kind={result.kind})"
     )
     print(
@@ -797,68 +569,24 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"{c.pipeline_schedule or '-':>11} {c.setpoint:>8.4f} "
             f"{c.cost:>12.5g} {'yes' if c.feasible else 'no':>8}"
         )
-    best = result.best
-    print(
-        f"best          : {best.parallelism} mb={best.microbatch_size} "
-        f"{best.pipeline_schedule or '-'} @ setpoint "
-        f"{best.setpoint:.4f} (cost {best.cost:.5g})"
-    )
-    if result.baseline is not None and result.baseline is not best:
-        base = result.baseline
-        print(
-            f"baseline      : {base.parallelism} "
-            f"mb={base.microbatch_size} "
-            f"{base.pipeline_schedule or '-'} @ setpoint "
-            f"{base.setpoint:.4f} (cost {base.cost:.5g})"
+    def describe(c) -> str:
+        return (
+            f"{c.parallelism} mb={c.microbatch_size} "
+            f"{c.pipeline_schedule or '-'} @ setpoint "
+            f"{c.setpoint:.4f} (cost {c.cost:.5g})"
         )
+
+    print(f"best          : {describe(best)}")
+    if result.baseline is not None and result.baseline is not best:
+        print(f"baseline      : {describe(result.baseline)}")
         print(
             f"improvement   : "
             f"{100 * result.improvement_fraction:.1f}% vs the default "
             "schedule/setpoint"
         )
+    for name, path in outputs.items():
+        print(f"{name:<14}: {path}")
     return 0
-
-
-def _serving_dict_from(args: argparse.Namespace) -> dict:
-    """The ``SimRequest.serving`` payload the inferserve flags describe."""
-    from repro.inferserve import rate_from_daily_users
-
-    rate = args.rate
-    if args.daily_users is not None:
-        rate = rate_from_daily_users(args.daily_users)
-    trace = dict(
-        kind=args.trace,
-        duration_s=args.duration_s,
-        mean_rate_per_s=rate,
-        seed=args.seed,
-        prompt_tokens_mean=args.prompt_tokens,
-        decode_tokens_mean=args.decode_tokens,
-    )
-    if args.diurnal_period_s is not None:
-        trace["diurnal_period_s"] = args.diurnal_period_s
-    batcher = dict(
-        scheduler=args.scheduler,
-        gpus_per_replica=args.gpus_per_replica,
-        max_batch_requests=args.max_batch,
-        disaggregated=args.disaggregated,
-    )
-    serving: dict = dict(
-        trace=trace,
-        batcher=batcher,
-        slo=dict(ttft_p99_s=args.slo_ttft, tpot_p99_s=args.slo_tpot),
-        replicas=args.replicas,
-    )
-    if args.autoscale:
-        serving["autoscale"] = dict(
-            enabled=True,
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas,
-        )
-    return serving
-
-
-def _serving_metrics_dict(outcome) -> dict:
-    return asdict(outcome.metrics())
 
 
 def _print_serving_outcome(outcome) -> None:
@@ -890,182 +618,17 @@ def _print_serving_outcome(outcome) -> None:
     )
 
 
-def _write_serving_artifacts(outcome, output: str) -> dict:
-    from repro.telemetry.export import (
-        write_serving_requests_csv,
-        write_serving_timeline_csv,
-    )
-    from repro.viz.figures import serving_timeline_figure
-
-    directory = Path(output)
-    paths = {
-        "requests_csv": str(
-            write_serving_requests_csv(
-                outcome, directory / "serving_requests.csv"
-            )
-        ),
-        "timeline_csv": str(
-            write_serving_timeline_csv(
-                outcome, directory / "serving_timeline.csv"
-            )
-        ),
-        "figure": str(directory / "serving.svg"),
-    }
-    serving_timeline_figure(outcome, path=directory / "serving.svg")
-    return paths
-
-
-def cmd_inferserve_run(args: argparse.Namespace) -> int:
-    """Simulate one serving deployment and print its headline metrics."""
-    request = SimRequest(
-        kind="serving",
-        model=args.model,
-        cluster=args.cluster,
-        freq_setpoint=args.freq_setpoint,
-        serving=_serving_dict_from(args),
-    )
-    outcome = submit(request)
-    artifacts = {}
-    if args.output:
-        artifacts = _write_serving_artifacts(outcome, args.output)
-    if getattr(args, "as_json", False):
-        payload = _serving_metrics_dict(outcome)
-        payload["digest"] = request.digest()
-        payload.update(artifacts)
-        _emit_json(payload)
-        return 0
-    print(f"deployment    : {request.label}")
-    _print_serving_outcome(outcome)
-    for name, path in artifacts.items():
-        print(f"{name:<14}: {path}")
-    return 0
-
-
-def cmd_inferserve_sweep(args: argparse.Namespace) -> int:
-    """Sweep DVFS setpoints (optionally refine with the golden search)."""
-    serving = _serving_dict_from(args)
-    requests = [
-        SimRequest(
-            kind="serving",
-            model=args.model,
-            cluster=args.cluster,
-            freq_setpoint=setpoint,
-            serving=serving,
-        )
-        for setpoint in args.setpoint
-    ]
-    outcomes = submit_many(requests, jobs=args.jobs)
-    rows = list(zip(args.setpoint, outcomes))
-    search_outcome = None
-    if args.search:
-        from repro.inferserve import ServingConfig
-        from repro.optimize import (
-            ServingSearchSettings,
-            optimize_serving_setpoint,
-        )
-
-        settings = ServingSearchSettings(
-            lo=min(args.setpoint),
-            hi=max(args.setpoint),
-            max_ttft_regression=args.max_ttft_regression,
-        )
-        search_outcome = optimize_serving_setpoint(
-            args.model,
-            args.cluster,
-            ServingConfig.from_dict(serving),
-            settings=settings,
-            jobs=args.jobs,
-        )
-    if getattr(args, "as_json", False):
-        payload: dict = {
-            "rows": [
-                dict(setpoint=setpoint, **_serving_metrics_dict(outcome))
-                for setpoint, outcome in rows
-            ],
-        }
-        if search_outcome is not None:
-            payload["search"] = {
-                "best_setpoint": search_outcome.best.setpoint,
-                "energy_saving_fraction":
-                    search_outcome.energy_saving_fraction,
-                "ttft_regression_fraction":
-                    search_outcome.ttft_regression_fraction,
-                "iterations": search_outcome.iterations,
-                "probes": len(search_outcome.probes),
-            }
-        _emit_json(payload)
-        return 0
-    baseline = max(rows, key=lambda row: row[0])[1].metrics()
-    print(
-        f"{'setpoint':>8} {'goodput':>8} {'attain%':>8} {'ttft99':>8} "
-        f"{'J/token':>8} {'dE%':>7}"
-    )
-    for setpoint, outcome in rows:
-        metrics = outcome.metrics()
-        saving = (
-            100.0 * (1.0 - metrics.energy_per_token_j
-                     / baseline.energy_per_token_j)
-            if baseline.energy_per_token_j > 0 else 0.0
-        )
-        print(
-            f"{setpoint:>8.4f} {metrics.goodput_per_s:>8.2f} "
-            f"{100 * metrics.slo_attainment:>8.1f} "
-            f"{metrics.ttft_p99_s:>8.3f} "
-            f"{metrics.energy_per_token_j:>8.3f} {saving:>7.1f}"
-        )
-    if search_outcome is not None:
-        print(
-            f"best setpoint : {search_outcome.best.setpoint:.4f} "
-            f"({100 * search_outcome.energy_saving_fraction:.1f}% "
-            "energy/token saved, "
-            f"{100 * search_outcome.ttft_regression_fraction:+.1f}% "
-            "p99 TTFT)"
-        )
-    return 0
-
-
-def _recovery_config_from(args: argparse.Namespace):
-    from repro.resilience.recovery import RecoveryConfig
-
-    return RecoveryConfig(
-        policy=getattr(args, "policy", "failstop"),
-        total_iterations=args.total_iterations,
-        checkpoint_interval=args.checkpoint_interval,
-        checkpoint_bw_gb_s=args.checkpoint_bw_gb_s,
-        repair_time_s=args.repair_s,
-        restart_delay_s=args.restart_delay_s,
-        spare_swapin_s=args.spare_swapin_s,
-        reconfig_s=args.reconfig_s,
-        mtbf_s=getattr(args, "mtbf_s", 0.0) or 0.0,
-        fault_times_s=tuple(getattr(args, "fault_at", None) or ()),
-        seed=args.seed,
-    )
-
-
-def _probe_kwargs_from(args: argparse.Namespace) -> dict:
-    return dict(
-        global_batch_size=args.global_batch,
-        microbatch_size=args.microbatch,
-    )
+#: The ``ResilienceRun`` attributes a ``--json`` row carries.
+_RESILIENCE_KEYS = (
+    "policy", "mtbf_s", "faults_seen", "hangs_detected", "completed",
+    "replayed", "lost", "scheduled", "makespan_s", "ideal_makespan_s",
+    "goodput_fraction", "energy_per_token_j", "checkpoint_writes",
+    "checkpoint_write_s",
+)
 
 
 def _resilience_run_dict(run) -> dict:
-    return {
-        "policy": run.policy,
-        "mtbf_s": run.mtbf_s,
-        "faults_seen": run.faults_seen,
-        "hangs_detected": run.hangs_detected,
-        "completed": run.completed,
-        "replayed": run.replayed,
-        "lost": run.lost,
-        "scheduled": run.scheduled,
-        "makespan_s": run.makespan_s,
-        "ideal_makespan_s": run.ideal_makespan_s,
-        "goodput_fraction": run.goodput_fraction,
-        "energy_per_token_j": run.energy_per_token_j,
-        "checkpoint_writes": run.checkpoint_writes,
-        "checkpoint_write_s": run.checkpoint_write_s,
-    }
+    return {key: getattr(run, key) for key in _RESILIENCE_KEYS}
 
 
 def _print_resilience_run(run) -> None:
@@ -1090,19 +653,29 @@ def _print_resilience_run(run) -> None:
     )
 
 
+def _recovery_inputs(args: argparse.Namespace):
+    """The workload (model, cluster, plan, probe kwargs), validated as a
+    training request, and the ``RecoveryConfig`` field values."""
+    workload = SimRequest(**_values(args, args._workload))
+    return (
+        (workload.model, workload.cluster, workload.parallelism),
+        dict(global_batch_size=workload.global_batch_size,
+             microbatch_size=workload.microbatch_size),
+        _values(args),
+    )
+
+
 def cmd_resilience_run(args: argparse.Namespace) -> int:
     """Walk one recovery policy over one fault schedule."""
     from repro.resilience.recovery import simulate_recovery
 
-    if args.mtbf_s and args.fault_at:
+    workload, probe, values = _recovery_inputs(args)
+    if values.get("mtbf_s") and values.get("fault_times_s"):
         raise ValueError(
-            "--mtbf-s and --fault-at are exclusive: give either a "
+            "mtbf_s and fault_times_s are exclusive: give either a "
             "failure rate or explicit fault times"
         )
-    run = simulate_recovery(
-        args.model, args.cluster, args.parallelism,
-        _recovery_config_from(args), **_probe_kwargs_from(args),
-    )
+    run = simulate_recovery(*workload, RecoveryConfig(**values), **probe)
     csv_path = None
     if args.output:
         from repro.telemetry.export import write_resilience_csv
@@ -1110,7 +683,7 @@ def cmd_resilience_run(args: argparse.Namespace) -> int:
         csv_path = write_resilience_csv(
             [run], Path(args.output) / "resilience.csv"
         )
-    if getattr(args, "as_json", False):
+    if args.as_json:
         payload = _resilience_run_dict(run)
         payload["csv"] = str(csv_path) if csv_path else None
         _emit_json(payload)
@@ -1122,21 +695,17 @@ def cmd_resilience_run(args: argparse.Namespace) -> int:
 
 
 def cmd_resilience_sweep(args: argparse.Namespace) -> int:
-    """Compare every recovery policy across an MTBF grid."""
+    """Compare recovery policies across an MTBF grid."""
     from repro.resilience.recovery import POLICIES, sweep_mtbf
-    from repro.suggest import unknown_name_message
 
-    policies = tuple(args.policies or POLICIES)
+    workload, probe, values = _recovery_inputs(args)
+    mtbf_grid = values.pop("mtbf_s", (RecoveryConfig.mtbf_s,))
+    policies = values.pop("policy", POLICIES)
+    config = RecoveryConfig(**values)
     for policy in policies:
-        if policy not in POLICIES:
-            raise ValueError(
-                "--policy: "
-                + unknown_name_message("recovery policy", policy, POLICIES)
-            )
+        dataclasses.replace(config, policy=policy)  # validates the name
     rows = sweep_mtbf(
-        args.model, args.cluster, args.parallelism,
-        args.mtbf_grid, _recovery_config_from(args),
-        policies=policies, **_probe_kwargs_from(args),
+        *workload, mtbf_grid, config, policies=policies, **probe
     )
     csv_path = figure_path = None
     if args.output:
@@ -1148,7 +717,7 @@ def cmd_resilience_sweep(args: argparse.Namespace) -> int:
         csv_path = write_resilience_csv(runs, output / "resilience.csv")
         figure_path = output / "mtbf_goodput.svg"
         mtbf_goodput_figure(rows, path=figure_path)
-    if getattr(args, "as_json", False):
+    if args.as_json:
         _emit_json({
             "rows": [
                 _resilience_run_dict(row[policy])
@@ -1159,19 +728,14 @@ def cmd_resilience_sweep(args: argparse.Namespace) -> int:
             "figure": str(figure_path) if figure_path else None,
         })
         return 0
-    header = f"{'mtbf_s':>8}"
-    for policy in policies:
-        header += f" {policy + ' good%':>16} {'lost':>5}"
-    print(header)
+    print(f"{'mtbf_s':>8}" + "".join(
+        f" {policy + ' good%':>16} {'lost':>5}" for policy in policies
+    ))
     for row in rows:
-        mtbf = row[policies[0]].mtbf_s
-        line = f"{mtbf:>8,.0f}"
-        for policy in policies:
-            run = row[policy]
-            line += (
-                f" {100 * run.goodput_fraction:>15.1f}% {run.lost:>5}"
-            )
-        print(line)
+        print(f"{row[policies[0]].mtbf_s:>8,.0f}" + "".join(
+            f" {100 * row[p].goodput_fraction:>15.1f}% {row[p].lost:>5}"
+            for p in policies
+        ))
     if csv_path is not None:
         print(f"csv           : {csv_path}")
         print(f"figure        : {figure_path}")
@@ -1424,6 +988,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_parents = [json_flags, jobs_flags, cache_flags]
 
+    def command(name, func, help, cls, output=None, **options):
+        """A subcommand whose flags are generated from schema ``cls``,
+        plus ``--output`` when ``output`` (its help) is given."""
+        sub = subparsers.add_parser(name, help=help, parents=sim_parents)
+        sub.set_defaults(func=func, _fields=_add_fields(sub, cls, **options))
+        if output:
+            sub.add_argument("--output", required=name == "figures",
+                             default=None, help=output)
+
     catalog = subparsers.add_parser(
         "catalog", help="list models and clusters", parents=[json_flags]
     )
@@ -1439,46 +1012,13 @@ def build_parser() -> argparse.ArgumentParser:
     configs.add_argument("--act", action="store_true")
     configs.set_defaults(func=cmd_configs)
 
-    run = subparsers.add_parser(
-        "run", help="run one experiment", parents=sim_parents
-    )
-    _add_run_arguments(run)
-    run.add_argument("--output", default=None,
-                     help="write an artifact directory here")
-    run.set_defaults(func=cmd_run)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="run a strategy x microbatch x schedule grid",
-        parents=sim_parents,
-    )
-    sweep.add_argument("--model", required=True)
-    sweep.add_argument("--cluster", required=True)
-    sweep.add_argument(
-        "--parallelism", action="append", required=True,
-        help="repeatable: one strategy per flag",
-    )
-    sweep.add_argument(
-        "--microbatch", type=int, nargs="+", default=[1],
-    )
-    sweep.add_argument(
-        "--pipeline-schedule", action="append", default=None,
-        help="repeatable sweep axis: one registered schedule per flag "
-             "(default: 1f1b only)",
-    )
-    sweep.add_argument("--global-batch", type=int, default=128)
-    sweep.add_argument("--iterations", type=int, default=2)
-    sweep.add_argument("--act", action="store_true")
-    sweep.add_argument("--cc", action="store_true")
-    sweep.add_argument("--lora", action="store_true")
-    sweep.set_defaults(func=cmd_sweep, fail_node=None)
-
-    figures = subparsers.add_parser(
-        "figures", help="render the SVG figure bundle for one run",
-        parents=sim_parents,
-    )
-    _add_run_arguments(figures)
-    figures.add_argument("--output", required=True)
-    figures.set_defaults(func=cmd_figures)
+    command("run", cmd_run, "run one experiment (--kind serving: one "
+            "serving deployment)", SimRequest,
+            output="write an artifact directory here")
+    command("sweep", cmd_sweep, "run a strategy x microbatch x schedule x "
+            "setpoint grid", SimRequest, axes=_SWEEP_AXES)
+    command("figures", cmd_figures, "render the SVG figure bundle for one "
+            "run", SimRequest, output="write the figures here")
 
     full_sweep = subparsers.add_parser(
         "full-sweep",
@@ -1492,284 +1032,13 @@ def build_parser() -> argparse.ArgumentParser:
     full_sweep.add_argument("--output", required=True)
     full_sweep.set_defaults(func=cmd_full_sweep)
 
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="simulate a multi-job fleet with power/thermal-aware placement",
-        parents=sim_parents,
-    )
-    fleet.add_argument(
-        "--policy", default="packed",
-        choices=("packed", "spread", "thermal-aware"),
-    )
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument(
-        "--cluster", action="append", default=None,
-        help="repeatable: clusters in the fleet pool (default h200x32)",
-    )
-    fleet.add_argument("--num-jobs", type=int, default=12,
-                       help="number of arriving jobs")
-    fleet.add_argument("--mean-arrival-s", type=float, default=20.0,
-                       help="mean interarrival time (exponential)")
-    fleet.add_argument(
-        "--power-cap-kw", type=float, default=None,
-        help="facility power cap in kW (default: uncapped)",
-    )
-    fleet.add_argument("--cap-mode", default="defer",
-                       choices=("defer", "cap"))
-    fleet.add_argument("--mtbf-s", "--node-mtbf-s", dest="mtbf_s",
-                       type=float, default=0.0,
-                       help="per-node mean time between failures (0 = off)")
-    fleet.add_argument("--repair-s", "--repair-time-s", dest="repair_s",
-                       type=float, default=180.0,
-                       help="node repair time after a fault")
-    fleet.add_argument(
-        "--recovery", default="failstop",
-        help="recovery policy for fault-interrupted jobs: failstop "
-             "(default), hot-spare, or elastic",
-    )
-    fleet.add_argument("--restart-delay-s", type=float, default=0.0,
-                       help="failstop: restore delay before requeue")
-    fleet.add_argument("--spare-swapin-s", type=float, default=0.0,
-                       help="hot-spare: swap-in delay before requeue")
-    fleet.add_argument("--reconfig-s", type=float, default=0.0,
-                       help="elastic: re-group delay before requeue")
-    fleet.add_argument(
-        "--gpu-clock-limit", type=float, default=None,
-        help="fleet-wide static clock ceiling applied to every placed "
-             "job (composes with the facility power cap)",
-    )
-    fleet.add_argument(
-        "--gpu-power-limit-w", type=float, default=None,
-        help="fleet-wide per-GPU board power limit in W "
-             "(overrides --gpu-clock-limit)",
-    )
-    fleet.add_argument("--output", default=None,
-                       help="write fleet telemetry CSV + timeline SVG here")
-    fleet.set_defaults(func=cmd_fleet)
-
-    powerctl = subparsers.add_parser(
-        "powerctl",
-        help="GPU power management: setpoint sweeps and the "
-             "energy-optimal search (docs/powerctl.md)",
-    )
-    modes = powerctl.add_subparsers(dest="mode", required=True)
-
-    pc_sweep = modes.add_parser(
-        "sweep", help="run a grid of static clock ceilings",
-        parents=sim_parents,
-    )
-    _add_workload_arguments(pc_sweep)
-    pc_sweep.add_argument(
-        "--setpoint", type=float, nargs="+",
-        default=[0.6, 0.7, 0.8, 0.9, 1.0],
-        help="clock-ratio ceilings to evaluate",
-    )
-    pc_sweep.set_defaults(func=cmd_powerctl_sweep)
-
-    pc_search = modes.add_parser(
-        "search",
-        help="golden-section search for the energy-optimal setpoint",
-        parents=sim_parents,
-    )
-    _add_workload_arguments(pc_search)
-    pc_search.add_argument("--lo", type=float, default=0.55,
-                           help="lower bracket bound")
-    pc_search.add_argument("--hi", type=float, default=1.0,
-                           help="upper bracket bound")
-    pc_search.add_argument("--tolerance", type=float, default=0.03,
-                           help="stop when the bracket is this narrow")
-    pc_search.add_argument(
-        "--edp-exponent", type=float, default=1.0,
-        help="n in the energy x delay^n cost (0 = pure energy)",
-    )
-    pc_search.add_argument(
-        "--max-slowdown", type=float, default=0.05,
-        help="max step-time inflation vs uncapped (negative = unbounded)",
-    )
-    pc_search.add_argument(
-        "--output", default=None,
-        help="write the best run's artifact + powerctl figure here",
-    )
-    pc_search.set_defaults(func=cmd_powerctl_search)
-
-    optimize = subparsers.add_parser(
-        "optimize",
-        help="joint auto-search: plan x microbatch x schedule x "
-             "setpoint under constraints (docs/optimize.md)",
-        parents=sim_parents,
-    )
-    optimize.add_argument("--model", required=True,
-                          help="catalog model name")
-    optimize.add_argument("--cluster", required=True,
-                          help="catalog cluster name")
-    optimize.add_argument(
-        "--kind", choices=["training", "serving"], default="training",
-        help="search a training plan grid or a serving deployment grid",
-    )
-    optimize.add_argument(
-        "--objective", default="energy_delay",
-        help="energy | energy_delay | energy_delay^N | time | "
-             "energy_per_token (serving)",
-    )
-    optimize.add_argument(
-        "--max-slowdown", type=float, default=0.05,
-        help="max step-time inflation vs the fastest simulated plan "
-             "(negative = unbounded)",
-    )
-    optimize.add_argument(
-        "--max-ttft-regression", type=float, default=0.05,
-        help="serving: max p99 TTFT inflation during setpoint "
-             "refinement",
-    )
-    optimize.add_argument(
-        "--power-cap-w", type=float, default=None,
-        help="facility power cap on the cluster's mean draw",
-    )
-    optimize.add_argument("--global-batch", type=int, default=32)
-    optimize.add_argument("--iterations", type=int, default=2)
-    optimize.add_argument(
-        "--microbatch", type=int, nargs="+", default=[1, 2, 4],
-        help="microbatch sizes on the grid",
-    )
-    optimize.add_argument(
-        "--schedule", action="append", default=None,
-        help="pin the schedule axis (repeatable; default: every "
-             "registered pipeline schedule)",
-    )
-    optimize.add_argument(
-        "--parallelism", action="append", default=None,
-        help="pin the plan axis to explicit strategies (repeatable; "
-             "default: every tiling-valid layout)",
-    )
-    optimize.add_argument("--allow-fsdp", action="store_true",
-                          help="include FSDP layouts in the plan axis")
-    optimize.add_argument(
-        "--beam-width", type=int, default=4,
-        help="distinct layouts simulated after analytic ranking",
-    )
-    optimize.add_argument(
-        "--refine-top", type=int, default=2,
-        help="feasible plans given the golden-section setpoint search",
-    )
-    optimize.add_argument("--lo", type=float, default=0.55,
-                          help="setpoint bracket lower bound")
-    optimize.add_argument("--hi", type=float, default=1.0,
-                          help="setpoint bracket upper bound")
-    optimize.add_argument("--tolerance", type=float, default=0.03,
-                          help="setpoint bracket width at convergence")
-    optimize.add_argument(
-        "--replicas", type=int, nargs="+", default=None,
-        help="serving: replica counts on the deployment grid",
-    )
-    optimize.add_argument(
-        "--gpus-per-replica", type=int, nargs="+", default=None,
-        help="serving: per-replica GPU counts on the deployment grid",
-    )
-    optimize.add_argument(
-        "--serving", default=None,
-        help="serving: ServingConfig JSON (catalog defaults when "
-             "omitted)",
-    )
-    optimize.add_argument("--timeout-s", type=float, default=None,
-                          help="broker deadline when served over HTTP")
-    optimize.set_defaults(func=cmd_optimize)
-
-    inferserve = subparsers.add_parser(
-        "inferserve",
-        help="LLM serving: continuous batching, SLO goodput, and "
-             "energy-per-token under DVFS (docs/inferserve.md)",
-    )
-    is_modes = inferserve.add_subparsers(dest="mode", required=True)
-
-    def _add_serving_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--model", required=True,
-                         help="catalog model name")
-        sub.add_argument("--cluster", required=True,
-                         help="catalog cluster name")
-        sub.add_argument(
-            "--trace", default="poisson",
-            choices=("poisson", "diurnal", "bursty"),
-            help="arrival process",
-        )
-        sub.add_argument("--duration-s", type=float, default=600.0,
-                         help="simulated horizon")
-        sub.add_argument("--rate", type=float, default=1.0,
-                         help="mean request arrival rate per second")
-        sub.add_argument(
-            "--daily-users", type=float, default=None,
-            help="size the mean rate from users/day instead of --rate",
-        )
-        sub.add_argument(
-            "--diurnal-period-s", type=float, default=None,
-            help="diurnal cycle length (default: 24 h)",
-        )
-        sub.add_argument("--seed", type=int, default=0,
-                         help="trace seed")
-        sub.add_argument("--prompt-tokens", type=int, default=512,
-                         help="mean prompt length")
-        sub.add_argument("--decode-tokens", type=int, default=128,
-                         help="mean decode length")
-        sub.add_argument("--replicas", type=int, default=2,
-                         help="initial model replicas")
-        sub.add_argument("--gpus-per-replica", type=int, default=4,
-                         help="tensor-parallel width of one replica")
-        sub.add_argument("--max-batch", type=int, default=64,
-                         help="in-flight request ceiling per replica")
-        sub.add_argument(
-            "--scheduler", default="continuous",
-            choices=("continuous", "run_to_completion"),
-            help="batching discipline",
-        )
-        sub.add_argument(
-            "--disaggregated", action="store_true",
-            help="split replicas into prefill and decode pools",
-        )
-        sub.add_argument(
-            "--autoscale", action="store_true",
-            help="enable the reactive queue-depth autoscaler",
-        )
-        sub.add_argument("--min-replicas", type=int, default=1)
-        sub.add_argument("--max-replicas", type=int, default=64)
-        sub.add_argument("--slo-ttft", type=float, default=2.0,
-                         help="p99 TTFT target in seconds")
-        sub.add_argument("--slo-tpot", type=float, default=0.2,
-                         help="p99 TPOT target in seconds")
-
-    is_run = is_modes.add_parser(
-        "run", help="simulate one serving deployment",
-        parents=sim_parents,
-    )
-    _add_serving_arguments(is_run)
-    is_run.add_argument("--freq-setpoint", type=float, default=1.0,
-                        help="DVFS clock cap for every serving GPU")
-    is_run.add_argument(
-        "--output", default=None,
-        help="write request/timeline CSVs + serving figure here",
-    )
-    is_run.set_defaults(func=cmd_inferserve_run)
-
-    is_sweep = is_modes.add_parser(
-        "sweep",
-        help="sweep DVFS setpoints for energy-per-token "
-             "(--search refines with the golden-section search)",
-        parents=sim_parents,
-    )
-    _add_serving_arguments(is_sweep)
-    is_sweep.add_argument(
-        "--setpoint", type=float, nargs="+",
-        default=[0.6, 0.7, 0.8, 0.9, 1.0],
-        help="clock-ratio ceilings to evaluate",
-    )
-    is_sweep.add_argument(
-        "--search", action="store_true",
-        help="run the golden-section energy-per-token search over "
-             "the setpoint bracket",
-    )
-    is_sweep.add_argument(
-        "--max-ttft-regression", type=float, default=0.05,
-        help="admissible p99 TTFT inflation for the search",
-    )
-    is_sweep.set_defaults(func=cmd_inferserve_sweep)
+    command("fleet", cmd_fleet, "simulate a multi-job fleet with "
+            "power/thermal-aware placement", FleetParams,
+            output="write fleet telemetry CSV + timeline SVG here")
+    command("optimize", cmd_optimize, "joint auto-search: plan x "
+            "microbatch x schedule x setpoint under constraints "
+            "(docs/optimize.md)", OptimizeRequest,
+            output="training: write the best plan's run artifact here")
 
     resilience = subparsers.add_parser(
         "resilience",
@@ -1777,71 +1046,29 @@ def build_parser() -> argparse.ArgumentParser:
              "(docs/resilience.md)",
     )
     res_modes = resilience.add_subparsers(dest="mode", required=True)
-
-    def _add_resilience_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--model", required=True,
-                         help="catalog model name")
-        sub.add_argument("--cluster", required=True,
-                         help="catalog cluster name")
-        sub.add_argument("--parallelism", required=True,
-                         help="paper-style strategy, e.g. TP4-PP2")
-        sub.add_argument("--microbatch", type=int, default=1)
-        sub.add_argument("--global-batch", type=int, default=16)
-        sub.add_argument("--total-iterations", type=int, default=200,
-                         help="optimizer steps the job owes")
-        sub.add_argument("--checkpoint-interval", type=int, default=10,
-                         help="iterations between checkpoint writes")
-        sub.add_argument("--checkpoint-bw-gb-s", type=float, default=25.0,
-                         help="effective checkpoint write bandwidth")
-        sub.add_argument("--repair-s", "--repair-time-s", dest="repair_s",
-                         type=float, default=900.0,
-                         help="failstop: node repair time")
-        sub.add_argument("--restart-delay-s", type=float, default=120.0,
-                         help="failstop: job restart delay after repair")
-        sub.add_argument("--spare-swapin-s", type=float, default=180.0,
-                         help="hot-spare: spare swap-in time")
-        sub.add_argument("--reconfig-s", type=float, default=15.0,
-                         help="elastic: DP re-group time")
-        sub.add_argument("--seed", type=int, default=0,
-                         help="fault schedule seed")
+    for mode, func, help, axes in (
+        ("run", cmd_resilience_run,
+         "walk one recovery policy over one fault schedule", ()),
+        ("sweep", cmd_resilience_sweep,
+         "compare recovery policies across an MTBF grid",
+         ("mtbf_s", "policy")),
+    ):
+        sub = res_modes.add_parser(
+            mode, help=help, parents=[json_flags, cache_flags]
+        )
+        workload = _add_fields(
+            sub, SimRequest, only=(
+                "model", "cluster", "parallelism", "microbatch_size",
+                "global_batch_size",
+            ),
+            defaults={"global_batch_size": 16},
+        )
+        sub.set_defaults(
+            func=func, _workload=workload,
+            _fields=_add_fields(sub, RecoveryConfig, axes=axes),
+        )
         sub.add_argument("--output", default=None,
                          help="write resilience CSV (and figure) here")
-
-    res_run = res_modes.add_parser(
-        "run", help="walk one recovery policy over one fault schedule",
-        parents=[json_flags, cache_flags],
-    )
-    _add_resilience_arguments(res_run)
-    res_run.add_argument(
-        "--policy", default="failstop",
-        help="recovery policy: failstop, hot-spare, or elastic",
-    )
-    res_run.add_argument(
-        "--mtbf-s", "--node-mtbf-s", dest="mtbf_s",
-        type=float, default=0.0,
-        help="per-node mean time between failures (0 = fault-free)",
-    )
-    res_run.add_argument(
-        "--fault-at", type=float, nargs="+", default=None,
-        help="explicit fault onset seconds (exclusive with --mtbf-s)",
-    )
-    res_run.set_defaults(func=cmd_resilience_run)
-
-    res_sweep = res_modes.add_parser(
-        "sweep", help="compare recovery policies across an MTBF grid",
-        parents=[json_flags, cache_flags],
-    )
-    _add_resilience_arguments(res_sweep)
-    res_sweep.add_argument(
-        "--mtbf-s", "--node-mtbf-s", dest="mtbf_grid",
-        type=float, nargs="+", required=True,
-        help="MTBF grid points in seconds",
-    )
-    res_sweep.add_argument(
-        "--policy", action="append", dest="policies", default=None,
-        help="repeatable: policies to compare (default: all three)",
-    )
-    res_sweep.set_defaults(func=cmd_resilience_sweep)
 
     serve = subparsers.add_parser(
         "serve",
@@ -2006,7 +1233,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (KeyError, ValueError) as error:
-        print(f"error: {_flagify(f'{error}')}", file=sys.stderr)
+        print(f"error: {_flagify(f'{error}', args)}", file=sys.stderr)
         return 2
     except (RuntimeError, TimeoutError) as error:
         # Simulation/runtime failures (worker crashes, deadlines,

@@ -245,7 +245,7 @@ def profile_job(
         cluster: host cluster (the job sees a ``spec.nodes_required``
             slice of it).
         thermal_placement: map pipeline stages cool-GPU-first inside the
-            allocation (:func:`repro.scheduling.thermal_aware.
+            allocation (:func:`repro.datacenter.thermal_aware.
             thermal_aware_placement`) when the strategy permits; the
             fleet's thermal-aware policy enables this.
     """
@@ -347,7 +347,7 @@ def _try_thermal_placement(
 ) -> list[int] | None:
     """Cool-GPU-first permutation, or None when the strategy forbids it."""
     from repro.parallelism.strategy import parse_strategy
-    from repro.scheduling.thermal_aware import thermal_aware_placement
+    from repro.datacenter.thermal_aware import thermal_aware_placement
 
     config = parse_strategy(parallelism)
     if config.world_size != cluster.total_gpus:

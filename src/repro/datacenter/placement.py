@@ -13,7 +13,7 @@ first-order efficiency knob:
   least-recently-released nodes within it. Rotates work across the
   hardware but is blind to actual temperatures.
 * ``thermal-aware`` — coolest free nodes first: the cool-GPU-first idea
-  of :mod:`repro.scheduling.thermal_aware` lifted from GPU positions
+  of :mod:`repro.datacenter.thermal_aware` lifted from GPU positions
   within a node to nodes within the fleet. Jobs land on the hardware
   with the most thermal headroom, and (for strategies that allow it)
   additionally get the intra-node cool-first stage permutation in their

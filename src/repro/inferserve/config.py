@@ -47,34 +47,37 @@ def _from_mapping(cls, data: Mapping[str, Any], label: str):
 
 @dataclass(frozen=True)
 class BatcherConfig:
-    """Continuous-batching engine parameters.
+    """Continuous-batching engine parameters (each field's ``help``
+    metadata documents it)."""
 
-    Attributes:
-        scheduler: batching discipline (see :data:`SCHEDULERS`).
-        gpus_per_replica: tensor-parallel width of one replica.
-        max_batch_requests: in-flight request ceiling per replica.
-        decode_quantum_tokens: decode steps folded into one scheduling
-            round; admission happens at round boundaries (iteration-
-            level scheduling with a coarser clock keeps long traces
-            cheap without changing steady-state behaviour).
-        kv_headroom_fraction: share of post-weights HBM granted to the
-            KV cache.
-        admission_queue_limit: pending-queue depth beyond which new
-            arrivals are rejected (0 disables rejection).
-        disaggregated: split replicas into a prefill pool and a decode
-            pool (Splitwise-style) instead of colocating both phases.
-        prefill_replica_fraction: share of replicas in the prefill pool
-            when disaggregated.
-    """
-
-    scheduler: str = "continuous"
-    gpus_per_replica: int = 4
-    max_batch_requests: int = 64
-    decode_quantum_tokens: int = 8
-    kv_headroom_fraction: float = 0.9
-    admission_queue_limit: int = 0
-    disaggregated: bool = False
-    prefill_replica_fraction: float = 0.25
+    scheduler: str = field(
+        default="continuous",
+        metadata={"help": "batching discipline: continuous or "
+                          "run_to_completion"})
+    gpus_per_replica: int = field(
+        default=4, metadata={"help": "tensor-parallel width of one replica"})
+    max_batch_requests: int = field(
+        default=64, metadata={"help": "in-flight request ceiling per replica"})
+    decode_quantum_tokens: int = field(
+        default=8,
+        metadata={"help": "decode steps folded into one scheduling round "
+                          "(admission happens at round boundaries)"})
+    kv_headroom_fraction: float = field(
+        default=0.9,
+        metadata={"help": "share of post-weights HBM granted to the KV "
+                          "cache"})
+    admission_queue_limit: int = field(
+        default=0,
+        metadata={"help": "pending-queue depth beyond which arrivals are "
+                          "rejected (0 disables rejection)"})
+    disaggregated: bool = field(
+        default=False,
+        metadata={"help": "split replicas into a prefill pool and a decode "
+                          "pool (Splitwise-style)"})
+    prefill_replica_fraction: float = field(
+        default=0.25,
+        metadata={"help": "share of replicas in the prefill pool when "
+                          "disaggregated"})
 
     def __post_init__(self) -> None:
         scheduler = normalize_name(str(self.scheduler)).replace("-", "_")
@@ -105,16 +108,14 @@ class BatcherConfig:
 
 @dataclass(frozen=True)
 class SloConfig:
-    """Latency objectives goodput is measured against.
+    """Latency objectives goodput is measured against: a request is
+    "good" only within both bounds."""
 
-    Attributes:
-        ttft_p99_s: time-to-first-token target; a request is "good"
-            only if its TTFT is within this bound.
-        tpot_p99_s: time-per-output-token target over the decode phase.
-    """
-
-    ttft_p99_s: float = 2.0
-    tpot_p99_s: float = 0.2
+    ttft_p99_s: float = field(
+        default=2.0, metadata={"help": "time-to-first-token target (s)"})
+    tpot_p99_s: float = field(
+        default=0.2,
+        metadata={"help": "time-per-output-token target over decode (s)"})
 
     def __post_init__(self) -> None:
         _require(self.ttft_p99_s > 0 and self.tpot_p99_s > 0,
@@ -123,27 +124,34 @@ class SloConfig:
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
-    """Reactive queue-depth autoscaler parameters.
+    """Reactive queue-depth autoscaler parameters (each field's
+    ``help`` metadata documents it)."""
 
-    Attributes:
-        enabled: scale the replica count at runtime; when off the
-            deployment stays at ``ServingConfig.replicas``.
-        min_replicas / max_replicas: scaling bounds (``max_replicas``
-            additionally clips to what the cluster can host).
-        interval_s: evaluation cadence.
-        queue_high / queue_low: pending requests per active replica
-            that trigger scale-up / allow scale-down (hysteresis band).
-        scaleup_delay_s: provisioning delay before a new replica
-            starts serving (model load, KV-cache warmup).
-    """
-
-    enabled: bool = False
-    min_replicas: int = 1
-    max_replicas: int = 64
-    interval_s: float = 30.0
-    queue_high: float = 4.0
-    queue_low: float = 0.5
-    scaleup_delay_s: float = 60.0
+    enabled: bool = field(
+        default=False,
+        metadata={"help": "scale the replica count at runtime (else it "
+                          "stays at replicas)",
+                  "flag": "autoscale"})
+    min_replicas: int = field(
+        default=1, metadata={"help": "autoscaler lower bound"})
+    max_replicas: int = field(
+        default=64,
+        metadata={"help": "autoscaler upper bound (also clipped to what "
+                          "the cluster can host)"})
+    interval_s: float = field(
+        default=30.0, metadata={"help": "autoscaler evaluation cadence (s)"})
+    queue_high: float = field(
+        default=4.0,
+        metadata={"help": "pending requests per replica that trigger "
+                          "scale-up"})
+    queue_low: float = field(
+        default=0.5,
+        metadata={"help": "pending requests per replica that allow "
+                          "scale-down"})
+    scaleup_delay_s: float = field(
+        default=60.0,
+        metadata={"help": "provisioning delay before a new replica "
+                          "serves (s)"})
 
     def __post_init__(self) -> None:
         _require(self.min_replicas >= 1, "min_replicas must be >= 1")
@@ -160,25 +168,20 @@ class AutoscaleConfig:
 class ServingConfig:
     """One serving deployment: trace + batcher + SLO + autoscaler.
 
-    Attributes:
-        trace: arrival process (see :class:`TraceConfig`).
-        batcher: batching engine knobs.
-        slo: latency targets.
-        autoscale: autoscaler; disabled by default (static provisioning
-            at ``replicas``).
-        replicas: initial replica count.
-        freq_setpoint: DVFS clock cap in (0, 1] applied to every
-            serving GPU (the axis the energy search optimises).
-        sample_interval_s: telemetry sampling cadence.
+    The autoscaler is off by default (static provisioning at
+    ``replicas``); ``freq_setpoint`` is the DVFS clock cap in (0, 1]
+    applied to every serving GPU, the axis the energy search optimises.
     """
 
     trace: TraceConfig = field(default_factory=TraceConfig)
     batcher: BatcherConfig = field(default_factory=BatcherConfig)
     slo: SloConfig = field(default_factory=SloConfig)
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
-    replicas: int = 2
+    replicas: int = field(
+        default=2, metadata={"help": "initial replica count"})
     freq_setpoint: float = 1.0
-    sample_interval_s: float = 10.0
+    sample_interval_s: float = field(
+        default=10.0, metadata={"help": "telemetry sampling cadence (s)"})
 
     def __post_init__(self) -> None:
         _require(isinstance(self.trace, TraceConfig),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator, Mapping
 
 from repro.suggest import normalize_name, unknown_name_message
@@ -57,33 +57,39 @@ def _require(condition: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Parameters of one arrival trace.
+    """Parameters of one arrival trace (each field's ``help`` metadata
+    documents it)."""
 
-    Attributes:
-        kind: arrival process (see :data:`TRACE_KINDS`).
-        duration_s: trace horizon.
-        mean_rate_per_s: long-run mean arrival rate.
-        seed: RNG seed; same seed, same trace.
-        prompt_tokens_mean / decode_tokens_mean: geometric means of the
-            per-request prompt and decode lengths (floors of 1 token).
-        diurnal_amplitude: peak-to-mean swing of the day cycle in
-            [0, 1); 0.5 gives the canonical 2:1 peak-to-trough ratio.
-        diurnal_period_s: cycle length (a day unless compressed).
-        burst_rate_multiplier: burst-state rate over the calm rate.
-        burst_mean_s / calm_mean_s: mean sojourn in each MMPP state.
-    """
-
-    kind: str = "poisson"
-    duration_s: float = 600.0
-    mean_rate_per_s: float = 1.0
-    seed: int = 0
-    prompt_tokens_mean: int = 512
-    decode_tokens_mean: int = 128
-    diurnal_amplitude: float = 0.5
-    diurnal_period_s: float = SECONDS_PER_DAY
-    burst_rate_multiplier: float = 4.0
-    burst_mean_s: float = 30.0
-    calm_mean_s: float = 120.0
+    kind: str = field(
+        default="poisson",
+        metadata={"help": "arrival process: poisson, diurnal, or bursty",
+                  "flag": "trace"})
+    duration_s: float = field(
+        default=600.0, metadata={"help": "trace horizon (s)"})
+    mean_rate_per_s: float = field(
+        default=1.0, metadata={"help": "long-run mean arrival rate (req/s)"})
+    seed: int = field(
+        default=0, metadata={"help": "trace seed; same seed, same trace"})
+    prompt_tokens_mean: int = field(
+        default=512,
+        metadata={"help": "geometric mean prompt length (floor 1 token)"})
+    decode_tokens_mean: int = field(
+        default=128,
+        metadata={"help": "geometric mean decode length (floor 1 token)"})
+    diurnal_amplitude: float = field(
+        default=0.5,
+        metadata={"help": "peak-to-mean swing of the day cycle in [0, 1); "
+                          "0.5 gives a 2:1 peak-to-trough ratio"})
+    diurnal_period_s: float = field(
+        default=SECONDS_PER_DAY,
+        metadata={"help": "day-cycle length (s; compress to shorten)"})
+    burst_rate_multiplier: float = field(
+        default=4.0,
+        metadata={"help": "bursty: burst-state rate over the calm rate"})
+    burst_mean_s: float = field(
+        default=30.0, metadata={"help": "bursty: mean burst sojourn (s)"})
+    calm_mean_s: float = field(
+        default=120.0, metadata={"help": "bursty: mean calm sojourn (s)"})
 
     def __post_init__(self) -> None:
         kind = normalize_name(str(self.kind))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 from repro.hardware.cluster import get_cluster
@@ -69,64 +69,75 @@ def _int_tuple(name: str, values: Any, minimum: int = 1) -> tuple[int, ...]:
 class OptimizeRequest:
     """One joint auto-search request.
 
-    Attributes:
-        kind: ``"training"`` (default) or ``"serving"`` (aliases
-            ``train``/``serve``).
-        model / cluster: Table 1 / Table 3 catalog names (required).
-        objective: objective-grammar spelling (docs/optimize.md):
-            ``energy``, ``energy_delay`` (default), ``energy_delay2``,
-            ``energy_delay^N``, ``time``; serving searches use
-            ``energy_per_token`` (the default normalises to it).
-        max_slowdown: MaxSlowdown bound — the winner's step time may
-            exceed the *fastest simulated candidate*'s by at most this
-            fraction; ``None`` disables (training searches).
-        max_ttft_regression: per-deployment p99-TTFT bound for the
-            serving setpoint refinement.
-        power_cap_w: facility power cap; plans whose GPUs exceed it
-            even at idle clocks are pruned, and simulated candidates
-            whose measured mean power exceeds it are infeasible.
-        global_batch_size / iterations: training workload shape (the
-            setpoint-search defaults: batch 32, 2 iterations).
-        microbatch_sizes: microbatch grid axis.
-        schedules: pipeline-schedule axis (``None`` = every registered
-            schedule); names canonicalised with did-you-mean errors.
-        parallelisms: explicit plan axis (paper notation, DP filled to
-            the cluster); ``None`` enumerates every tiling-valid plan.
-        allow_fsdp: include TP+FSDP plans in the enumerated axis.
-        beam_width: plans simulated at setpoint 1.0 after analytic
-            ranking.
-        refine_top: simulated plans that get golden-section setpoint
-            refinement.
-        setpoint_lo / setpoint_hi / setpoint_tolerance: the refinement
-            bracket.
-        replicas / gpus_per_replica: serving grid axes (empty tuples
-            normalise to the base serving config's values).
-        serving: base serving deployment (``ServingConfig`` dict form),
-            serving searches only.
-        timeout_s: per-request wall-clock budget, honoured by the
-            broker.
+    Each field's ``help`` metadata documents it (``repro optimize
+    --help`` prints them as flags). ``serving`` is the base serving
+    deployment (``ServingConfig`` dict form) of a serving search, and
+    ``timeout_s`` the per-request wall-clock budget the broker honours.
     """
 
-    kind: str = "training"
-    model: str = ""
-    cluster: str = ""
-    objective: str = "energy_delay"
-    max_slowdown: float | None = 0.05
-    max_ttft_regression: float = 0.05
-    power_cap_w: float | None = None
-    global_batch_size: int = 32
-    iterations: int = 2
-    microbatch_sizes: tuple[int, ...] = (1, 2, 4)
-    schedules: tuple[str, ...] | None = None
-    parallelisms: tuple[str, ...] | None = None
-    allow_fsdp: bool = False
-    beam_width: int = 4
-    refine_top: int = 2
-    setpoint_lo: float = 0.55
-    setpoint_hi: float = 1.0
-    setpoint_tolerance: float = 0.03
-    replicas: tuple[int, ...] = ()
-    gpus_per_replica: tuple[int, ...] = ()
+    kind: str = field(
+        default="training",
+        metadata={"help": "search a training plan grid or a serving "
+                          "deployment grid (training, serving)"})
+    model: str = field(default="", metadata={"help": "catalog model name"})
+    cluster: str = field(
+        default="", metadata={"help": "catalog cluster name"})
+    objective: str = field(
+        default="energy_delay",
+        metadata={"help": "energy, energy_delay, energy_delay2, "
+                          "energy_delay^N, time, or energy_per_token "
+                          "(serving; the default there)"})
+    max_slowdown: float | None = field(
+        default=0.05,
+        metadata={"help": "max step-time inflation vs the fastest "
+                          "simulated plan (none = unbounded)"})
+    max_ttft_regression: float = field(
+        default=0.05,
+        metadata={"help": "serving: max p99 TTFT inflation during "
+                          "setpoint refinement"})
+    power_cap_w: float | None = field(
+        default=None,
+        metadata={"help": "facility power cap on the cluster's mean draw; "
+                          "plans over it even at idle clocks are pruned"})
+    global_batch_size: int = field(
+        default=32, metadata={"help": "training: sequences per step"})
+    iterations: int = field(
+        default=2, metadata={"help": "training: simulated iterations"})
+    microbatch_sizes: tuple[int, ...] = field(
+        default=(1, 2, 4), metadata={"help": "microbatch grid axis"})
+    schedules: tuple[str, ...] | None = field(
+        default=None,
+        metadata={"help": "pipeline-schedule axis (every registered "
+                          "schedule when omitted)"})
+    parallelisms: tuple[str, ...] | None = field(
+        default=None,
+        metadata={"help": "plan axis of explicit strategies (every "
+                          "tiling-valid plan when omitted)"})
+    allow_fsdp: bool = field(
+        default=False,
+        metadata={"help": "include TP+FSDP plans in the plan axis"})
+    beam_width: int = field(
+        default=4,
+        metadata={"help": "plans simulated after analytic ranking"})
+    refine_top: int = field(
+        default=2,
+        metadata={"help": "feasible plans given the golden-section "
+                          "setpoint search"})
+    setpoint_lo: float = field(
+        default=0.55, metadata={"help": "setpoint bracket lower bound"})
+    setpoint_hi: float = field(
+        default=1.0, metadata={"help": "setpoint bracket upper bound"})
+    setpoint_tolerance: float = field(
+        default=0.03,
+        metadata={"help": "setpoint bracket width at convergence"})
+    replicas: tuple[int, ...] = field(
+        default=(),
+        metadata={"help": "serving: replica-count axis (the base "
+                          "deployment's when omitted)"})
+    gpus_per_replica: tuple[int, ...] = field(
+        default=(),
+        metadata={"help": "serving: per-replica GPU axis (the base "
+                          "deployment's when omitted)"})
     serving: Any = None
     timeout_s: float | None = None
 

@@ -5,7 +5,7 @@ ceiling (equivalently, a board power limit), where each probe is one
 full simulated run and the objective is the configurable
 energy·delayⁿ cost over the measured window. Probes go through
 :func:`repro.core.sweep.cached_run`, so repeated searches —
-and the sweep mode of ``python -m repro powerctl`` — reuse the
+and ``python -m repro sweep --freq-setpoint ...`` — reuse the
 in-process memo and the persistent ``.repro_cache`` store; the initial
 bracket fans out over worker processes via ``jobs``.
 
@@ -356,8 +356,8 @@ def evaluate_setpoints(
 ) -> list[tuple[float, RunResult]]:
     """Run the workload under each static ceiling (cached, parallel).
 
-    The grid-mode counterpart of :func:`optimize_setpoint`; the
-    basis of ``python -m repro powerctl sweep``.
+    The grid-mode counterpart of :func:`optimize_setpoint`;
+    ``python -m repro sweep --freq-setpoint ...`` returns the same rows.
     """
     runner = _ProbeRunner(
         _base_run_kwargs(

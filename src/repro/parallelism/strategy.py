@@ -13,7 +13,7 @@ data-parallel dimension in place of plain DP.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.suggest import normalize_name
 
@@ -221,12 +221,17 @@ class OptimizationConfig:
             ablation.
     """
 
-    activation_recompute: bool = False
-    cc_overlap: bool = False
-    distributed_optimizer: bool = True
-    lora: bool = False
-    lora_rank: int = 16
-    sequence_parallel: bool = True
+    activation_recompute: bool = field(
+        default=False, metadata={"help": "activation recomputation (act)"})
+    cc_overlap: bool = field(
+        default=False,
+        metadata={"help": "compute-communication overlap (cc)"})
+    distributed_optimizer: bool = field(
+        default=True, metadata={"help": "ZeRO-1 optimizer-state sharding"})
+    lora: bool = field(default=False, metadata={"help": "LoRA finetuning"})
+    lora_rank: int = field(default=16, metadata={"help": "LoRA adapter rank"})
+    sequence_parallel: bool = field(
+        default=True, metadata={"help": "Megatron sequence parallelism"})
 
     @property
     def label(self) -> str:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import bisect
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.sweep import cached_run
@@ -61,52 +61,70 @@ CHECKPOINT_BYTES_PER_PARAM = 16.0
 class RecoveryConfig:
     """Shape of the recovery simulation (policy + costs + fault process).
 
-    Attributes:
-        policy: one of :data:`POLICIES`.
-        total_iterations: optimizer steps the job must commit.
-        checkpoint_interval: iterations between durable checkpoints.
-        checkpoint_write_s: fixed checkpoint write time; None derives it
-            from the model size, ``checkpoint_bw_gb_s``, and the DP
-            width (each replica writes its shard in parallel).
-        checkpoint_bw_gb_s: per-writer durable-storage bandwidth (GB/s).
-        collective_timeout_s: NCCL-style watchdog; every fault costs
-            this much hang time before it is detected and acted on.
-        repair_time_s: node repair/replacement time (failstop waits it
-            out; elastic runs shrunk until it elapses).
-        restart_delay_s: scheduler + NCCL re-init time after a repair
-            (failstop only).
-        spare_swapin_s: checkpoint restore onto the hot spare.
-        reconfig_s: elastic re-group time (shrink and re-expand).
-        checkpoint_power_fraction: cluster power while writing a
-            checkpoint, as a fraction of training power.
-        hang_power_fraction: cluster power while hung at the collective,
-            as a fraction of training power (GPUs busy-spin).
-        idle_power_fraction: cluster power while waiting (repair,
-            restore, restart, re-group), as a fraction of training
-            power.
-        mtbf_s: per-node mean time between failures for the seeded
-            fault process (ignored when ``fault_times_s`` is given).
-        fault_times_s: explicit absolute fault onset times; empty means
-            draw from the MTBF process.
-        seed: RNG seed of the fault process.
+    Each field's ``help`` metadata documents it (``repro resilience run
+    --help`` prints them as flags).
     """
 
-    policy: str = "failstop"
-    total_iterations: int = 200
-    checkpoint_interval: int = 10
-    checkpoint_write_s: float | None = None
-    checkpoint_bw_gb_s: float = 25.0
-    collective_timeout_s: float = 30.0
-    repair_time_s: float = 900.0
-    restart_delay_s: float = 120.0
-    spare_swapin_s: float = 180.0
-    reconfig_s: float = 15.0
-    checkpoint_power_fraction: float = 0.7
-    hang_power_fraction: float = 0.85
-    idle_power_fraction: float = 0.25
-    mtbf_s: float = 0.0
-    fault_times_s: tuple[float, ...] = ()
-    seed: int = 0
+    policy: str = field(
+        default="failstop",
+        metadata={"help": "recovery policy: failstop, hot-spare, or "
+                          "elastic"})
+    total_iterations: int = field(
+        default=200, metadata={"help": "optimizer steps the job must commit"})
+    checkpoint_interval: int = field(
+        default=10,
+        metadata={"help": "iterations between durable checkpoints"})
+    checkpoint_write_s: float | None = field(
+        default=None,
+        metadata={"help": "fixed checkpoint write time; derived from the "
+                          "model size, checkpoint_bw_gb_s and the DP width "
+                          "when omitted"})
+    checkpoint_bw_gb_s: float = field(
+        default=25.0,
+        metadata={"help": "per-writer durable-storage bandwidth (GB/s)"})
+    collective_timeout_s: float = field(
+        default=30.0,
+        metadata={"help": "NCCL-style watchdog: hang time every fault "
+                          "costs before it is detected"})
+    repair_time_s: float = field(
+        default=900.0,
+        metadata={"help": "node repair time (failstop waits it out; "
+                          "elastic runs shrunk until it elapses)"})
+    restart_delay_s: float = field(
+        default=120.0,
+        metadata={"help": "failstop: scheduler + NCCL re-init time after "
+                          "a repair"})
+    spare_swapin_s: float = field(
+        default=180.0,
+        metadata={"help": "hot-spare: checkpoint restore onto the spare"})
+    reconfig_s: float = field(
+        default=15.0,
+        metadata={"help": "elastic: re-group time (shrink and re-expand)"})
+    checkpoint_power_fraction: float = field(
+        default=0.7,
+        metadata={"help": "cluster power while writing a checkpoint, as "
+                          "a fraction of training power"})
+    hang_power_fraction: float = field(
+        default=0.85,
+        metadata={"help": "cluster power while hung at the collective "
+                          "(GPUs busy-spin), as a fraction of training "
+                          "power"})
+    idle_power_fraction: float = field(
+        default=0.25,
+        metadata={"help": "cluster power while waiting (repair, restore, "
+                          "restart, re-group), as a fraction of training "
+                          "power"})
+    mtbf_s: float = field(
+        default=0.0,
+        metadata={"help": "per-node mean time between failures of the "
+                          "seeded fault process (0 = fault-free; ignored "
+                          "when fault_times_s is given)"})
+    fault_times_s: tuple[float, ...] = field(
+        default=(),
+        metadata={"help": "explicit absolute fault onset times; empty "
+                          "draws from the MTBF process"})
+    seed: int = field(
+        default=0, metadata={"help": "RNG seed of the fault process"})
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:

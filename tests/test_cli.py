@@ -15,10 +15,12 @@ class TestParser:
     def test_run_arguments(self):
         args = build_parser().parse_args(
             ["run", "--model", "m", "--cluster", "c",
-             "--parallelism", "TP2-PP4", "--act"]
+             "--parallelism", "TP2-PP4", "--activation-recompute"]
         )
-        assert args.act and not args.cc
-        assert args.microbatch == 1
+        assert args.activation_recompute
+        # A toggle left unset is absent, so the schema default applies.
+        assert not hasattr(args, "cc_overlap")
+        assert args.microbatch_size == 1
 
     def test_fault_flags(self):
         args = build_parser().parse_args(
@@ -28,7 +30,11 @@ class TestParser:
         )
         assert args.fault_node == 2
         assert args.fault_power_scale == 0.5
-        assert args.fail_node is None
+        with pytest.raises(SystemExit):  # the alias is gone
+            build_parser().parse_args(
+                ["run", "--model", "m", "--cluster", "c",
+                 "--parallelism", "TP2", "--fail-node", "2"]
+            )
 
     def test_fleet_defaults(self):
         args = build_parser().parse_args(["fleet"])
@@ -39,11 +45,11 @@ class TestParser:
     def test_sweep_accepts_repeated_strategies(self):
         args = build_parser().parse_args(
             ["sweep", "--model", "m", "--cluster", "c",
-             "--parallelism", "TP2", "--parallelism", "TP4",
-             "--microbatch", "1", "2"]
+             "--parallelism", "TP2", "--parallelism", "TP4", "TP8",
+             "--microbatch-size", "1", "2"]
         )
-        assert args.parallelism == ["TP2", "TP4"]
-        assert args.microbatch == [1, 2]
+        assert args.parallelism == ["TP2", "TP4", "TP8"]
+        assert args.microbatch_size == [1, 2]
 
     def test_jobs_flag_defaults_to_serial(self):
         for argv in (
@@ -75,24 +81,35 @@ class TestParser:
         assert args.power_limit_w is None
 
     def test_powerctl_sweep_defaults(self):
+        # The setpoint grid is a sweep axis; unset, it is the one
+        # default setpoint.
+        argv = ["sweep", "--model", "m", "--cluster", "c",
+                "--parallelism", "TP2"]
+        assert not hasattr(build_parser().parse_args(argv), "freq_setpoint")
         args = build_parser().parse_args(
-            ["powerctl", "sweep", "--model", "m", "--cluster", "c",
-             "--parallelism", "TP2"]
+            argv + ["--freq-setpoint", "0.6", "0.7", "0.8", "0.9", "1.0"]
         )
-        assert args.setpoint == [0.6, 0.7, 0.8, 0.9, 1.0]
+        assert args.freq_setpoint == [0.6, 0.7, 0.8, 0.9, 1.0]
 
     def test_powerctl_search_defaults(self):
         args = build_parser().parse_args(
-            ["powerctl", "search", "--model", "m", "--cluster", "c",
-             "--parallelism", "TP2"]
+            ["optimize", "--model", "m", "--cluster", "c",
+             "--parallelisms", "TP2"]
         )
-        assert args.lo == 0.55 and args.hi == 1.0
+        assert args.setpoint_lo == 0.55 and args.setpoint_hi == 1.0
         assert args.max_slowdown == 0.05
         assert args.jobs == 1
+        args = build_parser().parse_args(
+            ["optimize", "--model", "m", "--cluster", "c",
+             "--max-slowdown", "none"]
+        )
+        assert args.max_slowdown is None
 
     def test_powerctl_requires_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["powerctl"])
+        # powerctl and inferserve folded into run/sweep/optimize.
+        for command in ("powerctl", "inferserve"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_fleet_gpu_power_flags(self):
         args = build_parser().parse_args(
@@ -138,7 +155,7 @@ class TestCommands:
             [
                 "run", "--model", "gpt3-13b", "--cluster", "mi250x32",
                 "--parallelism", "TP4-PP2", "--global-batch", "16",
-                "--fail-node", "1",
+                "--fault-node", "1",
             ]
         )
         assert code == 0
@@ -325,9 +342,9 @@ class TestCommands:
     def test_powerctl_sweep(self, capsys):
         code = main(
             [
-                "powerctl", "sweep", "--model", "gpt3-13b",
+                "sweep", "--model", "gpt3-13b",
                 "--cluster", "mi250x32", "--parallelism", "TP4-PP2",
-                "--global-batch", "16", "--setpoint", "0.8", "1.0",
+                "--global-batch-size", "16", "--freq-setpoint", "0.8", "1.0",
             ]
         )
         assert code == 0
@@ -340,15 +357,16 @@ class TestCommands:
         # keeping the test to three cached simulations.
         code = main(
             [
-                "powerctl", "search", "--model", "gpt3-13b",
-                "--cluster", "mi250x32", "--parallelism", "TP4-PP2",
-                "--global-batch", "16", "--tolerance", "0.5",
+                "optimize", "--model", "gpt3-13b",
+                "--cluster", "mi250x32", "--parallelisms", "TP4-PP2",
+                "--microbatch-sizes", "1", "--schedules", "1f1b",
+                "--global-batch-size", "16", "--setpoint-tolerance", "0.5",
                 "--output", str(tmp_path / "best"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "best setpoint" in out
+        assert "best          : TP4-PP2 mb=1 1f1b @ setpoint" in out
         assert (tmp_path / "best" / "summary.json").exists()
 
     def test_fleet_with_gpu_clock_limit(self, capsys):
@@ -373,3 +391,144 @@ class TestCommands:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert second.splitlines()[:8] == first.splitlines()[:8]
+
+
+def _option_strings(*command: str) -> set[str]:
+    """Every option string of one (sub)command's parser."""
+    import argparse
+
+    parser = build_parser()
+    for name in command:
+        sub = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        parser = sub.choices[name]
+    return {
+        option for action in parser._actions
+        for option in action.option_strings
+    }
+
+
+def _training(**overrides):
+    from repro.api import SimRequest
+
+    fields = dict(
+        model="gpt3-13b", cluster="mi250x32", parallelism="TP4-PP2",
+        global_batch_size=16,
+    )
+    return SimRequest(**{**fields, **overrides})
+
+
+def _serving(**serving):
+    from repro.api import SimRequest
+
+    return SimRequest(
+        kind="serving", model="llama3-70b", cluster="h100x64",
+        serving=serving,
+    )
+
+
+def _optimize(**overrides):
+    from repro.api import OptimizeRequest
+
+    return OptimizeRequest(model="gpt3-13b", cluster="mi250x32", **overrides)
+
+
+def _recovery(**overrides):
+    from repro.resilience.recovery import RecoveryConfig
+
+    return RecoveryConfig(**overrides)
+
+
+RUN = ["run", "--model", "gpt3-13b", "--cluster", "mi250x32",
+       "--parallelism", "TP4-PP2", "--global-batch-size", "16"]
+SERVE = ["run", "--kind", "serving", "--model", "llama3-70b",
+         "--cluster", "h100x64"]
+OPTIMIZE = ["optimize", "--model", "gpt3-13b", "--cluster", "mi250x32"]
+RESILIENCE = ["resilience", "run", "--model", "gpt3-13b",
+              "--cluster", "mi250x32", "--parallelism", "TP4-PP2"]
+
+#: (command path, argv, the Python call that must fail the same way).
+BAD_INPUTS = {
+    "governor": (
+        ("run",), RUN + ["--governor", "termal"],
+        lambda: _training(governor="termal"),
+    ),
+    "interleaved-batch": (
+        ("run",),
+        RUN[:-1] + ["20", "--pipeline-schedule", "interleaved"],
+        lambda: _training(
+            global_batch_size=20, pipeline_schedule="interleaved"
+        ),
+    ),
+    "seq-splits": (
+        ("run",), RUN + ["--pipeline-schedule", "zb-h1", "--seq-splits", "2"],
+        lambda: _training(pipeline_schedule="zb-h1", seq_splits=2),
+    ),
+    "fault-group": (
+        ("run",), RUN + ["--fault-duration", "3"],
+        lambda: _training(fault_duration=3.0),
+    ),
+    "fault-node": (
+        ("run",), RUN + ["--fault-node", "9"],
+        lambda: _training(fault_node=9),
+    ),
+    "sweep-schedule": (
+        ("sweep",),
+        ["sweep"] + RUN[1:] + ["--pipeline-schedule", "1f1b", "zb-h2"],
+        lambda: _training(pipeline_schedule="zb-h2"),
+    ),
+    "trace-kind": (
+        ("run",), SERVE + ["--trace", "diurnl"],
+        lambda: _serving(trace={"kind": "diurnl"}),
+    ),
+    "scheduler": (
+        ("run",), SERVE + ["--scheduler", "contnuous"],
+        lambda: _serving(batcher={"scheduler": "contnuous"}),
+    ),
+    "serving-on-training": (
+        ("run",), RUN + ["--replicas", "4"],
+        lambda: _training(serving={"replicas": 4}),
+    ),
+    "beam-width": (
+        ("optimize",), OPTIMIZE + ["--beam-width", "0"],
+        lambda: _optimize(beam_width=0),
+    ),
+    "objective": (
+        ("optimize",), OPTIMIZE + ["--objective", "enrgy"],
+        lambda: _optimize(objective="enrgy"),
+    ),
+    "serving-grid": (
+        ("optimize",), OPTIMIZE + ["--kind", "serving", "--schedules", "1f1b"],
+        lambda: _optimize(kind="serving", schedules=("1f1b",)),
+    ),
+    "recovery-policy": (
+        ("resilience", "run"), RESILIENCE + ["--policy", "elastik"],
+        lambda: _recovery(policy="elastik"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_errors_name_this_commands_flags(case, capsys):
+    import re
+
+    command, argv, python_call = BAD_INPUTS[case]
+    with pytest.raises(ValueError) as excinfo:
+        python_call()
+    python_message = str(excinfo.value)
+    assert "--" not in python_message  # the Python API names fields
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ")
+    message = err[len("error: "):]
+    flags = re.findall(r"--[a-z][a-z0-9-]*", message)
+    assert set(flags) <= _option_strings(*command)
+    # Spelling the flags back as fields gives the Python message.
+    assert re.sub(
+        r"--([a-z][a-z0-9-]*)", lambda m: m[1].replace("-", "_"), message
+    ) == python_message
+    if "did you mean" in python_message:
+        hint = python_message[python_message.index("did you mean"):]
+        assert hint in message

@@ -31,9 +31,9 @@ class TestSetpointCommands:
         from repro.optimize import evaluate_setpoints
 
         payload = _cli_json(capsys, [
-            "powerctl", "sweep", "--model", "gpt3-13b",
+            "sweep", "--model", "gpt3-13b",
             "--cluster", "mi250x32", "--parallelism", "TP4-PP2",
-            "--global-batch", "16", "--setpoint", "0.8", "1.0",
+            "--global-batch-size", "16", "--freq-setpoint", "0.8", "1.0",
         ])
         expected = evaluate_setpoints(
             "gpt3-13b", "mi250x32", "TP4-PP2", [0.8, 1.0],
@@ -55,10 +55,11 @@ class TestSetpointCommands:
         from repro.optimize import SearchSettings, optimize_setpoint
 
         payload = _cli_json(capsys, [
-            "powerctl", "search", "--model", "gpt3-13b",
-            "--cluster", "mi250x32", "--parallelism", "TP4-PP2",
-            "--global-batch", "16", "--edp-exponent", "0",
-            "--max-slowdown", "-1", "--tolerance", "0.1",
+            "optimize", "--model", "gpt3-13b", "--cluster", "mi250x32",
+            "--parallelisms", "TP4-PP2", "--microbatch-sizes", "1",
+            "--schedules", "1f1b", "--global-batch-size", "16",
+            "--objective", "energy", "--max-slowdown", "none",
+            "--setpoint-tolerance", "0.1",
         ])
         expected = optimize_setpoint(
             "gpt3-13b", "mi250x32", "TP4-PP2",
@@ -67,12 +68,8 @@ class TestSetpointCommands:
             ),
             global_batch_size=16,
         )
-        best = [
-            probe for probe in payload["probes"]
-            if probe["setpoint"] == payload["best_setpoint"]
-        ][0]
-        assert payload["best_setpoint"] == expected.best.setpoint
-        assert best["energy_j"] == expected.best.energy_j
+        assert payload["best"]["setpoint"] == expected.best.setpoint
+        assert payload["best"]["energy_j"] == expected.best.energy_j
         assert expected.best.setpoint == pytest.approx(0.6157, abs=1e-4)
         assert expected.best.energy_j == pytest.approx(28171.6, abs=0.1)
 
@@ -80,7 +77,7 @@ class TestSetpointCommands:
 class TestServingCommands:
     def test_serving_run_equals_submit(self, capsys):
         payload = _cli_json(capsys, [
-            "inferserve", "run", "--model", "llama3-70b",
+            "run", "--kind", "serving", "--model", "llama3-70b",
             "--cluster", "h100x64", "--duration-s", "120", "--seed", "3",
             "--freq-setpoint", "0.8",
         ])
@@ -93,9 +90,9 @@ class TestServingCommands:
 
     def test_serving_sweep_rows_equal_submit_many(self, capsys):
         payload = _cli_json(capsys, [
-            "inferserve", "sweep", "--model", "llama3-70b",
+            "sweep", "--kind", "serving", "--model", "llama3-70b",
             "--cluster", "h100x64", "--duration-s", "120", "--seed", "3",
-            "--setpoint", "0.7", "1.0",
+            "--freq-setpoint", "0.7", "1.0",
         ])
         outcomes = submit_many([
             SimRequest(
@@ -118,16 +115,16 @@ class TestServingCommands:
         )
 
         payload = _cli_json(capsys, [
-            "inferserve", "sweep", "--model", "llama3-70b",
+            "optimize", "--kind", "serving", "--model", "llama3-70b",
             "--cluster", "h100x64", "--duration-s", "120", "--seed", "3",
-            "--setpoint", "0.6", "1.0", "--search",
+            "--setpoint-lo", "0.6", "--setpoint-hi", "1.0",
         ])
         expected = optimize_serving_setpoint(
             "llama3-70b", "h100x64",
             ServingConfig.from_dict(SERVING_PARAMS),
             settings=ServingSearchSettings(lo=0.6, hi=1.0),
         )
-        assert payload["search"]["best_setpoint"] == expected.best.setpoint
+        assert payload["best"]["setpoint"] == expected.best.setpoint
 
 
 class TestResilienceCommands:
@@ -141,7 +138,7 @@ class TestResilienceCommands:
             "resilience", "run", "--model", "gpt3-13b",
             "--cluster", "mi250x32", "--parallelism", "TP4-PP2",
             "--policy", "elastic", "--mtbf-s", "3600",
-            "--repair-s", "600", "--seed", "2",
+            "--repair-time-s", "600", "--seed", "2",
         ])
         run = simulate_recovery(
             "gpt3-13b", "mi250x32", "TP4-PP2",
@@ -167,7 +164,7 @@ class TestResilienceCommands:
         payload = _cli_json(capsys, [
             "resilience", "run", "--model", "gpt3-13b",
             "--cluster", "mi250x32", "--parallelism", "TP4-PP2",
-            "--fault-at", "60", "120",
+            "--fault-times-s", "60", "120",
         ])
         run = simulate_recovery(
             "gpt3-13b", "mi250x32", "TP4-PP2",
@@ -184,7 +181,7 @@ class TestResilienceCommands:
             "resilience", "sweep", "--model", "gpt3-13b",
             "--cluster", "mi250x32", "--parallelism", "TP4-PP2",
             "--mtbf-s", "1800", "3600",
-            "--policy", "failstop", "--policy", "elastic",
+            "--policy", "failstop", "elastic",
         ])
         rows = sweep_mtbf(
             "gpt3-13b", "mi250x32", "TP4-PP2", [1800.0, 3600.0],
@@ -205,10 +202,12 @@ class TestResilienceCommands:
         code = main([
             "resilience", "run", "--model", "gpt3-13b",
             "--cluster", "mi250x32", "--parallelism", "TP4-PP2",
-            "--mtbf-s", "3600", "--fault-at", "60",
+            "--mtbf-s", "3600", "--fault-times-s", "60",
         ])
         assert code == 2
-        assert "exclusive" in capsys.readouterr().err
+        assert "--mtbf-s and --fault-times-s are exclusive" in (
+            capsys.readouterr().err
+        )
 
 
 #: The flags of the hand-declared service commands, as

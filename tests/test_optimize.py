@@ -469,8 +469,8 @@ class TestBrokerTransport:
 class TestOptimizeCli:
     ARGS = [
         "optimize", "--model", "gpt3-13b", "--cluster", "h100x64",
-        "--parallelism", "TP2-PP8", "--schedule", "1f1b",
-        "--schedule", "zb-h1", "--microbatch", "1",
+        "--parallelisms", "TP2-PP8", "--schedules", "1f1b", "zb-h1",
+        "--microbatch-sizes", "1",
         "--beam-width", "2", "--refine-top", "1",
     ]
 

@@ -126,7 +126,11 @@ LEGACY_NAMES = {
 }
 
 #: Removed modules: importing them (or anything under them) is barred.
-LEGACY_MODULES = ("repro.inference", "repro.engine.schedule")
+#: ``repro.scheduling`` moved into ``repro.datacenter`` (``thermal_aware``,
+#: ``adaptive``).
+LEGACY_MODULES = (
+    "repro.inference", "repro.engine.schedule", "repro.scheduling",
+)
 
 #: Removed keyword spellings: ``ParallelismConfig(interleaved=True)``
 #: is ``pipeline_schedule="interleaved"``; ``SimSettings(fast_path=...)``

@@ -102,7 +102,7 @@ class TestRequestValidation:
         # 12 sequences -> 3 microbatches, not a multiple of pp=4.
         with pytest.raises(
             ValueError,
-            match=r"--global-batch-size 12 .* gives 3 microbatches, not "
+            match=r"global_batch_size 12 .* gives 3 microbatches, not "
                   r"a multiple of pp=4",
         ):
             self._request(

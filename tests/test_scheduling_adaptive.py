@@ -5,7 +5,7 @@ import pytest
 from repro.core.experiment import execute_training
 from repro.core.sweep import clear_cache
 from repro.engine.simulator import SimSettings
-from repro.scheduling.adaptive import (
+from repro.datacenter.adaptive import (
     adaptive_microbatch,
     speed_balanced_stage_layers,
     stage_mean_clock,

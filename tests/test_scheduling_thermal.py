@@ -5,7 +5,7 @@ import pytest
 from repro.hardware.cluster import H200_X32
 from repro.parallelism.mapping import coords_of
 from repro.parallelism.strategy import ParallelismConfig
-from repro.scheduling.thermal_aware import (
+from repro.datacenter.thermal_aware import (
     asymmetric_stage_layers,
     build_comparison,
     expected_heat_rank,
