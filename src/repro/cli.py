@@ -296,8 +296,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = submit(request)
     serving = request.kind == "serving"
     outputs = (
-        _write_outputs(request, result, args.output) if args.output
-        else {} if serving else {"artifact": None}
+        _write_outputs(request, result, args.output) if args.output else {}
     )
     warning = None
     if request.fault_time is not None and \
@@ -310,8 +309,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             "--global-batch-size to lengthen the run)"
         )
     if args.as_json:
-        payload = asdict(result.metrics()) if serving else \
-            run_summary(result)
+        payload = asdict(result.metrics()) if serving else dict(
+            run_summary(result), artifact=None
+        )
         payload.update(request_digest=request.digest(), **outputs)
         if warning is not None:
             payload["warning"] = warning
@@ -325,8 +325,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if warning is not None:
         print(f"warning: {warning}", file=sys.stderr)
     for name, path in outputs.items():
-        if path is not None:
-            print(f"{name:<14}: {path}")
+        print(f"{name:<14}: {path}")
     return 0
 
 
