@@ -6,7 +6,11 @@ the scalar reference model of ``tests/reference_physics.py`` (one
 ``NodeThermalState`` and ``DvfsGovernor`` per node, Python loops) over
 the same bursty activity trace on mi250x32, healthy and with a
 power-capped node, and asserts the vector path clears
-``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) per physics step. It also times
+``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) per physics step. Beside that
+gate it reports, per cluster, the cost of the simulator's two common
+step kinds on a quiet cluster: a held step (the powers of the previous
+step) and a refreshed one (activity changed, so ``refresh_intensity``
+and ``powers`` run first). It also times
 the canonical mi250x32 ``execute_training`` sweep, with the persistent
 result cache out of the measurement, so the end-to-end cost of a cold
 run is tracked alongside: per run, its best time, its kernel-record
@@ -28,7 +32,7 @@ from repro.core.experiment import execute_training
 from repro.core.faults import HEALTHY, FaultSpec
 from repro.core.store import persistence_disabled
 from repro.engine.physics import PowerVector, VectorPhysics
-from repro.hardware.cluster import MI250_X32
+from repro.hardware.cluster import MI250_X32, get_cluster
 from repro.power.model import Activity, gpu_power
 from tests.reference_physics import ReferencePhysics, bursty_activity
 
@@ -48,6 +52,14 @@ PHYSICS_SCENARIOS = {
 }
 PHYSICS_STEPS = 1500
 PHYSICS_DT_S = 0.05
+
+#: Step-kind rows (report only): every cluster, stepped quiet.
+STEP_KIND_CLUSTERS = ("mi250x32", "h100x64", "h200x32")
+STEP_KIND_STEPS = 2000
+#: Two compute/comm/memory activities the refreshed steps alternate
+#: between; both keep every cluster below its node cap and its dies
+#: below the throttle point, so no step runs the governor chain.
+STEP_KIND_ACTIVITY = ((0.5, 0.25, 0.0), (0.5, 0.0, 0.0))
 
 REPEATS = 2  # best-of, to shrug off scheduler noise
 
@@ -78,6 +90,30 @@ def _step_reference(faults: FaultSpec, activity: np.ndarray,
     for compute, comm, memory in levels:
         physics.step(PHYSICS_DT_S, compute, comm, memory)
     return time.perf_counter() - start
+
+
+def _step_kinds(cluster_name: str) -> tuple[float, float]:
+    """Seconds for STEP_KIND_STEPS held and refreshed steps."""
+    cluster = get_cluster(cluster_name)
+    n = cluster.total_gpus
+    activity = [[[level] * n for level in levels]
+                for levels in STEP_KIND_ACTIVITY]
+    physics = VectorPhysics(cluster, HEALTHY)
+    power = PowerVector(cluster)
+    physics.prewarm(gpu_power(cluster.node.gpu, Activity(compute=0.5), 1.0))
+    power.refresh_intensity(*activity[0])
+    start = time.perf_counter()
+    for _ in range(STEP_KIND_STEPS):
+        physics.step(PHYSICS_DT_S, power.powers(physics.freq_flat))
+    held = time.perf_counter() - start
+    start = time.perf_counter()
+    for j in range(STEP_KIND_STEPS):
+        power.refresh_intensity(*activity[j % 2])
+        physics.step(PHYSICS_DT_S, power.powers(physics.freq_flat))
+    refreshed = time.perf_counter() - start
+    # Quiet throughout: no clock ever left its ceiling.
+    assert (physics.freq == 1.0).all() and physics._settled
+    return held, refreshed
 
 
 def _best(fn, *args) -> float:
@@ -129,6 +165,21 @@ def test_simulation_hot_path_speedup():
                 "speedup": round(reference / optimized, 3),
             }
         )
+    step_kind_rows = []
+    for cluster_name in STEP_KIND_CLUSTERS:
+        runs = [_step_kinds(cluster_name) for _ in range(REPEATS)]
+        step_kind_rows.append(
+            {
+                "cluster": cluster_name,
+                "steps": STEP_KIND_STEPS,
+                "held_us_per_step": round(
+                    min(r[0] for r in runs) / STEP_KIND_STEPS * 1e6, 1
+                ),
+                "refreshed_us_per_step": round(
+                    min(r[1] for r in runs) / STEP_KIND_STEPS * 1e6, 1
+                ),
+            }
+        )
     total_reference = sum(r["reference_us_per_step"] for r in physics_rows)
     total_optimized = sum(r["optimized_us_per_step"] for r in physics_rows)
     speedup = total_reference / total_optimized
@@ -160,6 +211,7 @@ def test_simulation_hot_path_speedup():
                 "threshold": threshold,
                 "speedup": round(speedup, 3),
                 "physics": physics_rows,
+                "step_kinds": step_kind_rows,
                 "optimized_total_s": round(
                     sum(r["optimized_s"] for r in sweep_rows), 4
                 ),

@@ -452,6 +452,19 @@ class SimRequest:
                     "fleet: "
                     + unknown_name_message("fleet key", key, FLEET_KEYS)
                 )
+        from repro.datacenter import CAP_MODES, POLICIES
+        from repro.resilience.recovery import POLICIES as RECOVERY_POLICIES
+
+        for key, known in (
+            ("policy", POLICIES),
+            ("cap_mode", CAP_MODES),
+            ("recovery_policy", RECOVERY_POLICIES),
+        ):
+            value = self.fleet.get(key)
+            if value is not None and value not in known:
+                raise ValueError(
+                    unknown_name_message(f"fleet {key}", str(value), known)
+                )
 
     def _validate_power(self) -> None:
         governor = normalize_name(str(self.governor))

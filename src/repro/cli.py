@@ -558,23 +558,48 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         f"probes        : {result.probes_total} simulations, "
         f"{result.probes_cached} answered from cache"
     )
-    print(
-        f"{'config':<22} {'mb':>3} {'schedule':>11} {'setpoint':>8} "
-        f"{'cost':>12} {'feasible':>8}"
-    )
-    for c in result.candidates:
+    if result.kind == "serving":
         print(
-            f"{c.parallelism:<22} {c.microbatch_size:>3} "
-            f"{c.pipeline_schedule or '-':>11} {c.setpoint:>8.4f} "
-            f"{c.cost:>12.5g} {'yes' if c.feasible else 'no':>8}"
-        )
-    def describe(c) -> str:
-        return (
-            f"{c.parallelism} mb={c.microbatch_size} "
-            f"{c.pipeline_schedule or '-'} @ setpoint "
-            f"{c.setpoint:.4f} (cost {c.cost:.5g})"
+            f"{'replicas':>8} {'gpus_per_replica':>16} {'setpoint':>8} "
+            f"{'energy_per_token_j':>18} {'ttft_p99_s':>10} {'cost':>12} "
+            f"{'feasible':>8}"
         )
 
+        def row(c) -> str:
+            return (
+                f"{c.replicas:>8} {c.gpus_per_replica:>16} "
+                f"{c.setpoint:>8.4f} {c.energy_per_token_j:>18.5g} "
+                f"{c.ttft_p99_s:>10.4f}"
+            )
+
+        def describe(c) -> str:
+            return (
+                f"{c.replicas} replicas x {c.gpus_per_replica} GPUs @ "
+                f"setpoint {c.setpoint:.4f} (energy/token "
+                f"{c.energy_per_token_j:.5g} J, TTFT p99 "
+                f"{c.ttft_p99_s:.4f} s, cost {c.cost:.5g})"
+            )
+    else:
+        print(
+            f"{'config':<22} {'mb':>3} {'schedule':>11} {'setpoint':>8} "
+            f"{'cost':>12} {'feasible':>8}"
+        )
+
+        def row(c) -> str:
+            return (
+                f"{c.parallelism:<22} {c.microbatch_size:>3} "
+                f"{c.pipeline_schedule or '-':>11} {c.setpoint:>8.4f}"
+            )
+
+        def describe(c) -> str:
+            return (
+                f"{c.parallelism} mb={c.microbatch_size} "
+                f"{c.pipeline_schedule or '-'} @ setpoint "
+                f"{c.setpoint:.4f} (cost {c.cost:.5g})"
+            )
+
+    for c in result.candidates:
+        print(f"{row(c)} {c.cost:>12.5g} {'yes' if c.feasible else 'no':>8}")
     print(f"best          : {describe(best)}")
     if result.baseline is not None and result.baseline is not best:
         print(f"baseline      : {describe(result.baseline)}")

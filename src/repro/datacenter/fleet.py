@@ -160,7 +160,7 @@ class FleetConfig:
             raise ValueError("fleet needs at least one cluster")
         if self.policy not in POLICIES:
             raise ValueError(
-                f"unknown policy {self.policy!r}; known: {POLICIES}"
+                unknown_name_message("policy", self.policy, POLICIES)
             )
         if self.node_mtbf_s < 0 or self.repair_time_s <= 0:
             raise ValueError("MTBF must be >= 0 and repair time positive")

@@ -48,6 +48,14 @@ from repro.thermal.throttle import (
     THROTTLE_GAIN_PER_C,
 )
 
+#: The equilibrium cache before any step and after a knob changed: its
+#: key matches no powers array.
+_NO_EQUILIBRIUM = (None, None, None, None, None)
+
+#: ``_amax(a, None)`` is ``a.max()`` without the method's Python-level
+#: argument handling, which costs as much as the reduction at this size.
+_amax = np.maximum.reduce
+
 
 class VectorPhysics:
     """Vectorized backend: the whole cluster stepped as stacked arrays.
@@ -90,7 +98,7 @@ class VectorPhysics:
         self._r_pair = np.array([r_total, r_sink_air]).reshape(2, 1, 1, 1)
         self._matrix = _system_matrix(node)
         self._propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._eq_cache: tuple | None = None
+        self._eq_cache = _NO_EQUILIBRIUM
         self._temps = np.broadcast_to(
             self._inlet_base, (2,) + self._shape
         ).copy()
@@ -102,7 +110,8 @@ class VectorPhysics:
         self._cap_scale = np.array(
             [faults.power_cap_scale(i) for i in range(n)]
         )
-        self._budget = node.node_power_cap_watts * self._cap_scale
+        self._set_budget(node.node_power_cap_watts * self._cap_scale)
+        self._uncapped = np.zeros(lanes, dtype=bool)
         max_clock = np.array([faults.max_clock(i) for i in range(n)])
         self._ceiling = np.minimum(1.0, max_clock)[:, None]
         floor = np.where(
@@ -124,8 +133,10 @@ class VectorPhysics:
         # ceiling, no node is power-capped and no die is above the
         # throttle point, the full where/clip chain is a no-op and is
         # skipped. _may_move marks lanes that must take the full chain
-        # (a clock off its ceiling, or a knob changed since).
+        # (a clock off its ceiling, or a knob changed since); _settled
+        # says, as one Python bool, that it marks none.
         self._may_move = np.ones(lanes, dtype=bool)
+        self._settled = False
         self._throttled_mask = np.zeros(self._shape, dtype=bool)
         # Per-lane time accumulators, (2, lanes, 1, 1) so they scale
         # lane arrays directly: row 0 is the observed time, row 1 the
@@ -181,37 +192,31 @@ class VectorPhysics:
                 changes no state at all (temperatures, clocks, stats and
                 observed time are frozen); ``None`` steps every lane.
         """
-        given = powers
-        powers = powers.reshape(self._shape)
         # Equilibrium temperatures and the cap factor depend only on the
         # held powers; kernels start/finish far less often than physics
         # steps, so reuse them while powers are unchanged. PowerVector
         # hands an unchanged result back as the same read-only object,
-        # so identity settles those hits without comparing values.
+        # so identity settles those hits; any other array is new powers.
         cache = self._eq_cache
-        if cache is not None and (
-            (given is cache[0] and not given.flags.writeable)
-            or np.array_equal(powers, cache[1])
-        ):
-            eq, cap, capped = cache[2:]
-        else:
-            eq = self._inlets(powers) + powers * self._r_pair
-            total = powers.sum(axis=2)
-            over = total > self._budget
-            capped = over.any(axis=1)
-            cap = np.where(
-                over, self._budget / np.maximum(total, 1e-12), 1.0
-            )[:, :, None]
-            self._eq_cache = (given, powers.copy(), eq, cap, capped)
+        if powers is not cache[0]:
+            cache = self._equilibrium(powers)
+        _, eq, cap, capped, capped_any = cache
 
         # Thermal: exact propagator toward the step's equilibrium.
-        col0, col1 = self._propagator(dt_s)
+        propagator = self._propagators.get(dt_s) or self._propagator(dt_s)
         dev = self._temps - eq
-        temps = eq + col0 * dev[0] + col1 * dev[1]
+        temps = eq + propagator[0] * dev[0] + propagator[1] * dev[1]
         if active is not None:
             temps = np.where(active[:, None, None], temps, self._temps)
         self._temps = temps
         die = temps[0]
+        if (active is None and self._settled and not capped_any
+                and not _amax(die, None) > self._throttle_temp):
+            # Quiet lanes (no clock may move, no node capped) and no die
+            # above the throttle point: the chain would leave every
+            # clock as it is.
+            self._elapsed += dt_s
+            return
 
         # Governor: node power cap, then per-GPU throttle/recovery. A
         # quiet lane (throttle, recovery, cap and clamp would all leave
@@ -219,7 +224,7 @@ class VectorPhysics:
         # flags are few, so any/all run on Python lists, which is
         # cheaper than numpy reductions at this size.
         full = self._may_move | capped
-        if not all(full.tolist()) and die.max() > self._throttle_temp:
+        if not all(full.tolist()) and _amax(die, None) > self._throttle_temp:
             full |= (die > self._throttle_temp).any(axis=(1, 2))
         if active is not None:
             full &= active
@@ -250,12 +255,52 @@ class VectorPhysics:
                 throttled = np.where(lane3, throttled, self._throttled_mask)
             self.freq = ratio
             self._may_move = may_move
+            self._settled = not any(may_move.tolist())
             self._throttled_mask = throttled
 
         if active is None:
             self._elapsed += dt_s
         else:
             self._elapsed += np.where(active[:, None, None], dt_s, 0.0)
+
+    def _equilibrium(self, powers: np.ndarray) -> tuple:
+        """Cache and return the equilibrium of new powers.
+
+        The tuple is ``(key, eq, cap, capped, capped_any)``: ``key`` is
+        ``powers`` itself when read-only (so the next step handed the
+        same object hits the cache), else None; ``eq`` the stacked
+        (die, heatsink) equilibrium; ``cap`` the per-node cap factor,
+        ``capped`` the per-lane flag that some node exceeds its budget
+        and ``capped_any`` that flag over all lanes.
+        """
+        key = None if powers.flags.writeable else powers
+        powers = powers.reshape(self._shape)
+        eq = self._inlets(powers) + powers * self._r_pair
+        if _amax(powers, None) < self._uncapped_below_w:
+            # No node total can reach its budget, so every cap factor
+            # would be 1.0, an exact no-op on the clock ratio.
+            cache = (key, eq, 1.0, self._uncapped, False)
+        else:
+            total = powers.sum(axis=2)
+            over = total > self._budget
+            capped = over.any(axis=1)
+            cap = np.where(
+                over, self._budget / np.maximum(total, 1e-12), 1.0
+            )[:, :, None]
+            cache = (key, eq, cap, capped, any(capped.tolist()))
+        self._eq_cache = cache
+        return cache
+
+    def _set_budget(self, budget: np.ndarray) -> None:
+        """Set the per-node power budgets and the node-cap bound.
+
+        A node total is a sum of ``gpus_per_node`` powers, so while every
+        GPU draws less than ``min(budget) / gpus_per_node`` no node can
+        be capped. The bound keeps a 1e-9 relative margin, far above the
+        rounding of that sum.
+        """
+        self._budget = budget
+        self._uncapped_below_w = float(budget.min()) / (self._g * (1 + 1e-9))
 
     @property
     def observed_time(self) -> np.ndarray:
@@ -298,6 +343,7 @@ class VectorPhysics:
         # Clocks may now sit above the new ceiling; force the full
         # governor path on the next step so the clamp takes effect.
         self._may_move = np.ones(self.lanes, dtype=bool)
+        self._settled = False
 
     def set_node_budget_scales(self, scales) -> None:
         """Apply transient per-node power-budget multipliers (faults).
@@ -309,7 +355,7 @@ class VectorPhysics:
         """
         node = self.cluster.node
         combined = self._cap_scale * np.asarray(scales, dtype=float)
-        self._budget = node.node_power_cap_watts * combined
+        self._set_budget(node.node_power_cap_watts * combined)
         floor = np.where(
             combined < 1.0,
             node.gpu.base_clock_ratio * combined,
@@ -319,8 +365,9 @@ class VectorPhysics:
         self._eff_floor = np.minimum(self._floor, self._eff_ceiling)
         # The cap factor cached in _eq_cache depends on the budget, and
         # clocks may need clamping to the new floor: force a full step.
-        self._eq_cache = None
+        self._eq_cache = _NO_EQUILIBRIUM
         self._may_move = np.ones(self.lanes, dtype=bool)
+        self._settled = False
 
     def set_ambient_offsets(self, offsets) -> None:
         """Apply transient per-node inlet/ambient offsets (degC)."""
@@ -331,8 +378,9 @@ class VectorPhysics:
             + np.asarray(node.airflow.inlet_offset_c, dtype=float)
         )
         # Equilibrium temperatures cached in _eq_cache embed the inlets.
-        self._eq_cache = None
+        self._eq_cache = _NO_EQUILIBRIUM
         self._may_move = np.ones(self.lanes, dtype=bool)
+        self._settled = False
 
     # -- views ---------------------------------------------------------
 
@@ -422,14 +470,14 @@ class PowerVector:
         Each argument holds per-GPU activity levels, ``(num_gpus,)`` for
         every lane or ``(lanes, num_gpus)``.
         """
-        self.levels = np.array(
+        levels = self.levels = np.array(
             (compute_active, comm_active, memory_active), dtype=float
         )
-        level = np.minimum(np.maximum(self.levels, 0.0), 1.0)
+        compute, comm, memory = np.minimum(np.maximum(levels, 0.0), 1.0)
         intensity = (
-            COMPUTE_INTENSITY * level[0]
-            + COMM_INTENSITY * level[1]
-            + MEMORY_INTENSITY * level[2]
+            COMPUTE_INTENSITY * compute
+            + COMM_INTENSITY * comm
+            + MEMORY_INTENSITY * memory
         )
         self._dynamic = self._span * np.minimum(
             np.maximum(intensity, 0.0), 1.0

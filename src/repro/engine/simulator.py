@@ -229,7 +229,12 @@ class Simulator:
         self._physics = VectorPhysics(self.cluster, self.settings.faults)
         self._power_vec = PowerVector(self.cluster)
         self._activity_dirty = True
-        self._last_power = [node.gpu.idle_watts] * num_gpus
+        # The powers of the last physics step, (1, num_gpus), and the
+        # telemetry rows that change only with activity (compute/comm
+        # flags and the PCIe row), built at the first sample after each
+        # refresh; every _pcie_rate change also marks activity dirty.
+        self._powers: np.ndarray | None = None
+        self._activity_rows: tuple | None = None
         # Lane 0's clocks as Python floats, refreshed whenever a physics
         # step replaces the clock array; a compute kernel reads its
         # GPU's entry once, at its start.
@@ -241,6 +246,11 @@ class Simulator:
         # no-op.
         self._powerctl = build_runtime(
             self.settings.power_control, self.cluster
+        )
+        # The per-step control tick, for a governor that can actuate
+        # mid-run (a static cap acts once, before the first step).
+        self._closed_loop = (
+            self._powerctl is not None and self._powerctl.closed_loop
         )
         self._next_control = 0.0
         self._control_elapsed = 0.0
@@ -736,17 +746,17 @@ class Simulator:
                 self._memory_active,
             )
             self._activity_dirty = False
-        powers = power_vec.powers(physics.freq_flat)
+            self._activity_rows = None
+        powers = self._powers = power_vec.powers(physics.freq_flat)
         physics.step(dt, powers)
         if physics.freq is not self._freq:
             self._freq = physics.freq
             self._clocks = self._freq.reshape(-1).tolist()
-        self._last_power = powers[0]
         self._phys_time += dt
         if self._phys_time >= self._next_sample:
             self._sample_telemetry(self._phys_time)
             self._next_sample += self.settings.telemetry_interval_s
-        if self._powerctl is not None:
+        if self._closed_loop:
             self._powerctl_tick(dt)
 
     def _powerctl_tick(self, dt: float) -> None:
@@ -766,7 +776,7 @@ class Simulator:
                 time_s=self._phys_time,
                 temps_c=self._physics.die_c.reshape(-1),
                 freq_ratio=self._physics.freq_flat[0],
-                power_w=np.asarray(self._last_power),
+                power_w=self._powers[0],
                 busy_fraction=busy,
                 dt_s=self._control_elapsed,
             )
@@ -782,15 +792,18 @@ class Simulator:
 
     def _sample_telemetry(self, time_s: float) -> None:
         physics = self._physics
-        levels = self._power_vec.levels
+        rows = self._activity_rows
+        if rows is None:
+            compute, comm = self._power_vec.levels[:2] > 0
+            rows = self._activity_rows = (
+                compute, comm, np.maximum(np.asarray(self._pcie_rate), 0.0),
+            )
         self.telemetry.record_step(
             time_s,
-            self._last_power,
+            self._powers[0],
             physics.die_c.reshape(-1),
             physics.freq_flat[0],
-            levels[0] > 0,
-            levels[1] > 0,
-            np.maximum(np.asarray(self._pcie_rate), 0.0),
+            *rows,
         )
 
     # ------------------------------------------------------------------

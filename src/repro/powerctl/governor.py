@@ -91,6 +91,9 @@ class GovernorRuntime:
     #: Set by subclasses that need the compute duty cycle; the simulator
     #: only pays for the per-step accumulation when this is True.
     needs_busy_fraction = False
+    #: Cleared by subclasses whose :meth:`control` always holds; the
+    #: simulator then skips the per-step control tick.
+    closed_loop = True
 
     def __init__(self, config: PowerControlConfig,
                  cluster: ClusterSpec) -> None:
@@ -128,6 +131,8 @@ class StaticGovernor(GovernorRuntime):
     limit is converted to the clock ceiling that keeps a fully busy GPU
     at or under the limit.
     """
+
+    closed_loop = False
 
     def __init__(self, config: PowerControlConfig,
                  cluster: ClusterSpec) -> None:

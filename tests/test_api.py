@@ -277,6 +277,19 @@ class TestFleetRequests:
         request = SimRequest(kind="fleet", fleet={"num_jobs": 1})
         assert not request.cacheable
 
+    @pytest.mark.parametrize("key, value, suggestion", [
+        ("policy", "packd", "packed"),
+        ("cap_mode", "defr", "defer"),
+        ("recovery_policy", "hotspare", "hot-spare"),
+    ])
+    def test_fleet_enum_rejected_at_validation(self, key, value,
+                                                suggestion):
+        with pytest.raises(ValueError) as error:
+            SimRequest(kind="fleet", fleet={key: value})
+        message = str(error.value)
+        assert f"fleet {key}" in message
+        assert f"did you mean {suggestion!r}" in message
+
 
 class TestPublicSurface:
     def test_reexported_from_repro(self):

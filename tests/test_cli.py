@@ -369,6 +369,43 @@ class TestCommands:
         assert "best          : TP4-PP2 mb=1 1f1b @ setpoint" in out
         assert (tmp_path / "best" / "summary.json").exists()
 
+    def test_fleet_bad_policy_fails_before_simulating(self, capsys,
+                                                      monkeypatch):
+        import repro.datacenter
+
+        def simulate_fleet(*args, **kwargs):
+            raise AssertionError("fleet simulated")
+
+        monkeypatch.setattr(repro.datacenter, "simulate_fleet",
+                            simulate_fleet)
+        assert main(["fleet", "--policy", "packd"]) == 2
+        assert "did you mean 'packed'" in capsys.readouterr().err
+
+    def test_serving_search_table(self, capsys):
+        code = main(
+            [
+                "optimize", "--kind", "serving", "--model", "llama3-70b",
+                "--cluster", "h100x64", "--duration-s", "60",
+                "--mean-rate-per-s", "1.0", "--replicas", "2",
+                "--gpus-per-replica", "4", "--refine-top", "1",
+                "--setpoint-tolerance", "0.2",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.split()[:1] == ["replicas"])
+        assert lines[header].split() == [
+            "replicas", "gpus_per_replica", "setpoint",
+            "energy_per_token_j", "ttft_p99_s", "cost", "feasible",
+        ]
+        row = lines[header + 1].split()
+        assert row[:2] == ["2", "4"]
+        assert row[-1] == "yes"
+        assert all(line.split()[:1] != ["config"] for line in lines)
+        best = next(line for line in lines if line.startswith("best"))
+        assert "2 replicas x 4 GPUs @ setpoint" in best
+
     def test_fleet_with_gpu_clock_limit(self, capsys):
         code = main(
             [

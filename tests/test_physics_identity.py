@@ -23,11 +23,15 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings
+from hypothesis import strategies as st
 
-from repro.core.experiment import execute_training
+from repro.core.experiment import execute_training, prepare_run
 from repro.core.faults import FaultEvent, FaultKind, FaultSpec, FaultTimeline
-from repro.engine.simulator import SimSettings
+from repro.engine.physics import VectorPhysics
+from repro.engine.simulator import SimSettings, Simulator
 from repro.hardware.interconnect import LinkKind
 from repro.parallelism.strategy import OptimizationConfig
 from repro.powerctl import PowerControlConfig, static_setpoint
@@ -169,3 +173,122 @@ def _run(case: str):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_serial_physics_output_is_pinned(case):
     assert physics_digest(_run(case)) == GOLDENS[case]
+
+
+class _GeneralPhysics(VectorPhysics):
+    """:class:`VectorPhysics` held to its general path on every step.
+
+    A writeable copy of the powers never hits the equilibrium cache, an
+    all-lanes ``active`` mask skips the quiet-step exit (and is a no-op
+    on every float), and an unreachable node-cap bound runs the full cap
+    arithmetic.
+    """
+
+    def step(self, dt_s, powers, active=None):
+        if active is None:
+            active = np.ones(self.lanes, dtype=bool)
+        super().step(dt_s, powers.copy(), active)
+
+    def _set_budget(self, budget):
+        super()._set_budget(budget)
+        self._uncapped_below_w = -np.inf
+
+
+class _GeneralPathSimulator(Simulator):
+    """The simulator on :class:`_GeneralPhysics`, rebuilding the
+    telemetry's activity rows at every sample."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._physics = _GeneralPhysics(self.cluster, self.settings.faults)
+        self._freq = self._physics.freq
+
+    def _sample_telemetry(self, time_s):
+        self._activity_rows = None
+        super()._sample_telemetry(time_s)
+
+
+def _timeline(kind: str | None) -> FaultTimeline:
+    events = {
+        None: (),
+        "link_degrade": (FaultEvent(
+            kind=FaultKind.LINK_DEGRADE, node=1, time_s=0.2,
+            duration_s=1.5, severity=0.3,
+        ),),
+        "power_sag": (FaultEvent(
+            kind=FaultKind.POWER_SAG, node=0, time_s=0.3, duration_s=1.2,
+            severity=0.3,
+        ),),
+        "thermal_runaway": (FaultEvent(
+            kind=FaultKind.THERMAL_RUNAWAY, node=1, time_s=0.1,
+            duration_s=2.0, severity=30.0,
+        ),),
+    }[kind]
+    return FaultTimeline(events=events)
+
+
+_STATIC_FAULTS = {
+    None: FaultSpec(),
+    "power_cap": FaultSpec(node_power_cap_scale={0: 0.5}),
+    "pinned_clock": FaultSpec(node_max_clock={1: 0.8}),
+}
+
+
+def _power_control(governor: str, setpoint: float,
+                   interval: float) -> PowerControlConfig:
+    if governor == "none":
+        return PowerControlConfig()
+    if governor == "static":
+        return static_setpoint(setpoint, control_interval_s=interval)
+    return PowerControlConfig(governor=governor, control_interval_s=interval)
+
+
+class TestShortcutsAreExact:
+    """The physics shortcuts change no bit of a run.
+
+    The quiet-step exit, the equilibrium cache, the node-cap bound and
+    the per-refresh telemetry rows against :class:`_GeneralPathSimulator`
+    on the same graph: every field of :class:`SimOutcome` must be equal.
+    """
+
+    @hyp_settings(max_examples=12, deadline=None)
+    @given(
+        cluster=st.sampled_from(["mi250x32", "h100x64", "h200x32"]),
+        governor=st.sampled_from(["none", "static", "thermal", "straggler"]),
+        setpoint=st.sampled_from([1.0, 0.9, 0.8]),
+        # Governor ticks that land inside runs of held steps.
+        control_interval=st.sampled_from([0.15, 0.35]),
+        static_fault=st.sampled_from(sorted(_STATIC_FAULTS, key=str)),
+        timeline=st.sampled_from(
+            [None, "link_degrade", "power_sag", "thermal_runaway"]
+        ),
+        # Sampling off the 0.05 s physics grid, and on it.
+        telemetry_interval=st.sampled_from([0.1, 0.07, 0.13]),
+    )
+    # h200x32 at setpoint 1.0 with a hot inlet throttles: its dies cross
+    # the throttle point during quiet steps, which must still run the
+    # governor chain.
+    @example(cluster="h200x32", governor="static", setpoint=1.0,
+             control_interval=0.35, static_fault=None,
+             timeline="thermal_runaway", telemetry_interval=0.07)
+    # A binding node cap on h100x64.
+    @example(cluster="h100x64", governor="none", setpoint=1.0,
+             control_interval=0.15, static_fault="power_cap",
+             timeline="power_sag", telemetry_interval=0.13)
+    def test_matches_general_path(self, cluster, governor, setpoint,
+                                  control_interval, static_fault,
+                                  timeline, telemetry_interval):
+        run = prepare_run(
+            "gpt3-13b", cluster, "TP4-PP2", global_batch_size=8
+        )
+        settings = SimSettings(
+            telemetry_interval_s=telemetry_interval,
+            faults=_STATIC_FAULTS[static_fault],
+            power_control=_power_control(
+                governor, setpoint, control_interval
+            ),
+            fault_timeline=_timeline(timeline),
+        )
+        shipped = Simulator(run.mesh, run.graph, settings).run()
+        general = _GeneralPathSimulator(run.mesh, run.graph, settings).run()
+        assert shipped == general
