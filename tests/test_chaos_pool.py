@@ -111,7 +111,12 @@ class TestCrashRetry:
 
     def test_map_falls_back_in_process_when_pool_cannot_help(self):
         def kill_everything(site, context):
-            return {"kill": True} if site == "pool.dispatch" else None
+            # The delay holds each task in its worker until the kill
+            # lands: the expected result is already memoised, so an
+            # undelayed worker can answer between the send and the kill.
+            if site == "pool.dispatch":
+                return {"kill": True, "delay_s": 30.0}
+            return None
 
         expected = cached_run(PAYLOAD[0], **PAYLOAD[1])
         report = ExecutionReport()
