@@ -3,7 +3,8 @@
 ``test_simulation_hot_path_speedup`` steps the simulator's physics
 (:class:`~repro.engine.physics.VectorPhysics` with ``PowerVector``) and
 the scalar reference model of ``tests/reference_physics.py`` (one
-``NodeThermalState`` and ``DvfsGovernor`` per node, Python loops) over
+``NodeThermalState`` and ``DvfsGovernor`` per node, both defined in that
+test module, Python loops) over
 the same bursty activity trace on mi250x32, healthy and with a
 power-capped node, and asserts the vector path clears
 ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) per physics step. Beside that

@@ -21,12 +21,14 @@ and the propagator cache. The simulator steps one lane;
 :mod:`repro.engine.batched` steps one lane per replayed config, with an
 ``active`` mask that freezes lanes whose run has ended.
 
-The per-node :class:`~repro.thermal.rc_model.NodeThermalState` and
-:class:`~repro.thermal.throttle.DvfsGovernor` objects are the scalar
-statement of the same model. ``tests/test_engine_physics.py`` steps them
-and this class on the same activity and requires agreement to
-floating-point reduction noise; ``tests/test_physics_identity.py`` pins
-the simulator's physics output bit for bit.
+This is the package's one per-GPU thermal/DVFS state: the simulator
+and the static replica router (:mod:`repro.inferserve.static_router`)
+both step it. Its scalar statement, one two-node RC state and one
+governor per node stepped GPU by GPU, is the test oracle
+``tests/reference_physics.py``: ``tests/test_engine_physics.py`` steps
+both on the same activity and requires agreement to floating-point
+reduction noise; ``tests/test_physics_identity.py`` pins the
+simulator's physics output bit for bit.
 """
 
 from __future__ import annotations
@@ -35,18 +37,20 @@ import numpy as np
 
 from repro.core.faults import FaultSpec
 from repro.hardware.cluster import ClusterSpec
+from repro.hardware.node import NodeSpec
 from repro.power.model import (
     COMM_INTENSITY,
     COMPUTE_INTENSITY,
     FREQ_POWER_EXP,
     MEMORY_INTENSITY,
 )
-from repro.thermal.rc_model import _expm_2x2, _system_matrix
-from repro.thermal.throttle import (
-    HYSTERESIS_C,
-    RECOVERY_STEP,
-    THROTTLE_GAIN_PER_C,
-)
+
+# Governor: clock step per update when above the throttle temperature,
+# per degC of excess, and the recovery step once the die is below the
+# throttle point minus the hysteresis band.
+THROTTLE_GAIN_PER_C = 0.03
+RECOVERY_STEP = 0.05
+HYSTERESIS_C = 3.0
 
 #: The equilibrium cache before any step and after a knob changed: its
 #: key matches no powers array.
@@ -55,6 +59,39 @@ _NO_EQUILIBRIUM = (None, None, None, None, None)
 #: ``_amax(a, None)`` is ``a.max()`` without the method's Python-level
 #: argument handling, which costs as much as the reduction at this size.
 _amax = np.maximum.reduce
+
+
+def _system_matrix(node: NodeSpec) -> np.ndarray:
+    """State matrix A of d[T_die, T_sink]/dt = A x + b(u).
+
+    Each GPU is two thermal nodes: the die (small capacity, ~1 s
+    response) coupled through the die/TIM resistance to the heatsink
+    (large capacity, ~1 min response), which discharges into the GPU's
+    local inlet air.
+    """
+    gpu = node.gpu
+    r_ds = gpu.die_resistance_c_per_w
+    r_sa = gpu.thermal_resistance_c_per_w - r_ds
+    c_die = gpu.die_capacitance_j_per_c
+    c_sink = gpu.thermal_capacitance_j_per_c
+    return np.array(
+        [
+            [-1.0 / (r_ds * c_die), 1.0 / (r_ds * c_die)],
+            [
+                1.0 / (r_ds * c_sink),
+                -(1.0 / r_ds + 1.0 / r_sa) / c_sink,
+            ],
+        ]
+    )
+
+
+def _expm_2x2(matrix: np.ndarray, dt: float) -> np.ndarray:
+    """exp(A * dt) for a diagonalisable real 2x2 matrix."""
+    eigenvalues, eigenvectors = np.linalg.eig(matrix * dt)
+    return np.real(
+        eigenvectors @ np.diag(np.exp(eigenvalues))
+        @ np.linalg.inv(eigenvectors)
+    )
 
 
 class VectorPhysics:
@@ -329,8 +366,7 @@ class VectorPhysics:
         """Apply per-GPU clock ceilings (global-GPU order, powerctl).
 
         Setpoints tighten the effective ceiling; they never widen the
-        hardware/fault one, mirroring the ``min(ceiling, setpoint)`` of
-        :class:`~repro.thermal.throttle.DvfsGovernor`.
+        hardware/fault one: the ceiling is ``min(ceiling, setpoint)``.
 
         Args:
             setpoints: one set of per-GPU ceilings for every lane
@@ -348,8 +384,7 @@ class VectorPhysics:
     def set_node_budget_scales(self, scales) -> None:
         """Apply transient per-node power-budget multipliers (faults).
 
-        Mirrors :class:`~repro.thermal.throttle.DvfsGovernor` exactly:
-        the budget and the clock floor both follow the *combined* static
+        The budget and the clock floor both follow the *combined* static
         x transient scale, and a transient scale of 1.0 restores the
         whole-run values bit for bit.
         """

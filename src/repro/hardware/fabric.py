@@ -7,18 +7,15 @@ spine *oversubscription* decides how much of the node-level bandwidth
 survives when traffic leaves the rack — exactly the "network performance
 becomes an even more critical factor" regime Figure 22 points at.
 
-This module builds the fabric as an explicit capacity graph (networkx),
-computes bisection bandwidth by max-flow, and exposes the effective
-per-node bandwidth under all-to-all-ish load — which the projection can
-consume in place of the flat-pipe assumption.
+This module computes the tree's bisection bandwidth in closed form and
+exposes the effective per-node bandwidth under all-to-all-ish load —
+which the projection can consume in place of the flat-pipe assumption.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.hardware.interconnect import LinkSpec
 
@@ -64,43 +61,31 @@ class FatTreeSpec:
         return self.leaf_downlink_bytes_per_s / self.oversubscription
 
 
-def build_graph(spec: FatTreeSpec) -> nx.Graph:
-    """The fabric as a capacity graph.
-
-    Nodes: ``node{i}``, ``leaf{l}``, and a single aggregated ``spine``
-    (a non-blocking spine tier collapses to one vertex for capacity
-    analysis). Edge ``capacity`` is in bytes/s.
-    """
-    graph = nx.Graph()
-    node_bw = spec.node_link.peak_effective_bandwidth
-    for i in range(spec.num_nodes):
-        leaf = i // spec.nodes_per_leaf
-        graph.add_edge(f"node{i}", f"leaf{leaf}", capacity=node_bw)
-    for leaf in range(spec.num_leaves):
-        graph.add_edge(
-            f"leaf{leaf}", "spine",
-            capacity=spec.leaf_uplink_bytes_per_s,
-        )
-    return graph
-
-
 def bisection_bandwidth(spec: FatTreeSpec) -> float:
-    """Max-flow bisection bandwidth between the two node halves (bytes/s).
+    """Bisection bandwidth between the two node halves (bytes/s).
 
-    Computed on the capacity graph with a super-source over the first
-    half of the nodes and a super-sink over the second half.
+    The max flow from the first half of the nodes to the second, in
+    closed form for the leaf/spine tree. Within a leaf, every pair of a
+    source-half and a sink-half node exchanges at the NIC rate without
+    touching the spine. The rest crosses the spine, limited per leaf by
+    its uplink, so the cross-leaf flow is the smaller of what the
+    source-heavy leaves can send up and the sink-heavy leaves can take
+    down.
     """
     if spec.num_nodes < 2:
         raise ValueError("bisection needs at least two nodes")
-    graph = build_graph(spec)
+    nic = spec.node_link.peak_effective_bandwidth
+    uplink = spec.leaf_uplink_bytes_per_s
     half = spec.num_nodes // 2
-    infinite = float("inf")
-    for i in range(half):
-        graph.add_edge("SRC", f"node{i}", capacity=infinite)
-    for i in range(half, spec.num_nodes):
-        graph.add_edge(f"node{i}", "SNK", capacity=infinite)
-    value, _ = nx.maximum_flow(graph, "SRC", "SNK")
-    return value
+    local = up = down = 0.0
+    for first in range(0, spec.num_nodes, spec.nodes_per_leaf):
+        last = min(first + spec.nodes_per_leaf, spec.num_nodes)
+        sources = max(0, min(last, half) - first)
+        sinks = last - first - sources
+        local += min(sources, sinks) * nic
+        up += min(max(sources - sinks, 0) * nic, uplink)
+        down += min(max(sinks - sources, 0) * nic, uplink)
+    return local + min(up, down)
 
 
 def effective_node_bandwidth(spec: FatTreeSpec) -> float:

@@ -4,9 +4,10 @@ This is the pre-batching serving model (paper Section 7.2's proposal),
 folded into :mod:`repro.inferserve` as the ``static`` baseline: a
 cluster is partitioned into fixed replicas, batched requests arrive on
 a seeded Poisson process, and a router assigns each batch whole to a
-replica — no continuous batching, no KV accounting. Every replica
-carries its own thermal state (two-node RC per GPU) and DVFS governor,
-so hot replicas serve slower.
+replica — no continuous batching, no KV accounting. The cluster's
+thermal state and DVFS governor are one
+:class:`~repro.engine.physics.VectorPhysics` lane, and each replica is
+a contiguous slice of its GPUs, so hot replicas serve slower.
 
 Routers:
 
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.faults import HEALTHY
+from repro.engine.physics import PowerVector, VectorPhysics
 from repro.hardware.cluster import ClusterSpec
-from repro.power.model import Activity, gpu_power
-from repro.thermal.rc_model import NodeThermalState
-from repro.thermal.throttle import DvfsGovernor
 
 __all__ = [
     "ROUTERS",
@@ -40,6 +42,9 @@ __all__ = [
 ]
 
 ROUTERS = ("round_robin", "least_loaded", "thermal_aware")
+
+#: Fixed physics step (s); a horizon shorter than one has no samples.
+_PHYSICS_DT_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,10 @@ class StaticRouterConfig:
             raise ValueError("need at least one replica")
         if self.base_service_s <= 0 or self.arrival_rate_per_s <= 0:
             raise ValueError("service time and arrival rate must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if self.duration_s < _PHYSICS_DT_S:
+            raise ValueError(
+                f"duration must cover one {_PHYSICS_DT_S} s physics step"
+            )
         if self.router not in ROUTERS:
             raise ValueError(f"unknown router {self.router!r}; {ROUTERS}")
 
@@ -98,24 +105,11 @@ class RouterOutcome:
 
 @dataclass
 class _Replica:
-    """One model replica: a set of GPUs in one node with thermal state."""
+    """One model replica: the ``index``-th contiguous slice of GPUs."""
 
     index: int
-    node: int
-    locals_: list[int]
-    thermal: NodeThermalState
-    governor: DvfsGovernor
     busy_until_s: float = 0.0
     served: int = 0
-    temp_samples: list[float] = field(default_factory=list)
-
-    def mean_clock(self) -> float:
-        ratios = [self.governor.freq_of(i) for i in self.locals_]
-        return sum(ratios) / len(ratios)
-
-    def mean_temp(self) -> float:
-        temps = [self.thermal.temps_c[i] for i in self.locals_]
-        return sum(temps) / len(temps)
 
 
 def _build_replicas(cluster: ClusterSpec, num_replicas: int) -> list[_Replica]:
@@ -128,31 +122,15 @@ def _build_replicas(cluster: ClusterSpec, num_replicas: int) -> list[_Replica]:
     gpus_per_replica = total // num_replicas
     if gpus_per_replica > per_node:
         raise ValueError("replicas larger than a node are not supported")
-    # One thermal state / governor per node, shared by its replicas.
-    node_thermal = [
-        NodeThermalState(cluster.node) for _ in range(cluster.num_nodes)
+    return [_Replica(index) for index in range(num_replicas)]
+
+
+def _replica_means(values: list[float], width: int) -> list[float]:
+    """Per-replica mean of per-GPU values, summed in GPU order."""
+    return [
+        sum(values[i:i + width]) / width
+        for i in range(0, len(values), width)
     ]
-    node_governor = [
-        DvfsGovernor(cluster.node) for _ in range(cluster.num_nodes)
-    ]
-    replicas = []
-    for index in range(num_replicas):
-        first_gpu = index * gpus_per_replica
-        node = cluster.node_of(first_gpu)
-        locals_ = [
-            cluster.local_index(first_gpu + k)
-            for k in range(gpus_per_replica)
-        ]
-        replicas.append(
-            _Replica(
-                index=index,
-                node=node,
-                locals_=locals_,
-                thermal=node_thermal[node],
-                governor=node_governor[node],
-            )
-        )
-    return replicas
 
 
 def _pick_replica(
@@ -161,6 +139,7 @@ def _pick_replica(
     now: float,
     rr_state: list[int],
     base_service_s: float,
+    clocks: list[float],
 ) -> _Replica:
     if router == "round_robin":
         choice = replicas[rr_state[0] % len(replicas)]
@@ -175,7 +154,7 @@ def _pick_replica(
     # thermal_aware: minimise expected completion time — the queue plus
     # this replica's thermally degraded service time.
     def expected_completion(replica: _Replica) -> float:
-        service = base_service_s / max(0.05, replica.mean_clock())
+        service = base_service_s / max(0.05, clocks[replica.index])
         return queue_depth[replica.index] + service
 
     return min(
@@ -189,7 +168,7 @@ def simulate_static_routing(
     """Run the static-routing simulation and return aggregate metrics."""
     rng = random.Random(config.seed)
     replicas = _build_replicas(cluster, config.num_replicas)
-    per_node = cluster.node.gpus_per_node
+    width = cluster.total_gpus // config.num_replicas
 
     # Pre-generate arrivals so every router sees the same trace.
     arrivals: list[float] = []
@@ -200,51 +179,44 @@ def simulate_static_routing(
             break
         arrivals.append(t)
 
-    # Physics advances on a fixed grid; busy replicas dissipate at full
-    # compute intensity, idle ones at idle power.
-    dt = 0.1
+    # Physics advances on a fixed grid; busy replicas dissipate at
+    # compute 0.9 / memory 0.3, idle ones at idle power. The intensity
+    # is refreshed only when some replica's busy flag flips.
+    physics = VectorPhysics(cluster, HEALTHY)
+    power = PowerVector(cluster)
+    no_comm = np.zeros(cluster.total_gpus)
+    dt = _PHYSICS_DT_S
     physics_time = 0.0
+    busy_seen: list[bool] | None = None
+    die_rows: list[list[float]] = []
 
     def advance_physics(to_time: float) -> None:
-        nonlocal physics_time
-        gpu_spec = cluster.node.gpu
+        nonlocal physics_time, busy_seen
         while physics_time + dt <= to_time:
-            for node_index in range(cluster.num_nodes):
-                node_replicas = [
-                    r for r in replicas if r.node == node_index
-                ]
-                if not node_replicas:
-                    continue
-                thermal = node_replicas[0].thermal
-                governor = node_replicas[0].governor
-                powers = [gpu_spec.idle_watts] * per_node
-                for replica in node_replicas:
-                    busy = replica.busy_until_s > physics_time
-                    activity = (
-                        Activity(compute=0.9, memory=0.3) if busy
-                        else Activity()
-                    )
-                    for local in replica.locals_:
-                        powers[local] = gpu_power(
-                            gpu_spec, activity, governor.freq_of(local)
-                        )
-                temps = thermal.step(dt, powers)
-                governor.update(dt, temps, powers)
-            for replica in replicas:
-                replica.temp_samples.append(replica.mean_temp())
+            busy = [r.busy_until_s > physics_time for r in replicas]
+            if busy != busy_seen:
+                busy_seen = busy
+                per_gpu = np.repeat(busy, width)
+                power.refresh_intensity(
+                    np.where(per_gpu, 0.9, 0.0), no_comm,
+                    np.where(per_gpu, 0.3, 0.0),
+                )
+            physics.step(dt, power.powers(physics.freq_flat))
+            die_rows.append(physics.die_c.reshape(-1).tolist())
             physics_time += dt
 
     latencies: list[float] = []
     rr_state = [0]
     for arrival in arrivals:
         advance_physics(arrival)
+        clocks = _replica_means(physics.freq_flat[0].tolist(), width)
         replica = _pick_replica(
             config.router, replicas, arrival, rr_state,
-            config.base_service_s,
+            config.base_service_s, clocks,
         )
         start = max(arrival, replica.busy_until_s)
         # Hot replicas serve slower: service scales with 1/clock.
-        service = config.base_service_s / max(0.05, replica.mean_clock())
+        service = config.base_service_s / max(0.05, clocks[replica.index])
         finish = start + service
         if finish <= config.duration_s:
             replica.busy_until_s = finish
@@ -257,8 +229,10 @@ def simulate_static_routing(
     latencies.sort()
     p99 = latencies[min(len(latencies) - 1,
                         math.ceil(0.99 * len(latencies)) - 1)]
-    all_temps = [t for r in replicas for t in r.temp_samples]
-    replica_means = [r.mean_temp() for r in replicas]
+    # Replica-major sample order: each replica's samples run in time.
+    samples = [_replica_means(row, width) for row in die_rows]
+    all_temps = [t for replica in zip(*samples) for t in replica]
+    replica_means = samples[-1]
     return RouterOutcome(
         completed=len(latencies),
         mean_latency_s=sum(latencies) / len(latencies),

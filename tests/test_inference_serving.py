@@ -32,6 +32,8 @@ class TestConfigValidation:
             _config(base_service_s=0.0)
         with pytest.raises(ValueError):
             _config(router="random")
+        with pytest.raises(ValueError):
+            _config(duration_s=0.09)  # shorter than one physics step
 
     def test_rejects_non_dividing_replicas(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,9 @@ removed entrypoint, module or spelling.
 
 import ast
 import inspect
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -130,6 +133,7 @@ LEGACY_NAMES = {
 #: ``adaptive``).
 LEGACY_MODULES = (
     "repro.inference", "repro.engine.schedule", "repro.scheduling",
+    "repro.thermal",
 )
 
 #: Removed keyword spellings: ``ParallelismConfig(interleaved=True)``
@@ -300,3 +304,34 @@ class TestNoInternalLegacyUse:
                              (physics, "reference_activity"),
                              (telemetry, "GpuSample")):
             assert not hasattr(module, name), name
+
+
+class TestImportSurface:
+    def test_import_needs_only_declared_dependencies(self):
+        """``import repro`` works with networkx unimportable (the package
+        declares only numpy) and loads neither networkx nor the removed
+        scalar thermal package."""
+        probe = textwrap.dedent(f"""
+            import sys
+
+            class BlockNetworkx:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "networkx":
+                        raise ModuleNotFoundError(name)
+                    return None
+
+            sys.meta_path.insert(0, BlockNetworkx())
+            sys.path.insert(0, {str(SRC.parent)!r})
+            import repro
+            print(sorted(
+                name for name in sys.modules
+                if name.split(".")[0] == "networkx"
+                or name.startswith("repro.thermal")
+            ))
+        """)
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

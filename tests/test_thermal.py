@@ -1,12 +1,12 @@
-"""Tests for the RC thermal model and the DVFS governor."""
+"""Tests for the scalar RC thermal model and DVFS governor of the physics
+oracle (``tests/reference_physics.py``)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.node import HGX_H200_NODE, MI250_NODE
-from repro.thermal.rc_model import NodeThermalState
-from repro.thermal.throttle import DvfsGovernor
+from tests.reference_physics import DvfsGovernor, NodeThermalState
 
 
 class TestRcModel:
