@@ -1,8 +1,8 @@
 """Broker throughput benchmark: the 90%-cache-hit serving workload.
 
 Fires 50 requests (5 distinct configurations x 10 repeats) through a
-:class:`repro.serve.Broker` that executes misses in supervised child
-processes, as ``repro serve`` does. After the first pass over the 5
+:class:`repro.serve.Broker` that executes misses on its worker pool,
+as ``repro serve`` does. After the first pass over the 5
 distinct configurations every remaining request is a cache hit, so the
 broker's hit rate is 90%. The gate times those 45 hits themselves
 against cold execution of the same 45 requests (``submit(cache=False)``,
@@ -75,12 +75,15 @@ async def _serve_batch(requests: list[SimRequest]) -> tuple[float, dict]:
     first pass over ``DISTINCT``), and its metrics."""
     broker = Broker(BrokerConfig(concurrency=2))
     hits_s = 0.0
-    for index, request in enumerate(requests):
-        start = time.perf_counter()
-        response = await broker.submit(request)
-        if index >= len(DISTINCT):
-            hits_s += time.perf_counter() - start
-        assert response.ok, response
+    try:
+        for index, request in enumerate(requests):
+            start = time.perf_counter()
+            response = await broker.submit(request)
+            if index >= len(DISTINCT):
+                hits_s += time.perf_counter() - start
+            assert response.ok, response
+    finally:
+        broker.close()
     return hits_s, broker.metrics.to_dict()
 
 

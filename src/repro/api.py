@@ -823,10 +823,10 @@ def submit_many(
     With ``jobs == 1`` cacheable requests stay in-process and batch
     through :func:`repro.engine.batched.evaluate_grid` (a shared-graph
     grid builds its graph once, then replays or runs each point on
-    it). With ``jobs > 1`` (values below 1
-    mean auto) the whole batch shares one persistent
-    :class:`repro.serve.workers.WorkerPool` — workers are spawned once
-    for the batch, steal work from each other, and crashed payloads are
+    it). With ``jobs > 1`` (values below 1 mean auto) the whole batch
+    shares one :class:`repro.serve.workers.WorkerPool` via
+    :func:`repro.core.parallel.map_runs` — workers are spawned once for
+    the batch, steal work from each other, and crashed payloads are
     retried then completed in-process, so no request is dropped. Fleet
     requests run in-process either way.
 
@@ -856,13 +856,7 @@ def submit_many(
         if request.cacheable
     ]
     payloads = [request.to_run_payload() for _, request in pooled]
-    if jobs > 1 and len(payloads) > 1:
-        from repro.serve.workers import WorkerPool
-
-        with WorkerPool(min(jobs, len(payloads))) as pool:
-            outputs = pool.map(payloads, report)
-    else:
-        outputs = map_runs(payloads, 1, report)
+    outputs = map_runs(payloads, jobs, report)
     results: dict[str, Any] = {}
     for (digest, _), payload, output in zip(pooled, payloads, outputs):
         seed_memo(payload[0], payload[1], output)

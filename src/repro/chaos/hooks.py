@@ -1,11 +1,11 @@
 """Hook points: the monkeypatch-free seam fault injection acts through.
 
-Production modules (:mod:`repro.core.store`, :mod:`repro.core.parallel`,
-:mod:`repro.serve.broker`, :mod:`repro.serve.workers`) call
-:func:`fire` at named **sites** with a small context dict. With no
-handler installed — the default, always, in production — :func:`fire`
-is one attribute load and a ``None`` check, and every call site behaves
-exactly as if the hook did not exist. A chaos run installs a handler
+Production modules (:mod:`repro.core.store`, :mod:`repro.serve.broker`,
+:mod:`repro.serve.workers`) call :func:`fire` at named **sites** with a
+small context dict. With no handler installed — the default, always,
+in production — :func:`fire` is one attribute load and a ``None``
+check, and every call site behaves exactly as if the hook did not
+exist. A chaos run installs a handler
 (:class:`repro.chaos.injection.FaultInjector`) that inspects the site
 and returns a **directive** dict the call site interprets.
 
@@ -33,10 +33,6 @@ Sites and their directive contracts (a handler may always return
     Fired when a worker's answer is consumed. Context: ``worker``,
     ``task``. Directive key: ``drop`` (discard the answer as if the
     pipe lost it; the task is then recovered by the crash path).
-``parallel.supervised``
-    Fired right after :func:`repro.core.parallel.run_supervised` starts
-    its child. Context: ``pid``. Directive key: ``kill`` (SIGKILL the
-    child).
 ``broker.execute``
     Fired as the broker starts executing a miss. Context: ``digest``,
     ``attempt`` (0-based). Directive keys: ``fail`` (a message — the

@@ -60,8 +60,6 @@ class FaultPlan:
             read (a torn write discovered at read time).
         corrupt_write_rate: truncate a cache entry just after it was
             atomically installed (bit-rot / fsync-less power cut).
-        supervised_kill_rate: SIGKILL a freshly-started supervised
-            child (:func:`repro.core.parallel.run_supervised`).
         execute_delay_rate / execute_delay_s: stall the broker before
             an execution attempt (queue-saturation storms).
     """
@@ -74,15 +72,13 @@ class FaultPlan:
     result_drop_rate: float = 0.0
     corrupt_read_rate: float = 0.0
     corrupt_write_rate: float = 0.0
-    supervised_kill_rate: float = 0.0
     execute_delay_rate: float = 0.0
     execute_delay_s: float = 0.1
 
     def __post_init__(self) -> None:
         for name in (
             "straggler_rate", "result_drop_rate", "corrupt_read_rate",
-            "corrupt_write_rate", "supervised_kill_rate",
-            "execute_delay_rate",
+            "corrupt_write_rate", "execute_delay_rate",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -168,7 +164,7 @@ class FaultInjector:
                     {"site": site, **directive,
                      **{k: str(v) for k, v in context.items()
                         if k in ("worker", "task", "digest", "attempt",
-                                 "dispatch", "remote", "pid")}}
+                                 "dispatch", "remote")}}
                 )
             return directive or None
 
@@ -216,12 +212,6 @@ class FaultInjector:
         if self._hit("store.put", self.plan.corrupt_write_rate):
             if torn_write(context["path"]):
                 return {"corrupted": True}
-        return {}
-
-    def _parallel_supervised(self, context: Mapping) -> dict:
-        if self._hit("parallel.supervised",
-                     self.plan.supervised_kill_rate):
-            return {"kill": True}
         return {}
 
     def _broker_execute(self, context: Mapping) -> dict:

@@ -802,8 +802,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         if server.broker.pool is None:
             print(
-                "error: --worker-listen requires --workers >= 1 "
-                "(remote workers join the local pool)",
+                "error: --worker-listen requires process execution "
+                "(drop --inline; remote workers join the local pool)",
                 file=sys.stderr,
             )
             server.stop()
@@ -899,12 +899,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 print(f"running {scenario.name} "
                       f"(seed {args.seed}, {args.requests} requests, "
                       f"{args.workers} workers)...")
+            # A store per scenario: results one scenario cached would
+            # answer the next one's requests before any fault fires.
             report = run_scenario(
                 scenario,
                 seed=args.seed,
                 requests=args.requests,
                 workers=args.workers,
-                cache_dir=cache_dir,
+                cache_dir=Path(cache_dir) / scenario.name,
             )
             reports.append(report)
             if not args.as_json:
@@ -1118,14 +1120,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--inline", action="store_true",
-        help="execute in-process instead of supervised worker "
-             "processes (no kill-on-timeout; mainly for debugging)",
+        help="execute in-process instead of on the worker pool "
+             "(no kill-on-timeout; mainly for debugging)",
     )
     serve.add_argument(
         "--workers", type=int, default=0,
         help="persistent worker-pool processes executing misses "
-             "(0 = fork one supervised child per request); raises "
-             "--concurrency to match when larger",
+             "(0 = one per --concurrency slot; ignored with --inline); "
+             "raises --concurrency to match when larger",
     )
     serve.add_argument(
         "--slo-target-s", type=float, default=0.0,
@@ -1136,7 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--worker-listen", type=int, default=0,
         help="also accept remote TCP workers on this port "
-             "(requires --workers and --worker-authkey)",
+             "(requires --worker-authkey; not with --inline)",
     )
     serve.add_argument(
         "--worker-authkey", default="",
@@ -1156,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hedge-s", type=float, default=0.0,
         help="hedged requests: duplicate a pool dispatch that has not "
              "answered after this many seconds, first answer wins "
-             "(0 = disabled; needs --workers)",
+             "(0 = disabled; ignored with --inline)",
     )
     serve.add_argument(
         "--no-degraded", action="store_true",

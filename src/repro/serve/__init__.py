@@ -12,16 +12,16 @@ Three front doors, one execution substrate:
 The broker answers cache hits synchronously from the shared
 ``.repro_cache`` store, deduplicates identical in-flight requests, and
 executes misses under bounded concurrency, per-request deadlines, and
-queue-full backpressure. Misses run either in per-request supervised
-child processes (:func:`repro.core.parallel.run_supervised`, the
-default) or — with ``BrokerConfig(workers=N)`` — on a persistent
-:class:`WorkerPool`: N long-lived worker processes (optionally joined
-by remote TCP workers, ``python -m repro worker``) with per-worker
-work-stealing deques, health checks with automatic respawn, and a
-shared content-addressed cache. ``BrokerConfig(slo_target_s=...)`` adds
-SLO-aware admission: misses whose predicted wait (queue depth × mean
-service time) exceeds the target are rejected up front with a matching
-Retry-After.
+queue-full backpressure. Misses run on a persistent :class:`WorkerPool`
+(``BrokerConfig(workers=N)``, default one worker per concurrency slot):
+long-lived worker processes (optionally joined by remote TCP workers,
+``python -m repro worker``) with per-worker work-stealing deques,
+health checks with automatic respawn, and a shared content-addressed
+cache. The same pool class runs every ``jobs > 1`` fan-out in the
+package (:func:`repro.core.parallel.map_runs`).
+``BrokerConfig(slo_target_s=...)`` adds SLO-aware admission: misses
+whose predicted wait (queue depth × mean service time) exceeds the
+target are rejected up front with a matching Retry-After.
 
 The serve tier self-heals (opt-in via :class:`BrokerConfig`; the CLI
 turns it on): crash retries with full-jitter backoff, per-worker-slot

@@ -8,11 +8,12 @@ One :class:`Broker` owns three request paths, tried in order:
 2. **In-flight dedup** — a request whose digest matches a simulation
    already executing awaits that execution's future instead of starting
    a second one; identical concurrent requests simulate exactly once.
-3. **Supervised execution** — the miss queues for a bounded-concurrency
-   slot and runs via :func:`repro.core.parallel.run_supervised` in a
-   dedicated killable child process. A per-request deadline kills the
-   child (``timeout`` response); a SIGKILLed/OOMed child becomes a
-   structured ``error`` response; the broker keeps serving either way.
+3. **Pooled execution** — the miss queues for a bounded-concurrency
+   slot and runs on the broker's persistent
+   :class:`repro.serve.workers.WorkerPool`. A per-request deadline
+   kills the hosting worker (``timeout`` response); a SIGKILLed/OOMed
+   worker becomes a structured ``error`` response once the pool's
+   retry budget is spent; the broker keeps serving either way.
 
 Backpressure is explicit: when ``queue_limit`` requests are already
 waiting for a slot, new misses are **rejected** immediately (the HTTP
@@ -59,13 +60,11 @@ from repro.core.parallel import (
     PayloadError,
     WorkerCrashError,
     WorkerTimeoutError,
-    run_request_payload,
-    run_supervised,
 )
 from repro.core.results import RunResult
 
-#: Seconds added to the in-executor backstop beyond the child deadline,
-#: so the child's own kill path fires first.
+#: Seconds added to the in-executor backstop beyond the worker deadline,
+#: so the pool's own kill path fires first.
 _DEADLINE_GRACE_S = 5.0
 
 #: How many recent request latencies feed the percentile counters.
@@ -88,16 +87,15 @@ class BrokerConfig:
         default_timeout_s: per-request deadline when the request does
             not carry its own ``timeout_s`` (None = no deadline).
         retry_after_s: hint attached to rejections (HTTP Retry-After).
-        use_processes: run misses in supervised child processes
-            (killable deadlines, crash isolation). ``False`` executes
-            in-process threads — faster for tests, no kill capability.
+        use_processes: run misses on a persistent
+            :class:`~repro.serve.workers.WorkerPool` (killable
+            deadlines, crash isolation). ``False`` executes in-process
+            threads — faster for tests, no kill capability.
         cache: serve and populate the shared result cache.
-        workers: size of the persistent :class:`~repro.serve.workers.
-            WorkerPool` executing cacheable misses (0 = fork one
-            supervised child per request, the pre-pool behaviour).
-            Pool workers are spawned once and reused, share the
-            parent's ``REPRO_CACHE_DIR`` store, and steal work from
-            each other's deques.
+        workers: size of that pool (0 = ``concurrency``). Pool workers
+            are spawned once and reused, share the parent's
+            ``REPRO_CACHE_DIR`` store, and steal work from each other's
+            deques.
         slo_target_s: SLO-aware admission: reject a miss (429 +
             Retry-After) when its predicted wait — queue depth × mean
             service time — already exceeds this bound, instead of
@@ -115,7 +113,8 @@ class BrokerConfig:
             default).
         breaker_reset_s: open → half-open reset timeout.
         hedge_s: hedged-request delay handed to the worker pool
-            (``None`` disables; only meaningful with ``workers > 0``).
+            (``None`` disables; only meaningful with
+            ``use_processes``).
         degraded: answer otherwise-failed requests from the last-good
             LRU or the analytic model, marked ``degraded: true``,
             instead of returning ``error``/``timeout``.
@@ -176,7 +175,7 @@ class SimResponse:
     """One broker answer: a result or a structured failure.
 
     ``status`` is one of ``"ok"``, ``"error"`` (worker crash or payload
-    exception), ``"timeout"`` (deadline hit, child killed), or
+    exception), ``"timeout"`` (deadline hit, worker killed), or
     ``"rejected"`` (queue full — retry after ``retry_after_s``).
     A degraded-mode answer is ``"ok"`` with ``degraded=True`` and
     ``degraded_source`` naming the tier that produced it
@@ -282,24 +281,8 @@ class BrokerMetrics:
         }
 
 
-def _default_runner(request: SimRequest,
-                    timeout_s: float | None) -> object:
-    """Execute one request in a supervised child process.
-
-    Cacheable payloads run through :func:`run_request_payload`, so the
-    child writes the shared on-disk store before returning — the
-    parent's next identical request is a store hit. Fleet requests are
-    shipped as their dict form and rebuilt in the child.
-    """
-    if request.cacheable:
-        return run_supervised(
-            run_request_payload, request.to_run_payload(), timeout_s
-        )
-    return run_supervised(_submit_dict, request.to_dict(), timeout_s)
-
-
 def _submit_dict(data: dict) -> object:
-    """Child-side fleet execution (top-level, picklable)."""
+    """Worker-side fleet execution (top-level, picklable)."""
     return submit(SimRequest.from_dict(data))
 
 
@@ -330,18 +313,14 @@ class Broker:
     ) -> None:
         self.config = config or BrokerConfig()
         self.pool = None
-        if self.config.workers > 0:
+        self._runner = runner or _inline_runner
+        if runner is None and self.config.use_processes:
             from repro.serve.workers import WorkerPool
 
-            self.pool = WorkerPool(self.config.workers)
-        if runner is not None:
-            self._runner = runner
-        elif self.pool is not None:
+            self.pool = WorkerPool(
+                self.config.workers or self.config.concurrency
+            )
             self._runner = self._pool_runner
-        elif self.config.use_processes:
-            self._runner = _default_runner
-        else:
-            self._runner = _inline_runner
         self.metrics = BrokerMetrics()
         self._retry = RetryPolicy(
             attempts=self.config.retry_attempts,
@@ -370,7 +349,7 @@ class Broker:
     async def submit(
         self, request: SimRequest | OptimizeRequest
     ) -> SimResponse:
-        """Answer one request (cache → dedup → supervised execution)."""
+        """Answer one request (cache → dedup → pooled execution)."""
         if not isinstance(request, (SimRequest, OptimizeRequest)):
             raise TypeError(
                 f"Broker.submit takes a SimRequest or OptimizeRequest, "
@@ -559,12 +538,18 @@ class Broker:
 
     def _pool_runner(self, request: SimRequest,
                      timeout_s: float | None) -> object:
-        """Execute via the persistent worker pool (cacheable kinds);
-        fleet requests keep the per-request supervised child."""
-        if request.cacheable and self.pool is not None:
+        """Execute one miss on the worker pool.
+
+        Cacheable payloads run through ``cached_run``, so the worker
+        writes the shared on-disk store before returning — the next
+        identical request is a store hit. Fleet requests are shipped as
+        their dict form and rebuilt in the worker.
+        """
+        if request.cacheable:
             return self.pool.run(request.to_run_payload(), timeout_s,
                                  hedge_s=self.config.hedge_s)
-        return _default_runner(request, timeout_s)
+        return self.pool.run(request.to_dict(), timeout_s,
+                             hedge_s=self.config.hedge_s, fn=_submit_dict)
 
     def _remember_good(self, request: SimRequest, result: object) -> None:
         """Feed the stale-cache degraded tier (bounded LRU)."""
@@ -632,8 +617,8 @@ class Broker:
                     None, self._runner, request, budget
                 )
                 if budget is not None:
-                    # Backstop only: the supervised child enforces the
-                    # real deadline by killing the process.
+                    # Backstop only: the pool enforces the real
+                    # deadline by killing the worker.
                     call = asyncio.wait_for(
                         call, budget + _DEADLINE_GRACE_S
                     )

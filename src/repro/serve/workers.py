@@ -1,9 +1,11 @@
-"""Persistent worker pool: work-stealing fan-out for the serve tier.
+"""Persistent worker pool: the one way work runs in another process.
 
-:class:`WorkerPool` keeps N worker processes alive across requests —
-unlike :func:`repro.core.parallel.run_supervised` (one fork per
-request) or ``ProcessPoolExecutor`` sweeps (one pool per batch), the
-workers here are spawned once and reused, so a 50-request batch pays
+:class:`WorkerPool` keeps N worker processes alive across tasks and is
+the only process-execution mechanism in the package: the ``repro.serve``
+broker holds one for its misses, and :func:`repro.core.parallel.map_runs`
+/ :func:`~repro.core.parallel.map_calls` (so sweeps, campaigns, the
+optimizer and :func:`repro.api.submit_many`) build one per ``jobs > 1``
+batch. Workers are spawned once and reused, so a 50-request batch pays
 interpreter+import start-up N times, not 50.
 
 Scheduling is parent-side work stealing: every worker owns a deque,
@@ -41,10 +43,12 @@ Fault injection enters through :mod:`repro.chaos.hooks` call sites
 (``pool.dispatch``, ``pool.result``) — one dict lookup when no chaos
 handler is installed, byte-identical behaviour to a hook-free pool.
 
-Workers execute :func:`repro.core.parallel.run_request_payload` by
-default, i.e. through ``cached_run`` — they share the parent's
-content-addressed ``.repro_cache`` store (same ``REPRO_CACHE_DIR``), so
-anything a worker simulates is a store hit for every later process.
+:meth:`~WorkerPool.run` and :meth:`~WorkerPool.map` execute
+:func:`repro.core.parallel.run_request_payload` by default, i.e.
+through ``cached_run`` — workers share the parent's content-addressed
+``.repro_cache`` store (same ``REPRO_CACHE_DIR``), so anything a worker
+simulates is a store hit for every later process. Both take any other
+picklable top-level callable as ``fn``.
 
 Remote workers: :meth:`WorkerPool.listen` opens an authenticated TCP
 socket and :func:`serve_worker` (``python -m repro worker``) connects a
@@ -56,8 +60,8 @@ re-dials a lost broker with capped, jittered backoff instead of dying.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
-import os
 import pickle
 import random
 import threading
@@ -73,15 +77,16 @@ from repro.chaos.policies import CircuitBreaker, RetryPolicy
 from repro.core.parallel import (
     ExecutionReport,
     PayloadError,
-    RunPayload,
     WorkerCrashError,
     WorkerTimeoutError,
+    default_jobs,
     run_request_payload,
 )
 
 #: Default attempts per task across worker deaths before it resolves to
-#: :class:`WorkerCrashError` (1 initial + 1 retry, matching the sweep
-#: fan-out's crash policy). Override with ``WorkerPool(retry=...)``.
+#: :class:`WorkerCrashError` (1 initial + 1 retry; the caller then falls
+#: back in-process or reports the crash). Override with
+#: ``WorkerPool(retry=...)``.
 _TASK_ATTEMPTS = 2
 
 #: Default full-jitter backoff for task redispatch after a failure.
@@ -240,8 +245,11 @@ class WorkerPool:
     """N persistent workers behind per-worker work-stealing deques.
 
     Args:
-        workers: local worker processes to spawn (0 is allowed when the
-            pool is fed purely by remote workers via :meth:`listen`).
+        workers: local worker processes to spawn (default
+            :func:`~repro.core.parallel.default_jobs`; 0 is allowed when
+            the pool is fed purely by remote workers via
+            :meth:`listen`). Raises ``OSError`` when a process cannot
+            be started.
         respawn: replace local workers that die; in-flight work is
             retried either way.
         retry: per-task redispatch budget + backoff after a worker
@@ -258,7 +266,7 @@ class WorkerPool:
                  breaker_failures: int = 3,
                  breaker_reset_s: float = 5.0) -> None:
         if workers is None:
-            workers = max(1, (os.cpu_count() or 2) - 1)
+            workers = default_jobs()
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if breaker_failures < 0:
@@ -290,12 +298,21 @@ class WorkerPool:
         self.expired = 0
         self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         with self._lock:
-            for _ in range(workers):
-                self._spawn_locked()
+            try:
+                for _ in range(workers):
+                    self._spawn_locked()
+            except BaseException:
+                for worker in self._workers.values():
+                    worker.process.kill()  # reap the ones that started
+                    worker.process.join()
+                raise
         self._dispatcher = threading.Thread(
             target=self._loop, name="repro-worker-pool", daemon=True
         )
         self._dispatcher.start()
+        # A pool left open must not respawn its workers while the
+        # interpreter exits (multiprocessing terminates them first).
+        atexit.register(self.close)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -360,6 +377,7 @@ class WorkerPool:
                     self._listener.close()
                 except OSError:
                     pass
+        atexit.unregister(self.close)
         self._wake()
         self._dispatcher.join(timeout=5.0)
         for worker in workers:
@@ -421,16 +439,11 @@ class WorkerPool:
         self._wake()
         return task.future
 
-    def submit_payload(self, payload: RunPayload, *,
-                       deadline_at: float | None = None) -> Future:
-        """Queue one ``(kind, kwargs)`` run payload (cached execution)."""
-        return self.submit(run_request_payload, payload,
-                           deadline_at=deadline_at)
-
-    def run(self, payload: RunPayload,
+    def run(self, payload,
             timeout_s: float | None = None,
-            hedge_s: float | None = None):
-        """Execute one run payload synchronously (the broker path).
+            hedge_s: float | None = None, *,
+            fn=run_request_payload):
+        """Execute ``fn(payload)`` synchronously (the broker path).
 
         Raises :class:`WorkerTimeoutError` after killing the hosting
         worker(s) when the deadline passes, :class:`WorkerCrashError`
@@ -442,12 +455,13 @@ class WorkerPool:
         on another worker and the first answer wins (the straggler's
         is discarded). Payload execution is deterministic and cached,
         so the duplicate is harmless — at worst it recomputes what the
-        winner just cached.
+        winner just cached (a non-default ``fn`` must be as idempotent
+        to be hedged).
         """
         start = time.monotonic()
         deadline_at = None if timeout_s is None else start + timeout_s
         hedge_at = None if hedge_s is None else start + hedge_s
-        futures = [self.submit_payload(payload, deadline_at=deadline_at)]
+        futures = [self.submit(fn, payload, deadline_at=deadline_at)]
         primary = futures[0]
         crash: BaseException | None = None
         while True:
@@ -497,47 +511,50 @@ class WorkerPool:
                     and time.monotonic() >= hedge_at):
                 hedge_at = None  # at most one hedge per request
                 try:
-                    futures.append(self.submit_payload(
-                        payload, deadline_at=deadline_at
+                    futures.append(self.submit(
+                        fn, payload, deadline_at=deadline_at
                     ))
                     self.hedges += 1
                 except (WorkerCrashError, RuntimeError):
                     pass
 
-    def map(self, payloads: list[RunPayload],
-            report: ExecutionReport | None = None) -> list:
-        """Run payloads through the pool; results in input order.
+    def map(self, payloads: list, report: ExecutionReport | None = None,
+            fn=run_request_payload) -> list:
+        """``[fn(payload) for payload in payloads]`` through the pool.
 
-        Crash recovery matches :func:`repro.core.parallel.map_runs`:
-        payloads whose workers died are retried on another worker, and
-        anything that still cannot complete runs in-process — the batch
-        never drops a request. ``report`` captures what happened.
+        Results come back in input order. A payload whose worker died is
+        retried on another worker, and anything that still cannot
+        complete runs in-process — the batch never drops a request.
+        ``report`` lists every index whose worker died at least once in
+        ``retried``, and those that then ran in-process in
+        ``fell_back``. A payload's own exception raises
+        :class:`PayloadError`.
         """
         futures: list[Future | None] = []
         for payload in payloads:
             try:
-                futures.append(self.submit_payload(payload))
+                futures.append(self.submit(fn, payload))
             except WorkerCrashError:
                 futures.append(None)
         results = []
         for index, (payload, future) in enumerate(zip(payloads, futures)):
-            retried = crashed = False
+            retried = fell_back = False
             if future is None:
-                crashed = True
+                fell_back = True
             else:
                 try:
                     status, value = future.result()
                     retried = future.repro_retried  # type: ignore[attr-defined]
                 except (WorkerCrashError, WorkerTimeoutError):
-                    crashed = True
-            if crashed:
-                if report is not None:
+                    retried = fell_back = True
+            if report is not None:
+                if retried:
+                    report.retried.append(index)
+                if fell_back:
                     report.fell_back.append(index)
-                results.append(run_request_payload(payload))
-                continue
-            if retried and report is not None:
-                report.retried.append(index)
-            if status == "ok":
+            if fell_back:
+                results.append(fn(payload))
+            elif status == "ok":
                 results.append(value)
             else:
                 raise PayloadError(value)

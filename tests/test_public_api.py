@@ -126,6 +126,9 @@ LEGACY_NAMES = {
     "ScalarPhysics",
     "reference_activity",
     "GpuSample",
+    # The fork-per-request runner; every process fan-out now runs on
+    # repro.serve.workers.WorkerPool.
+    "run_supervised",
 }
 
 #: Removed modules: importing them (or anything under them) is barred.
@@ -138,8 +141,10 @@ LEGACY_MODULES = (
 
 #: Removed keyword spellings: ``ParallelismConfig(interleaved=True)``
 #: is ``pipeline_schedule="interleaved"``; ``SimSettings(fast_path=...)``
-#: selected the removed scalar physics backend.
-LEGACY_KEYWORDS = {"interleaved", "fast_path"}
+#: selected the removed scalar physics backend;
+#: ``FaultPlan(supervised_kill_rate=...)`` targeted the removed
+#: fork-per-request runner.
+LEGACY_KEYWORDS = {"interleaved", "fast_path", "supervised_kill_rate"}
 
 #: Every tree the scan covers.
 SCANNED_ROOTS = {
@@ -284,6 +289,8 @@ class TestNoInternalLegacyUse:
         import importlib
 
         from repro import telemetry
+        from repro.chaos.injection import FaultPlan
+        from repro.core import parallel
         from repro.engine import physics
         from repro.engine.simulator import SimSettings
         from repro.parallelism.strategy import ParallelismConfig
@@ -300,9 +307,14 @@ class TestNoInternalLegacyUse:
         assert "fast_path" not in {
             f.name for f in dataclasses.fields(SimSettings)
         }
+        assert "supervised_kill_rate" not in {
+            f.name for f in dataclasses.fields(FaultPlan)
+        }
         for module, name in ((physics, "ScalarPhysics"),
                              (physics, "reference_activity"),
-                             (telemetry, "GpuSample")):
+                             (telemetry, "GpuSample"),
+                             (parallel, "run_supervised"),
+                             (parallel, "ProcessPoolExecutor")):
             assert not hasattr(module, name), name
 
 

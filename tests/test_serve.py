@@ -1,19 +1,17 @@
 """Broker semantics: cache, dedup, backpressure, deadlines, crashes.
 
 Fast paths use injected runners (counting/blocking/failing callables) so
-admission control is tested without real simulations; the supervised
-sections use real child processes against catalog workloads to prove
+admission control is tested without real simulations; the pooled
+sections use real worker processes against catalog workloads to prove
 the kill-on-timeout and crash-isolation behaviour end to end.
 """
 
 import asyncio
-import os
-import signal
-import time
 
 import pytest
 
 from repro.api import SimRequest, submit
+from repro.chaos import hooks
 from repro.serve import Broker, BrokerConfig, SimResponse
 from tests.conftest import assert_run_results_equal
 
@@ -283,25 +281,29 @@ class TestSupervisedExecution:
         assert broker.metrics.timeouts == 1
 
     def test_sigkilled_worker_is_structured_error(self):
-        def suicidal_runner(request, timeout_s):
-            from repro.core.parallel import run_supervised
-
-            return run_supervised(_kill_self, None, timeout_s)
+        def kill_every_dispatch(site, context):
+            # The delay holds each task in its worker until the kill
+            # lands, so no attempt can answer first.
+            if site == "pool.dispatch":
+                return {"kill": True, "delay_s": 30.0}
+            return None
 
         async def scenario():
-            broker = Broker(
-                BrokerConfig(cache=False), runner=suicidal_runner
-            )
-            first = await broker.submit(REQUEST)
-            # Broker keeps serving after the crash.
-            broker._runner = lambda request, timeout_s: "alive"
-            second = await broker.submit(REQUEST)
+            broker = Broker(BrokerConfig(cache=False))
+            try:
+                with hooks.installed(kill_every_dispatch):
+                    first = await broker.submit(REQUEST)
+                # Broker keeps serving after the crash.
+                second = await broker.submit(REQUEST)
+            finally:
+                broker.close()
             return first, second
 
         first, second = run_async(scenario)
         assert first.status == "error"
         assert "WorkerCrashError" in first.error
         assert second.ok
+        assert_run_results_equal(second.result, submit(REQUEST, cache=False))
 
     def test_supervised_result_equals_direct_submit(self):
         async def scenario():
@@ -324,11 +326,6 @@ class TestSupervisedExecution:
         first, second = run_async(scenario)
         assert first.ok and not first.cached
         assert second.ok and second.cached
-
-
-def _kill_self(_):
-    os.kill(os.getpid(), signal.SIGKILL)
-    time.sleep(10)  # pragma: no cover - never reached
 
 
 class TestResponses:
