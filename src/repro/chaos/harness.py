@@ -160,12 +160,17 @@ def _spawn_remote_workers(pool, count: int) -> list:
         )
         process.start()
         processes.append(process)
-    deadline = time.monotonic() + 10.0
+    _await_remotes(pool, count)
+    return processes
+
+
+def _await_remotes(pool, count: int, timeout_s: float = 10.0) -> None:
+    """Wait until ``count`` remote workers are attached (or time out)."""
+    deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         if pool.stats()["remote_workers"] >= count:
             break
         time.sleep(0.02)
-    return processes
 
 
 def run_scenario(
@@ -207,8 +212,11 @@ def run_scenario(
 
         getattr(_sweep, "_CACHE", {}).clear()  # isolate the memo
         batch = build_requests(requests, distinct)
+        # One execution slot per worker, remote ones included: with
+        # only the local workers' slots, the least-loaded pick never
+        # reaches an idle remote worker.
         config = BrokerConfig(
-            concurrency=max(2, workers),
+            concurrency=max(2, workers + scenario.remote_workers),
             queue_limit=16,
             default_timeout_s=_REQUEST_TIMEOUT_S,
             workers=workers,
@@ -249,13 +257,20 @@ def run_scenario(
                         statuses.append(("dropped", False, 0.0))
                     else:
                         statuses.append(outcome)
+                broker_box["finished"] = time.monotonic()
+                if remotes:
+                    # A dropped remote worker re-dials; give it a moment,
+                    # so the pool stats show whether it came back.
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, _await_remotes, broker.pool, len(remotes), 2.0,
+                    )
                 broker_box["pool_stats"] = (
                     broker.pool.stats() if broker.pool else {}
                 )
                 broker_box["metrics"] = broker.metrics_dict()
 
             asyncio.run(_drive())
-            report.duration_s = time.monotonic() - started
+            report.duration_s = broker_box["finished"] - started
             broker = broker_box.get("broker")
             if broker is not None:
                 broker.close()

@@ -75,7 +75,7 @@ SCENARIOS: dict[str, Scenario] = {
             description="drop the remote TCP worker's connection "
                         "mid-task; its work must re-land locally and "
                         "the worker must reconnect",
-            plan=FaultPlan(drop_remote_dispatches=(1,)),
+            plan=FaultPlan(drop_remote_dispatches=(0,)),
             remote_workers=1,
         ),
         Scenario(
@@ -106,7 +106,7 @@ SCENARIOS: dict[str, Scenario] = {
                         "requests must still be answered",
             plan=FaultPlan(
                 kill_local_dispatches=(2, 5),
-                drop_remote_dispatches=(1,),
+                drop_remote_dispatches=(0,),
                 corrupt_read_rate=0.05,
             ),
             remote_workers=1,

@@ -43,6 +43,11 @@ def segment_time(
     return latency_s + message_bytes / bandwidth
 
 
+#: ``(id(links), bytes, chunked, scale) -> (seconds, links)``; holding
+#: the links keeps their id unique. ``clear_cache`` empties it.
+TRANSFER_TIMES: dict[tuple, tuple[float, tuple]] = {}
+
+
 def transfer_time(
     path: Path,
     message_bytes: float,
@@ -58,7 +63,21 @@ def transfer_time(
             segment) vs. unchunked store-and-forward (hops serialize).
         bandwidth_scale: divisor applied to every segment's bandwidth,
             used by the contention model (0 < scale <= 1 means slower).
+
+    Times are kept per links tuple in :data:`TRANSFER_TIMES`.
     """
+    links = path.links
+    key = (id(links), message_bytes, chunked, bandwidth_scale)
+    entry = TRANSFER_TIMES.get(key)
+    if entry is None:
+        entry = TRANSFER_TIMES[key] = (
+            _transfer_time(links, message_bytes, chunked, bandwidth_scale),
+            links,
+        )
+    return entry[0]
+
+
+def _transfer_time(links, message_bytes, chunked, bandwidth_scale) -> float:
     if message_bytes <= 0:
         raise ValueError("message_bytes must be positive")
     if not 0 < bandwidth_scale <= 1:
@@ -70,13 +89,13 @@ def transfer_time(
             link.latency_s,
             message_bytes,
         )
-        for link in path.links
+        for link in links
     ]
     if chunked:
         # Chunks pipeline: total time ~ slowest segment + other latencies.
         slowest = max(times)
-        other_latency = sum(link.latency_s for link in path.links) - (
-            path.links[times.index(slowest)].latency_s
+        other_latency = sum(link.latency_s for link in links) - (
+            links[times.index(slowest)].latency_s
         )
         return slowest + other_latency
     return sum(times)

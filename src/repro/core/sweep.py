@@ -17,9 +17,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from repro.comm.message import TRANSFER_TIMES
 from repro.core.experiment import execute_inference, execute_training
 from repro.core.results import RunResult
 from repro.core.store import persistence_enabled, result_store
+from repro.engine.physics import STEP_PROPAGATORS
+from repro.hardware.topology import PATHS
 from repro.parallelism.strategy import OptimizationConfig
 
 _CACHE: dict[tuple, RunResult] = {}
@@ -199,8 +202,13 @@ def clear_cache() -> None:
 
     Tests rely on this for isolation, so it clears both layers: the
     per-process memo and the on-disk store the process would read from.
+    It also empties the per-cluster tables (paths, transfer times,
+    thermal propagators), so the next run starts cold.
     """
     _CACHE.clear()
+    PATHS.clear()
+    TRANSFER_TIMES.clear()
+    STEP_PROPAGATORS.clear()
     result_store().clear()
 
 

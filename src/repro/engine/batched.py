@@ -157,11 +157,11 @@ class _VectorReplay:
     anchor's pop sequence — a valid topological order of the dependency
     DAG — evaluating order-independent time formulas elementwise, walks
     its own scalar :class:`NicContention` (pure counters — shares are
-    certified per lane before being trusted), and looks communication
-    costs up in the anchor's memo. Activity/PCIe transitions, kernel
-    records and traffic calls are logged columnar, each tagged with its
-    enclosing pop (``pop1``: 0 = the pre-heap prelude, ``i + 1`` = the
-    i-th anchor pop), for later per-lane reordering.
+    certified per lane before being trusted), and prices each send and
+    collective from the anchor's comm plans. Activity/PCIe transitions,
+    kernel records and traffic calls are logged columnar, each tagged
+    with its enclosing pop (``pop1``: 0 = the pre-heap prelude, ``i + 1``
+    = the i-th anchor pop), for later per-lane reordering.
     """
 
     def __init__(self, anchor: _RecordingSimulator,
@@ -174,8 +174,7 @@ class _VectorReplay:
         self._gpu_of = anchor._gpu_of
         self._queues = anchor._queues
         self._world = anchor.world
-        self._comm_cache = anchor._comm_cache
-        self._group_cache = anchor._group_cache
+        self._plans = anchor._plans
         self._contention = NicContention(
             num_nodes=anchor.cluster.num_nodes
         )
@@ -238,9 +237,9 @@ class _VectorReplay:
         # arrival pop) per matched pair.
         self.p2p_send_pop1: list[int] = []
         self.p2p_recv_pop1: list[int] = []
-        # Traffic calls: folded per cost object (as the serial
-        # ``_record_scaled_traffic`` does, keyed by id) but flushed per
-        # lane in the lane's first-use order.
+        # Traffic calls: folded per cost object (as the serial run's
+        # traffic slots are, keyed by id) but flushed per lane in the
+        # lane's first-use order.
         self.traf_cost_id: list[int] = []
         self.traf_cost: list = []
         self.traf_repeat: list[int] = []
@@ -335,26 +334,23 @@ class _VectorReplay:
 
     def _start_send(self, task: Task, rank: int, now_tid: int) -> None:
         spec = task.p2p
-        src_gpu = self._gpu_of[spec.src]
-        dst_gpu = self._gpu_of[spec.dst]
-        nodes = self._a._nic_nodes_for((src_gpu, dst_gpu))
+        key = (spec.src, spec.dst, spec.payload_bytes, spec.chunked)
+        plan = self._plans.get(key)
+        if plan is None:
+            raise _ReplayDiverged(f"p2p plan miss: {key}")
+        (src_gpu, _), nodes, prices = plan
         if nodes:
             share = self._contention.begin(nodes)
             self._log_con(nodes)
         else:
             share = 1.0
-        key = ("p2p", src_gpu, dst_gpu, spec.payload_bytes, spec.chunked,
-               share)
-        cost = self._comm_cache.get(key)
-        if cost is None:
-            raise _ReplayDiverged(f"p2p cost miss: {key}")
-        duration = max(cost.duration_s, EPS)
-        self._log_traffic(cost, 1)
-        rates = []
-        for gpu, pcie in self._a._pcie_entries(cost):
-            rate = pcie * 1 / duration
+        price = prices.get(share)
+        if price is None:
+            raise _ReplayDiverged(f"p2p price miss: {key} at {share}")
+        _, duration, _, rates, slot = price
+        self._log_traffic(slot[0], 1)
+        for gpu, rate in rates:
             self._log_pcie(now_tid, gpu, rate, end=False)
-            rates.append((gpu, rate))
         self._log_comm(now_tid, src_gpu, 1.0)
         now = self._times[now_tid]
         end = now + duration
@@ -416,20 +412,20 @@ class _VectorReplay:
 
     def _start_collective(self, task: Task, state: dict) -> None:
         spec = task.collective
-        group = self._group_cache.get(spec.ranks)
-        if group is None:
-            raise _ReplayDiverged(f"group miss: {spec.ranks}")
-        gpus, nodes = group
+        key = (spec.op, spec.ranks, spec.payload_bytes, spec.repeat)
+        plan = self._plans.get(key)
+        if plan is None:
+            raise _ReplayDiverged(f"collective plan miss: {key}")
+        gpus, nodes, prices = plan
         if nodes:
             share = self._contention.begin(nodes)
             self._log_con(nodes)
         else:
             share = 1.0
-        key = (spec.op, spec.ranks, spec.payload_bytes, share)
-        cost = self._comm_cache.get(key)
-        if cost is None:
-            raise _ReplayDiverged(f"collective cost miss: {key}")
-        comm_duration = cost.duration_s * spec.repeat
+        price = prices.get(share)
+        if price is None:
+            raise _ReplayDiverged(f"collective price miss: {key} at {share}")
+        comm_duration, duration, volumes, rates, slot = price
         # Order-independent start: the serial collective starts at its
         # last arrival — the elementwise max over arrival vectors, since
         # the anchor's last arriver need not be the last in every lane.
@@ -441,25 +437,20 @@ class _VectorReplay:
             else np.maximum.reduce(arrival_vecs)
         )
         start_tid = self._tid(now)
-        self._log_traffic(cost, spec.repeat)
+        self._log_traffic(slot[0], spec.repeat)
 
-        duration = comm_duration
         if task.overlap_compute is not None:
             # All member GPUs share the closed-form frequency, so the
             # serial per-GPU max() collapses to one vector.
             compute_d = self._compute_duration(task.overlap_compute, now)
-            duration = _fused_vec(compute_d, comm_duration)
+            duration = np.maximum(_fused_vec(compute_d, comm_duration), EPS)
+            rates = [(gpu, volume / duration) for gpu, volume in volumes]
             for gpu in gpus:
                 self._log_act(
                     start_tid, gpu, task.overlap_compute.activity, 1.0
                 )
-        duration = np.maximum(duration, EPS)
-
-        rates = []
-        for gpu, pcie in self._a._pcie_entries(cost):
-            rate = pcie * spec.repeat / duration
+        for gpu, rate in rates:
             self._log_pcie(start_tid, gpu, rate, end=False)
-            rates.append((gpu, rate))
         state["gs_tid"] = start_tid
         state["nodes"] = nodes
         state["pcie"] = rates

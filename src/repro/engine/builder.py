@@ -294,7 +294,8 @@ class GraphBuilder:
         * every other task is created anew, in the template's creation
           order, so its uid is the next free uid plus its index among
           the copied tasks; messages never cross a copy, so message ids
-          shift by the template's message count;
+          shift by the template's message count, and a copied message's
+          SEND and RECV share one spec;
         * a compute kernel that hides TP communication (CC overlap)
           takes the hidden time of its new TP group, which depends on
           the physical GPUs under a placement permutation.
@@ -324,6 +325,8 @@ class GraphBuilder:
             msg_shift = k * next_msg
             iteration = k * iteration_stride
             made: dict[int, Task] = {}
+            # One spec per copied message, shared by its SEND and RECV.
+            messages: dict[int, P2PSpec] = {}
             for rank, tasks in template:
                 dst = rank + shift
                 own = (dst,)
@@ -350,13 +353,16 @@ class GraphBuilder:
                             )
                         ranks = spec.ranks
                     elif p2p is not None:
-                        p2p = P2PSpec(
-                            p2p.src + shift,
-                            p2p.dst + shift,
-                            p2p.payload_bytes,
-                            p2p.chunked,
-                            p2p.message_id + msg_shift,
-                        )
+                        message = messages.get(p2p.message_id)
+                        if message is None:
+                            message = messages[p2p.message_id] = P2PSpec(
+                                p2p.src + shift,
+                                p2p.dst + shift,
+                                p2p.payload_bytes,
+                                p2p.chunked,
+                                p2p.message_id + msg_shift,
+                            )
+                        p2p = message
                     elif hidden and compute.overlapped_comm_s == hidden[0]:
                         compute = replace(compute, overlapped_comm_s=hidden[1])
                     copy = Task(

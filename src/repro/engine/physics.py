@@ -17,7 +17,8 @@ heatsink temperatures, clocks, setpoint ceilings and floors, the prewarm
 power, the governor's quiet-path flag, the observed time and the pending
 stats hold (with the throttle/clock integrals). Shared by all lanes: the
 hardware, the fault knobs (node budgets, clock limits, inlet offsets)
-and the propagator cache. The simulator steps one lane;
+and the propagator cache, whose default-step entry every instance of
+the same GPU thermals shares. The simulator steps one lane;
 :mod:`repro.engine.batched` steps one lane per replayed config, with an
 ``active`` mask that freezes lanes whose run has ended.
 
@@ -59,6 +60,14 @@ _NO_EQUILIBRIUM = (None, None, None, None, None)
 #: ``_amax(a, None)`` is ``a.max()`` without the method's Python-level
 #: argument handling, which costs as much as the reduction at this size.
 _amax = np.maximum.reduce
+
+#: The simulator's default integration step (``SimSettings.physics_dt_s``).
+DEFAULT_STEP_S = 0.05
+
+#: Default-step propagator columns per node hardware (the bytes of its
+#: thermal system matrix); any other step, such as a run's final partial
+#: step, stays per instance. :func:`repro.core.sweep.clear_cache` empties it.
+STEP_PROPAGATORS: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _system_matrix(node: NodeSpec) -> np.ndarray:
@@ -193,14 +202,22 @@ class VectorPhysics:
 
         ``new = eq + col0 * dev[0] + col1 * dev[1]`` evaluates, per
         node of the pair, ``eq + p_i0 * die_dev + p_i1 * sink_dev``.
+        The default step's columns are shared by every instance of the
+        same GPU thermals (:data:`STEP_PROPAGATORS`).
         """
         propagator = self._propagators.get(dt_s)
         if propagator is None:
-            matrix = _expm_2x2(self._matrix, dt_s)
-            propagator = (
-                matrix[:, 0].reshape(2, 1, 1, 1),
-                matrix[:, 1].reshape(2, 1, 1, 1),
-            )
+            shared = dt_s == DEFAULT_STEP_S
+            key = self._matrix.tobytes()
+            propagator = STEP_PROPAGATORS.get(key) if shared else None
+            if propagator is None:
+                matrix = _expm_2x2(self._matrix, dt_s)
+                propagator = (
+                    matrix[:, 0].reshape(2, 1, 1, 1),
+                    matrix[:, 1].reshape(2, 1, 1, 1),
+                )
+                if shared:
+                    STEP_PROPAGATORS[key] = propagator
             self._propagators[dt_s] = propagator
         return propagator
 

@@ -29,7 +29,7 @@ from repro.comm.contention import NicContention
 from repro.comm.traffic import TrafficLedger
 from repro.core.faults import EMPTY_TIMELINE, HEALTHY, FaultSpec, FaultTimeline
 from repro.engine.kernels import KernelKind, KernelTable
-from repro.engine.physics import PowerVector, VectorPhysics
+from repro.engine.physics import DEFAULT_STEP_S, PowerVector, VectorPhysics
 from repro.engine.task import CollectiveOp, ComputeSpec, Task, TaskGraph, TaskKind
 from repro.hardware.interconnect import LinkKind
 from repro.optimizations.overlap import OVERLAP_COMM_SLOWDOWN, fused_duration
@@ -86,7 +86,7 @@ class SimSettings:
             timeline is active).
     """
 
-    physics_dt_s: float = 0.05
+    physics_dt_s: float = DEFAULT_STEP_S
     telemetry_interval_s: float = 0.1
     thermal_prewarm: bool = True
     prewarm_busy_fraction: float = 0.75
@@ -135,25 +135,18 @@ class SimOutcome:
 
 @dataclass(slots=True)
 class CommMemos:
-    """Communication memos a :class:`Simulator` fills as it runs.
+    """Communication costs a :class:`Simulator` fills as it runs.
 
     Several simulators of one mesh may share one instance: each key
-    (collective op/p2p pair, rank group, GPU set, cost object) fixes its
-    value within a mesh, so a shared memo returns exactly what a fresh
-    one would compute. Never share one across meshes.
+    (collective op/p2p pair, rank group or GPU pair, payload, contention
+    share) fixes its cost within a mesh, so a shared memo returns exactly
+    what a fresh one would compute. Never share one across meshes.
 
     Attributes:
         comm: (op/kind, group, payload, bandwidth scale) -> CommCost.
-        group: collective rank group -> (gpus, NIC nodes).
-        nic: GPU tuple -> the nodes whose NICs it crosses.
-        pcie: ``id`` of a memoised CommCost -> its (gpu, PCIe bytes)
-            pairs (the costs live in ``comm``, so the ids stay unique).
     """
 
     comm: dict[tuple, CommCost] = field(default_factory=dict)
-    group: dict[tuple[int, ...], tuple] = field(default_factory=dict)
-    nic: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
-    pcie: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -165,30 +158,6 @@ class _RunningCollective:
     nic_nodes: tuple[int, ...] = ()
     pcie_rates: list[tuple[int, float]] = field(default_factory=list)
     comm_duration_s: float = 0.0
-
-
-def _column_recorder(columns: tuple[list, ...]):
-    """``record(task, gpu, rank, start, end, kind)`` appending to columns.
-
-    The columns follow :class:`KernelTable` order; the kind column holds
-    :class:`KernelKind` members until the table converts it to codes.
-    """
-    gpus, ranks, kinds, starts, ends, iterations, microbatches, stages = (
-        column.append for column in columns
-    )
-
-    def record(task: Task, gpu: int, rank: int, start: float, end: float,
-               kind: KernelKind) -> None:
-        gpus(gpu)
-        ranks(rank)
-        kinds(kind)
-        starts(start)
-        ends(end)
-        iterations(task.iteration)
-        microbatches(task.microbatch)
-        stages(task.stage)
-
-    return record
 
 
 class Simulator:
@@ -276,17 +245,14 @@ class Simulator:
         per_node = node.gpus_per_node
         self._node_of = [g // per_node for g in range(num_gpus)]
         self._sustained = node.gpu.sustained_flops
-        # Communication memos, shared across microbatches and
-        # iterations (and across runs, when the caller passes them).
-        memos = memos if memos is not None else CommMemos()
-        self._comm_cache = memos.comm
-        self._group_cache = memos.group
-        self._nic_cache = memos.nic
-        self._pcie_memo = memos.pcie
-        # The (heavily repeated, memoized) comm costs are folded into the
-        # traffic ledger once at the end of the run instead of walking
-        # the ledger dicts on every send/collective.
-        self._traffic_pending: dict[int, list] = {}
+        # Communication costs, shared across microbatches and iterations
+        # (and across runs, when the caller passes the memos).
+        self._comm_memo = (memos if memos is not None else CommMemos()).comm
+        # Per-run comm plans (:meth:`_plan`, :meth:`_price`), and the
+        # traffic slots their prices fold into the traffic ledger at the
+        # end of the run: id(cost) -> [cost, repeats], in first-use order.
+        self._plans: dict[tuple, tuple] = {}
+        self._traffic_slots: dict[int, list] = {}
         self._queues = graph.queues
 
         self.telemetry = TelemetryLog(
@@ -299,9 +265,10 @@ class Simulator:
         self._delivery: dict[int, float] = {}
         self._waiting: dict[int, tuple[Task, int, float]] = {}
         self._collectives: dict[int, _RunningCollective] = {}
-        # Kernel records, one growable list per KernelTable column.
-        self._record_columns = tuple([] for _ in range(8))
-        self._record = _column_recorder(self._record_columns)
+        # Kernel records, eight values each in KernelTable column order
+        # (KernelKind members in the kind column), sliced by ``run``.
+        self._records: list = []
+        self._record = self._records.extend
         self._iteration_end: dict[int, float] = {}
 
         self._phys_time = 0.0
@@ -357,8 +324,11 @@ class Simulator:
         self._flush_traffic()
         self._check_finished()
         self.telemetry.trim()
+        records = self._records
         return SimOutcome(
-            records=KernelTable.from_lists(*self._record_columns),
+            records=KernelTable.from_lists(
+                *(records[column::8] for column in range(8))
+            ),
             makespan_s=makespan,
             iteration_end_s=[
                 self._iteration_end[i]
@@ -429,28 +399,29 @@ class Simulator:
 
     def _start_send(self, task: Task, rank: int, now: float) -> None:
         spec = task.p2p
-        src_gpu = self._gpu_of[spec.src]
-        dst_gpu = self._gpu_of[spec.dst]
-        nodes = self._nic_nodes_for((src_gpu, dst_gpu))
-        share = self._contention.begin(nodes) if nodes else 1.0
-        if nodes and self._faultrt is not None:
-            share *= self._faultrt.link_scale(nodes, now)
-        key = ("p2p", src_gpu, dst_gpu, spec.payload_bytes, spec.chunked,
-               share)
-        cost = self._comm_cache.get(key)
-        if cost is None:
-            cost = send_recv(
-                self.cluster,
-                src_gpu,
-                dst_gpu,
-                spec.payload_bytes,
-                chunked=spec.chunked,
-                bandwidth_scale=share,
+        key = (spec.src, spec.dst, spec.payload_bytes, spec.chunked)
+        plan = self._plans.get(key) or self._plan(key, key[:2])
+        (src_gpu, dst_gpu), nodes, prices = plan
+        if nodes:
+            share = self._contention.begin(nodes)
+            if self._faultrt is not None:
+                share *= self._faultrt.link_scale(nodes, now)
+        else:
+            share = 1.0
+        price = prices.get(share)
+        if price is None:
+            price = self._price(
+                prices, share, 1,
+                ("p2p", src_gpu, dst_gpu, spec.payload_bytes, spec.chunked,
+                 share),
+                send_recv, self.cluster, src_gpu, dst_gpu,
+                spec.payload_bytes, chunked=spec.chunked,
             )
-            self._comm_cache[key] = cost
-        duration = max(cost.duration_s, EPS)
-        self._record_scaled_traffic(cost, 1)
-        rates = self._begin_pcie_rates(cost, duration, repeat=1)
+        _, duration, _, rates, slot = price
+        slot[1] += 1
+        pcie_rate = self._pcie_rate
+        for gpu, rate in rates:
+            pcie_rate[gpu] += rate
         self._comm_active[src_gpu] += 1
         self._activity_dirty = True
         done = now + duration
@@ -491,20 +462,13 @@ class Simulator:
         if len(arrivals) == len(task.collective.ranks):
             self._start_collective(task, state, now)
 
-    def _group_of(self, ranks: tuple[int, ...]) -> tuple:
-        """Memoised (gpus, nic_nodes) of a collective's rank group."""
-        group = self._group_cache.get(ranks)
-        if group is None:
-            gpus = self.mesh.gpus_of(list(ranks))
-            group = (gpus, self._nic_nodes_for(tuple(gpus)))
-            self._group_cache[ranks] = group
-        return group
-
     def _start_collective(
         self, task: Task, state: _RunningCollective, now: float
     ) -> None:
         spec = task.collective
-        gpus, nodes = self._group_of(spec.ranks)
+        key = (spec.op, spec.ranks, spec.payload_bytes, spec.repeat)
+        plan = self._plans.get(key) or self._plan(key, spec.ranks)
+        gpus, nodes, prices = plan
         share = self._contention.begin(nodes) if nodes else 1.0
         if self._faultrt is not None:
             if nodes:
@@ -512,38 +476,84 @@ class Simulator:
             self._faultrt.observe_rendezvous(
                 task.uid, min(state.arrivals.values()), now
             )
-        key = (spec.op, spec.ranks, spec.payload_bytes, share)
-        cost = self._comm_cache.get(key)
-        if cost is None:
-            cost = _COLLECTIVE_FNS[spec.op](
-                self.cluster, gpus, spec.payload_bytes, bandwidth_scale=share
+        price = prices.get(share)
+        if price is None:
+            price = self._price(
+                prices, share, spec.repeat,
+                (spec.op, spec.ranks, spec.payload_bytes, share),
+                _COLLECTIVE_FNS[spec.op], self.cluster, gpus,
+                spec.payload_bytes,
             )
-            self._comm_cache[key] = cost
-        comm_duration = cost.duration_s * spec.repeat
-        self._record_scaled_traffic(cost, spec.repeat)
+        comm_duration, duration, volumes, rates, slot = price
+        slot[1] += spec.repeat
 
-        duration = comm_duration
         overlap = task.overlap_compute
         if overlap is not None:
             compute_durations = [
                 self._kernel_duration(overlap, g, now) for g in gpus
             ]
-            duration = fused_duration(max(compute_durations), comm_duration)
+            duration = max(
+                fused_duration(max(compute_durations), comm_duration), EPS
+            )
+            rates = [(gpu, volume / duration) for gpu, volume in volumes]
             activity = overlap.activity
             for g in gpus:
                 self._compute_active[g] += activity.compute
                 self._comm_active[g] += activity.comm
                 self._memory_active[g] += activity.memory
             self._activity_dirty = True
-        duration = max(duration, EPS)
+        pcie_rate = self._pcie_rate
+        for gpu, rate in rates:
+            pcie_rate[gpu] += rate
 
         state.group_start_s = now
         state.nic_nodes = nodes
-        state.pcie_rates = self._begin_pcie_rates(cost, duration, spec.repeat)
+        state.pcie_rates = rates
         state.comm_duration_s = comm_duration
         heapq.heappush(self._heap, (
             now + duration, next(self._seq), self._collective_done, task,
         ))
+
+    # ------------------------------------------------------------------
+    # Comm plans
+    # ------------------------------------------------------------------
+
+    def _plan(self, key: tuple, ranks: tuple[int, ...]) -> tuple:
+        """The run's plan for a p2p pair (src, dst, payload, chunked) or
+        a collective (op, ranks, payload, repeat): (GPUs, the nodes whose
+        NICs they cross, prices by contention share)."""
+        gpus = [self._gpu_of[rank] for rank in ranks]
+        nodes = sorted({self._node_of[gpu] for gpu in gpus})
+        plan = self._plans[key] = (
+            gpus, tuple(nodes) if len(nodes) > 1 else (), {}
+        )
+        return plan
+
+    def _price(self, prices: dict, share: float, repeat: int, key: tuple,
+               cost_fn, *args, **kwargs) -> tuple:
+        """A plan's price at contention ``share``: (comm seconds, duration,
+        PCIe (gpu, bytes) and (gpu, rate) pairs, traffic slot), from the
+        comm memo's cost under ``key``. A slot is made at a cost's first
+        use in the run, so traffic folds in first-use order."""
+        cost = self._comm_memo.get(key)
+        if cost is None:
+            cost = self._comm_memo[key] = cost_fn(
+                *args, **kwargs, bandwidth_scale=share
+            )
+        comm_duration = cost.duration_s * repeat
+        duration = max(comm_duration, EPS)
+        volumes = [
+            (gpu, pcie * repeat)
+            for gpu, by_kind in cost.link_bytes.items()
+            if (pcie := by_kind.get(LinkKind.PCIE, 0.0)) > 0
+        ]
+        rates = [(gpu, volume / duration) for gpu, volume in volumes]
+        # The slot holds the cost, so its id stays unique for the run.
+        slot = self._traffic_slots.get(id(cost))
+        if slot is None:
+            slot = self._traffic_slots[id(cost)] = [cost, 0]
+        price = prices[share] = (comm_duration, duration, volumes, rates, slot)
+        return price
 
     # ------------------------------------------------------------------
     # Completion handlers: ``handler(sim, entry)`` with the popped entry
@@ -553,7 +563,8 @@ class Simulator:
         now, _, _, task, rank, start = entry
         gpu = self._gpu_of[rank]
         self._unstack(gpu, task.compute.activity)
-        self._record(task, gpu, rank, start, now, task.kernel)
+        self._record((gpu, rank, task.kernel, start, now, task.iteration,
+                      task.microbatch, task.stage))
         self._pos[rank] += 1
         # Pop times never decrease, so the latest finish is this one.
         self._iteration_end[task.iteration] = now
@@ -567,7 +578,8 @@ class Simulator:
         self._end_pcie_rates(rates)
         if nodes:
             self._contention.end(nodes)
-        self._record(task, gpu, rank, start, now, task.kernel)
+        self._record((gpu, rank, task.kernel, start, now, task.iteration,
+                      task.microbatch, task.stage))
         self._pos[rank] += 1
         self._iteration_end[task.iteration] = now
         self._start(rank, now)
@@ -577,7 +589,8 @@ class Simulator:
         gpu = self._gpu_of[rank]
         self._comm_active[gpu] -= 1
         self._activity_dirty = True
-        self._record(task, gpu, rank, wait_start, now, task.kernel)
+        self._record((gpu, rank, task.kernel, wait_start, now,
+                      task.iteration, task.microbatch, task.stage))
         self._pos[rank] += 1
         self._iteration_end[task.iteration] = now
         self._start(rank, now)
@@ -599,20 +612,23 @@ class Simulator:
             )
             fused_kernel = task.overlap_kernel or KernelKind.FWD_GEMM
         members = task.collective.ranks
+        record = self._record
+        kernel, iteration = task.kernel, task.iteration
+        microbatch, stage = task.microbatch, task.stage
         for member in members:
             gpu = self._gpu_of[member]
             self._comm_active[gpu] -= 1
             if overlap is None:
                 # Rendezvous wait is charged to the comm kernel, as NCCL
                 # profilers report it.
-                self._record(task, gpu, member, state.arrivals[member], now,
-                             task.kernel)
+                record((gpu, member, kernel, state.arrivals[member], now,
+                        iteration, microbatch, stage))
             else:
-                self._record(task, gpu, member, group_start, comm_end,
-                             task.kernel)
+                record((gpu, member, kernel, group_start, comm_end,
+                        iteration, microbatch, stage))
                 self._unstack(gpu, overlap.activity)
-                self._record(task, gpu, member, group_start, now,
-                             fused_kernel)
+                record((gpu, member, fused_kernel, group_start, now,
+                        iteration, microbatch, stage))
         self._activity_dirty = True
         self._iteration_end[task.iteration] = now
         for member in members:
@@ -665,54 +681,14 @@ class Simulator:
         if compute < -1e-9 or comm < -1e-9 or memory < -1e-9:
             raise RuntimeError(f"negative activity level on GPU {gpu}")
 
-    def _nic_nodes_for(self, gpus: tuple[int, ...]) -> tuple[int, ...]:
-        cached = self._nic_cache.get(gpus)
-        if cached is None:
-            node_of = self._node_of
-            nodes = sorted({node_of[g] for g in gpus})
-            cached = tuple(nodes) if len(nodes) > 1 else ()
-            self._nic_cache[gpus] = cached
-        return cached
-
-    def _begin_pcie_rates(
-        self, cost: CommCost, duration: float, repeat: int
-    ) -> list[tuple[int, float]]:
-        rates = []
-        for gpu, pcie in self._pcie_entries(cost):
-            rate = pcie * repeat / duration
-            self._pcie_rate[gpu] += rate
-            rates.append((gpu, rate))
-        return rates
-
-    def _pcie_entries(self, cost: CommCost) -> list[tuple[int, float]]:
-        """Memoised (gpu, PCIe bytes) pairs of a (memoized) comm cost."""
-        entries = self._pcie_memo.get(id(cost))
-        if entries is None:
-            entries = [
-                (gpu, pcie)
-                for gpu, by_kind in cost.link_bytes.items()
-                if (pcie := by_kind.get(LinkKind.PCIE, 0.0)) > 0
-            ]
-            self._pcie_memo[id(cost)] = entries
-        return entries
-
     def _end_pcie_rates(self, rates: list[tuple[int, float]]) -> None:
         for gpu, rate in rates:
             self._pcie_rate[gpu] = max(0.0, self._pcie_rate[gpu] - rate)
 
-    def _record_scaled_traffic(self, cost: CommCost, repeat: int) -> None:
-        entry = self._traffic_pending.get(id(cost))
-        if entry is None:
-            # The cost object is held by the value (and the comm memo),
-            # so its id stays unique for the life of the run.
-            self._traffic_pending[id(cost)] = [cost, repeat]
-        else:
-            entry[1] += repeat
-
     def _flush_traffic(self) -> None:
-        for cost, repeat in self._traffic_pending.values():
+        for cost, repeat in self._traffic_slots.values():
             self.traffic.record(cost, repeat)
-        self._traffic_pending.clear()
+        self._traffic_slots.clear()
 
     # ------------------------------------------------------------------
     # Physics loop

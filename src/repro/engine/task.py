@@ -143,23 +143,13 @@ class Task:
     overlap_compute: ComputeSpec | None = None
     overlap_kernel: KernelKind | None = None
 
-    def __post_init__(self) -> None:
-        kind = self.kind
-        if kind is TaskKind.COMPUTE:
-            if self.compute is None:
-                raise ValueError("COMPUTE task needs a ComputeSpec")
-        elif kind is TaskKind.COLLECTIVE:
-            if self.collective is None:
-                raise ValueError("COLLECTIVE task needs a CollectiveSpec")
-        elif self.p2p is None:
-            raise ValueError("P2P task needs a P2PSpec")
-        if not self.ranks:
-            raise ValueError("task must have at least one rank")
-
 
 @dataclass
 class TaskGraph:
     """Per-rank ordered task queues plus bookkeeping.
+
+    Construction checks every task once (its kind's payload is set and
+    it has a rank) and the placement of every collective.
 
     Attributes:
         queues: ``queues[rank]`` is the ordered task list of that rank.
@@ -175,7 +165,7 @@ class TaskGraph:
     def __post_init__(self) -> None:
         if not self.queues:
             raise ValueError("task graph needs at least one rank")
-        self._validate_collective_consistency()
+        self._validate_tasks()
 
     @property
     def world_size(self) -> int:
@@ -188,21 +178,34 @@ class TaskGraph:
         per participant)."""
         return sum(len(q) for q in self.queues)
 
-    def _validate_collective_consistency(self) -> None:
-        """Every collective task must appear exactly once in each
-        participant's queue and in no other queue."""
+    def _validate_tasks(self) -> None:
+        """Every task must be well formed, and every collective task must
+        appear exactly once in each participant's queue and in no other
+        queue."""
         holders: dict[int, list[int]] = {}
         tasks: dict[int, Task] = {}
-        collective = TaskKind.COLLECTIVE
+        collective, compute = TaskKind.COLLECTIVE, TaskKind.COMPUTE
         for rank, queue in enumerate(self.queues):
             for task in queue:
-                if task.kind is collective:
+                kind = task.kind
+                if kind is collective:
                     ranks = holders.get(task.uid)
-                    if ranks is None:
-                        holders[task.uid] = [rank]
-                        tasks[task.uid] = task
-                    else:
+                    if ranks is not None:
                         ranks.append(rank)
+                        continue
+                    if task.collective is None:
+                        raise ValueError(
+                            "COLLECTIVE task needs a CollectiveSpec"
+                        )
+                    holders[task.uid] = [rank]
+                    tasks[task.uid] = task
+                elif kind is compute:
+                    if task.compute is None:
+                        raise ValueError("COMPUTE task needs a ComputeSpec")
+                elif task.p2p is None:
+                    raise ValueError("P2P task needs a P2PSpec")
+                if not task.ranks:
+                    raise ValueError("task must have at least one rank")
         for uid, ranks in holders.items():
             # ``ranks`` lists one entry per appearance, in rank order.
             expected = sorted(tasks[uid].collective.ranks)

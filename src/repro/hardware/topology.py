@@ -47,24 +47,47 @@ class Path:
         return any(link.kind is LinkKind.PCIE for link in self.links)
 
 
+#: Paths per cluster object: ``id(cluster) -> ((src, dst) -> Path, links
+#: tuples by value, cluster)``; equal paths share one links tuple (and so
+#: one transfer-time entry). Holding the cluster keeps its id unique;
+#: :func:`repro.core.sweep.clear_cache` empties it.
+PATHS: dict[int, tuple[dict, dict, ClusterSpec]] = {}
+
+
 def resolve_path(cluster: ClusterSpec, src: int, dst: int) -> Path:
     """Links traversed by a transfer from rank ``src`` to rank ``dst``.
 
     Same package (MI250 GCD pair) -> intra-package xGMI; same node ->
-    node fabric; different nodes -> PCIe + InfiniBand + PCIe.
+    node fabric; different nodes -> PCIe + InfiniBand + PCIe. Paths are
+    kept per cluster in :data:`PATHS`.
     """
+    entry = PATHS.get(id(cluster))
+    if entry is None:
+        entry = PATHS[id(cluster)] = ({}, {}, cluster)
+    paths, links_by_value, _ = entry
+    path = paths.get((src, dst))
+    if path is None:
+        links, inter_node = _links(cluster, src, dst)
+        path = paths[src, dst] = Path(
+            links=links_by_value.setdefault(links, links),
+            src=src, dst=dst, inter_node=inter_node,
+        )
+    return path
+
+
+def _links(
+    cluster: ClusterSpec, src: int, dst: int
+) -> tuple[tuple[LinkSpec, ...], bool]:
+    """(links, inter_node) of the path from ``src`` to ``dst``."""
     if src == dst:
         raise ValueError("src and dst must differ")
     node = cluster.node
     if cluster.same_node(src, dst):
         a, b = cluster.local_index(src), cluster.local_index(dst)
         if node.intra_package_link is not None and node.same_package(a, b):
-            links: tuple[LinkSpec, ...] = (node.intra_package_link,)
-        else:
-            links = (node.intra_node_link,)
-        return Path(links=links, src=src, dst=dst, inter_node=False)
-    links = (node.host_pcie, cluster.inter_node_link, node.host_pcie)
-    return Path(links=links, src=src, dst=dst, inter_node=True)
+            return (node.intra_package_link,), False
+        return (node.intra_node_link,), False
+    return (node.host_pcie, cluster.inter_node_link, node.host_pcie), True
 
 
 def group_spans_nodes(cluster: ClusterSpec, ranks: Iterable[int]) -> bool:

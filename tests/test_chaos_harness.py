@@ -79,6 +79,21 @@ class TestRunScenario:
         assert report.drops == 0
         assert report.metrics["errors_total"] == 0
 
+    def test_tcp_drop_alone_drops_and_reconnects(self, tmp_path):
+        report = run_scenario(
+            SCENARIOS["tcp-drop"], seed=0, requests=20,
+            cache_dir=tmp_path / "chaos-cache",
+        )
+        assert report.injected == {"pool.dispatch:drop_conn": 1}
+        assert report.survived
+        assert report.drops == 0
+        assert report.ok == 20
+        # The dropped task re-landed elsewhere, and the remote worker
+        # dialled back in under a new slot.
+        assert report.metrics["retries_total"] >= 1
+        assert report.pool["remote_workers"] == 1
+        assert "remote-4" not in report.metrics["breaker"]["workers"]
+
     def test_seeded_runs_inject_identically(self, tmp_path):
         reports = [
             run_scenario(

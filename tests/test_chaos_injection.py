@@ -151,7 +151,7 @@ class TestScenarioRegistry:
     def test_soak_is_registered_with_the_pinned_faults(self):
         soak = SCENARIOS["soak"]
         assert soak.plan.kill_local_dispatches == (2, 5)
-        assert soak.plan.drop_remote_dispatches == (1,)
+        assert soak.plan.drop_remote_dispatches == (0,)
         assert soak.plan.corrupt_read_rate == 0.05
         assert soak.remote_workers == 1
         assert soak.min_availability == 1.0
