@@ -23,55 +23,44 @@ auto-search (:mod:`repro.optimize`, docs/optimize.md) for the best
 configuration instead of one configuration. See DESIGN.md for the
 system inventory and EXPERIMENTS.md for the per-figure reproduction
 index.
+
+Every export here, and in each subpackage, loads its defining module on
+first access (PEP 562, :mod:`repro._lazy`), so ``import repro`` costs
+almost nothing and a request imports only the modules it runs.
 """
 
-from repro.api import (
-    KINDS,
-    OptimizeRequest,
-    OptimizeResult,
-    SimRequest,
-    submit,
-    submit_many,
-)
-from repro.datacenter import (
-    POLICIES,
-    ArrivalConfig,
-    FleetConfig,
-    FleetMetrics,
-    FleetOutcome,
-    PowerCapConfig,
-    simulate_fleet,
-)
-from repro.core.faults import FaultSpec, power_failure
-from repro.core.results import RunResult
-from repro.core.sweep import SweepPoint, normalize_by_best, run_sweep
-from repro.hardware.cluster import (
-    H100_X64,
-    H200_X32,
-    MI250_X32,
-    ClusterSpec,
-    cluster_names,
-    get_cluster,
-    one_gpu_per_node,
-)
-from repro.inferserve import (
-    ServingConfig,
-    ServingOutcome,
-    TraceConfig,
-    execute_serving,
-)
-from repro.models.catalog import TABLE1_MODELS, get_model, model_names
-from repro.models.config import ModelConfig, MoEConfig
-from repro.parallelism.enumerate import (
-    ConfigSearchSpace,
-    minimal_model_parallel,
-    valid_configs,
-)
-from repro.parallelism.strategy import (
-    OptimizationConfig,
-    ParallelismConfig,
-    parse_strategy,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.api": ("KINDS", "SimRequest", "submit", "submit_many"),
+    "repro.optimize.request": ("OptimizeRequest", "OptimizeResult"),
+    "repro.datacenter.arrivals": ("ArrivalConfig",),
+    "repro.datacenter.fleet": (
+        "FleetConfig", "FleetOutcome", "simulate_fleet",
+    ),
+    "repro.datacenter.metrics": ("FleetMetrics",),
+    "repro.datacenter.placement": ("POLICIES",),
+    "repro.datacenter.powercap": ("PowerCapConfig",),
+    "repro.core.faults": ("FaultSpec", "power_failure"),
+    "repro.core.results": ("RunResult",),
+    "repro.core.sweep": ("SweepPoint", "normalize_by_best", "run_sweep"),
+    "repro.hardware.cluster": (
+        "H100_X64", "H200_X32", "MI250_X32", "ClusterSpec", "cluster_names",
+        "get_cluster", "one_gpu_per_node",
+    ),
+    "repro.inferserve.config": ("ServingConfig",),
+    "repro.inferserve.engine": ("execute_serving",),
+    "repro.inferserve.outcome": ("ServingOutcome",),
+    "repro.inferserve.traces": ("TraceConfig",),
+    "repro.models.catalog": ("TABLE1_MODELS", "get_model", "model_names"),
+    "repro.models.config": ("ModelConfig", "MoEConfig"),
+    "repro.parallelism.enumerate": (
+        "ConfigSearchSpace", "minimal_model_parallel", "valid_configs",
+    ),
+    "repro.parallelism.strategy": (
+        "OptimizationConfig", "ParallelismConfig", "parse_strategy",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -21,14 +21,21 @@ live broker + worker pool and returns a
 :class:`~repro.chaos.harness.SurvivalReport`; ``python -m repro chaos``
 is the CLI wrapper. See docs/chaos.md.
 
-This ``__init__`` stays import-light on purpose: ``repro.core.store``
-imports the hook registry at module load, so the heavyweight harness
-(which imports the API and serve tiers) is resolved lazily.
+``repro.core.store`` imports the hook registry at module load; like
+every facade in the package, this one loads each export on first
+access, so that import does not pull in the harness (which imports the
+API and serve tiers).
 """
 
-from repro.chaos import hooks
-from repro.chaos.injection import FaultInjector, FaultPlan, torn_write
-from repro.chaos.policies import CircuitBreaker, Deadline, RetryPolicy
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.chaos.hooks": ("hooks",),
+    "repro.chaos.injection": ("FaultInjector", "FaultPlan", "torn_write"),
+    "repro.chaos.policies": ("CircuitBreaker", "Deadline", "RetryPolicy"),
+    "repro.chaos.scenarios": ("SCENARIOS", "Scenario", "get_scenario"),
+    "repro.chaos.harness": ("SurvivalReport", "run_scenario"),
+})
 
 __all__ = [
     "CircuitBreaker",
@@ -44,22 +51,3 @@ __all__ = [
     "run_scenario",
     "torn_write",
 ]
-
-_LAZY = {
-    "SCENARIOS": "repro.chaos.scenarios",
-    "Scenario": "repro.chaos.scenarios",
-    "get_scenario": "repro.chaos.scenarios",
-    "SurvivalReport": "repro.chaos.harness",
-    "run_scenario": "repro.chaos.harness",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module 'repro.chaos' has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

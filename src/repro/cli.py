@@ -770,6 +770,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the simulation broker as a long-lived HTTP service."""
     from repro.serve import BrokerConfig, BrokerServer
 
+    # Load every run path the workers execute before they fork, so no
+    # worker (first or respawned) imports one on its first miss.
+    import repro.inferserve.engine  # noqa: F401
+    import repro.optimize.search  # noqa: F401
+
     # The deployed service runs with the self-healing stack on (crash
     # retries, circuit breakers, degraded answers); the library-level
     # BrokerConfig defaults keep them off for embedders and tests.

@@ -1,22 +1,19 @@
 """Communication cost models, traffic accounting, and contention."""
 
-from repro.comm.collectives import (
-    CommCost,
-    allgather,
-    allreduce,
-    alltoall,
-    broadcast,
-    reduce_scatter,
-    send_recv,
-)
-from repro.comm.contention import MIN_SHARE, NicContention
-from repro.comm.message import (
-    chunking_efficiency,
-    effective_bandwidth,
-    segment_time,
-    transfer_time,
-)
-from repro.comm.traffic import TrafficLedger
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.comm.collectives": (
+        "CommCost", "allgather", "allreduce", "alltoall", "broadcast",
+        "reduce_scatter", "send_recv",
+    ),
+    "repro.comm.contention": ("MIN_SHARE", "NicContention"),
+    "repro.comm.message": (
+        "chunking_efficiency", "effective_bandwidth", "segment_time",
+        "transfer_time",
+    ),
+    "repro.comm.traffic": ("TrafficLedger",),
+})
 
 __all__ = [
     "MIN_SHARE",

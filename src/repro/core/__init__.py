@@ -4,31 +4,25 @@
 are the execution paths under :mod:`repro.api`.
 """
 
-from repro.core.artifact import (
-    read_run_summary,
-    run_summary,
-    write_run_artifact,
-)
-from repro.core.campaign import (
-    CampaignResult,
-    ExperimentSpec,
-    paper_campaign,
-    run_campaign,
-)
-from repro.core.experiment import (
-    DEFAULT_GLOBAL_BATCH,
-    execute_inference,
-    execute_training,
-)
-from repro.core.faults import HEALTHY, FaultSpec, power_failure
-from repro.core.results import RunResult
-from repro.core.sweep import (
-    SweepPoint,
-    cached_run,
-    clear_cache,
-    normalize_by_best,
-    run_sweep,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.artifact": (
+        "read_run_summary", "run_summary", "write_run_artifact",
+    ),
+    "repro.core.campaign": (
+        "CampaignResult", "ExperimentSpec", "paper_campaign", "run_campaign",
+    ),
+    "repro.core.experiment": (
+        "DEFAULT_GLOBAL_BATCH", "execute_inference", "execute_training",
+    ),
+    "repro.core.faults": ("HEALTHY", "FaultSpec", "power_failure"),
+    "repro.core.results": ("RunResult",),
+    "repro.core.sweep": (
+        "SweepPoint", "cached_run", "clear_cache", "normalize_by_best",
+        "run_sweep",
+    ),
+})
 
 __all__ = [
     "CampaignResult",

@@ -6,51 +6,32 @@ arrivals, placement policies (``packed`` / ``spread`` /
 faults with checkpoint/restart recovery. See ``docs/datacenter.md``.
 """
 
-from repro.datacenter.arrivals import (
-    DEFAULT_TEMPLATES,
-    ArrivalConfig,
-    JobArrival,
-    JobTemplate,
-    generate_arrivals,
-)
-from repro.datacenter.fleet import (
-    FleetConfig,
-    FleetFault,
-    FleetOutcome,
-    FleetSim,
-    simulate_fleet,
-)
-from repro.datacenter.jobs import (
-    JobKind,
-    JobProfile,
-    JobRecord,
-    JobSpec,
-    JobState,
-    PlacementInterval,
-    clear_profile_cache,
-    preprofile_jobs,
-    profile_job,
-    sub_cluster,
-)
-from repro.datacenter.metrics import (
-    FleetMetrics,
-    FleetSample,
-    fleet_metrics,
-    format_fleet_summary,
-)
-from repro.datacenter.placement import (
-    POLICIES,
-    NodeState,
-    Placement,
-    select_nodes,
-    thermal_derate,
-)
-from repro.datacenter.powercap import (
-    CAP_MODES,
-    Admission,
-    AdmissionController,
-    PowerCapConfig,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.datacenter.arrivals": (
+        "DEFAULT_TEMPLATES", "ArrivalConfig", "JobArrival", "JobTemplate",
+        "generate_arrivals",
+    ),
+    "repro.datacenter.fleet": (
+        "FleetConfig", "FleetFault", "FleetOutcome", "FleetSim",
+        "simulate_fleet",
+    ),
+    "repro.datacenter.jobs": (
+        "JobKind", "JobProfile", "JobRecord", "JobSpec", "JobState",
+        "PlacementInterval", "clear_profile_cache", "preprofile_jobs",
+        "profile_job", "sub_cluster",
+    ),
+    "repro.datacenter.metrics": (
+        "FleetMetrics", "FleetSample", "fleet_metrics", "format_fleet_summary",
+    ),
+    "repro.datacenter.placement": (
+        "POLICIES", "NodeState", "Placement", "select_nodes", "thermal_derate",
+    ),
+    "repro.datacenter.powercap": (
+        "CAP_MODES", "Admission", "AdmissionController", "PowerCapConfig",
+    ),
+})
 
 __all__ = [
     "Admission",

@@ -3,39 +3,25 @@
 Pipeline schedules live in :mod:`repro.schedules`.
 """
 
-from repro.engine.builder import (
-    BACKWARD_MULTIPLIER,
-    DP_OVERLAP_BUCKETS,
-    GraphBuilder,
-    build_inference_graph,
-    build_training_graph,
-    split_layers,
-)
-from repro.engine.kernels import (
-    KernelCategory,
-    KernelKind,
-    KernelRecord,
-    PressureProfile,
-    category_of,
-    compute_efficiency,
-    pressure_of,
-)
-from repro.engine.simulator import (
-    DeadlockError,
-    SimOutcome,
-    SimSettings,
-    Simulator,
-    simulate,
-)
-from repro.engine.task import (
-    CollectiveOp,
-    CollectiveSpec,
-    ComputeSpec,
-    P2PSpec,
-    Task,
-    TaskGraph,
-    TaskKind,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.engine.builder": (
+        "BACKWARD_MULTIPLIER", "DP_OVERLAP_BUCKETS", "GraphBuilder",
+        "build_inference_graph", "build_training_graph", "split_layers",
+    ),
+    "repro.engine.kernels": (
+        "KernelCategory", "KernelKind", "KernelRecord", "PressureProfile",
+        "category_of", "compute_efficiency", "pressure_of",
+    ),
+    "repro.engine.simulator": (
+        "DeadlockError", "SimOutcome", "SimSettings", "Simulator", "simulate",
+    ),
+    "repro.engine.task": (
+        "CollectiveOp", "CollectiveSpec", "ComputeSpec", "P2PSpec", "Task",
+        "TaskGraph", "TaskKind",
+    ),
+})
 
 __all__ = [
     "BACKWARD_MULTIPLIER",

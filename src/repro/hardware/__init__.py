@@ -1,48 +1,30 @@
 """Hardware platform models: GPUs, links, nodes, clusters, topology."""
 
-from repro.hardware.cluster import (
-    H100_X64,
-    H200_X32,
-    MI250_X32,
-    ClusterSpec,
-    cluster_names,
-    get_cluster,
-    one_gpu_per_node,
-)
-from repro.hardware.fabric import (
-    FatTreeSpec,
-    allreduce_seconds_at_scale,
-    bisection_bandwidth,
-    effective_node_bandwidth,
-    fabric_for_projection,
-)
-from repro.hardware.gpu import H100, H200, MI250_GCD, GPUSpec, get_gpu
-from repro.hardware.interconnect import (
-    INFINIBAND_100G,
-    NVLINK4,
-    PCIE_GEN4,
-    PCIE_GEN5,
-    XGMI,
-    XGMI_INTRA_PACKAGE,
-    LinkKind,
-    LinkSpec,
-    infiniband,
-)
-from repro.hardware.node import (
-    HGX_H100_NODE,
-    HGX_H200_NODE,
-    MI250_NODE,
-    AirflowLayout,
-    NodeSpec,
-)
-from repro.hardware.topology import (
-    Path,
-    group_spans_nodes,
-    nodes_of_group,
-    resolve_path,
-    ring_paths,
-    slowest_hop,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.hardware.cluster": (
+        "H100_X64", "H200_X32", "MI250_X32", "ClusterSpec", "cluster_names",
+        "get_cluster", "one_gpu_per_node",
+    ),
+    "repro.hardware.fabric": (
+        "FatTreeSpec", "allreduce_seconds_at_scale", "bisection_bandwidth",
+        "effective_node_bandwidth", "fabric_for_projection",
+    ),
+    "repro.hardware.gpu": ("H100", "H200", "MI250_GCD", "GPUSpec", "get_gpu"),
+    "repro.hardware.interconnect": (
+        "INFINIBAND_100G", "NVLINK4", "PCIE_GEN4", "PCIE_GEN5", "XGMI",
+        "XGMI_INTRA_PACKAGE", "LinkKind", "LinkSpec", "infiniband",
+    ),
+    "repro.hardware.node": (
+        "HGX_H100_NODE", "HGX_H200_NODE", "MI250_NODE", "AirflowLayout",
+        "NodeSpec",
+    ),
+    "repro.hardware.topology": (
+        "Path", "group_spans_nodes", "nodes_of_group", "resolve_path",
+        "ring_paths", "slowest_hop",
+    ),
+})
 
 __all__ = [
     "H100",

@@ -9,64 +9,44 @@ counterpart of the training simulator, sharing the same hardware,
 power, and thermal models. See docs/inferserve.md.
 """
 
-from repro.inferserve.autoscale import Autoscaler, ScaleEvent
-from repro.inferserve.batcher import (
-    serving_capacity_replicas,
-    simulate_serving_deployment,
-)
-from repro.inferserve.config import (
-    SCHEDULERS,
-    AutoscaleConfig,
-    BatcherConfig,
-    ServingConfig,
-    SloConfig,
-)
-from repro.inferserve.engine import (
-    InferencePoint,
-    execute_serving,
-    sweep_inference,
-)
-from repro.inferserve.latency import (
-    InferenceLatency,
-    decode_bound_batch_size,
-    decode_seconds_per_token,
-    prefill_seconds,
-    request_latency,
-)
-from repro.inferserve.outcome import (
-    EnergyReport,
-    ReplicaStats,
-    RequestRecord,
-    ServingMetrics,
-    ServingOutcome,
-    ServingSample,
-)
-from repro.inferserve.slo import (
-    LatencyStats,
-    SloReport,
-    build_slo_report,
-    percentile,
-)
-from repro.inferserve.static_router import (
-    ROUTERS,
-    RouterOutcome,
-    StaticRouterConfig,
-    compare_routers,
-    simulate_static_routing,
-)
-from repro.inferserve.traces import (
-    TRACE_KINDS,
-    Request,
-    RequestTrace,
-    TraceConfig,
-    generate_trace,
-    rate_from_daily_users,
-)
-from repro.optimize.serving import (
-    ServingSearchOutcome,
-    ServingSearchSettings,
-    ServingSetpointProbe,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.inferserve.autoscale": ("Autoscaler", "ScaleEvent"),
+    "repro.inferserve.batcher": (
+        "serving_capacity_replicas", "simulate_serving_deployment",
+    ),
+    "repro.inferserve.config": (
+        "SCHEDULERS", "AutoscaleConfig", "BatcherConfig", "ServingConfig",
+        "SloConfig",
+    ),
+    "repro.inferserve.engine": (
+        "InferencePoint", "execute_serving", "sweep_inference",
+    ),
+    "repro.inferserve.latency": (
+        "InferenceLatency", "decode_bound_batch_size",
+        "decode_seconds_per_token", "prefill_seconds", "request_latency",
+    ),
+    "repro.inferserve.outcome": (
+        "EnergyReport", "ReplicaStats", "RequestRecord", "ServingMetrics",
+        "ServingOutcome", "ServingSample",
+    ),
+    "repro.inferserve.slo": (
+        "LatencyStats", "SloReport", "build_slo_report", "percentile",
+    ),
+    "repro.inferserve.static_router": (
+        "ROUTERS", "RouterOutcome", "StaticRouterConfig", "compare_routers",
+        "simulate_static_routing",
+    ),
+    "repro.inferserve.traces": (
+        "TRACE_KINDS", "Request", "RequestTrace", "TraceConfig",
+        "generate_trace", "rate_from_daily_users",
+    ),
+    "repro.optimize.serving": (
+        "ServingSearchOutcome", "ServingSearchSettings",
+        "ServingSetpointProbe",
+    ),
+})
 
 __all__ = [
     "ROUTERS",

@@ -1,22 +1,19 @@
 """Training-time optimization models: recomputation, overlap, LoRA."""
 
-from repro.optimizations.lora import (
-    lora_fraction,
-    lora_params,
-    lora_params_per_layer,
-)
-from repro.optimizations.overlap import (
-    OVERLAP_COMM_SLOWDOWN,
-    OVERLAP_COMPUTE_SLOWDOWN,
-    OverlapEstimate,
-    fused_duration,
-    overlap_estimate,
-)
-from repro.optimizations.recompute import (
-    RecomputeTradeoff,
-    enables_configuration,
-    recompute_tradeoff,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.optimizations.lora": (
+        "lora_fraction", "lora_params", "lora_params_per_layer",
+    ),
+    "repro.optimizations.overlap": (
+        "OVERLAP_COMM_SLOWDOWN", "OVERLAP_COMPUTE_SLOWDOWN", "OverlapEstimate",
+        "fused_duration", "overlap_estimate",
+    ),
+    "repro.optimizations.recompute": (
+        "RecomputeTradeoff", "enables_configuration", "recompute_tradeoff",
+    ),
+})
 
 __all__ = [
     "OVERLAP_COMM_SLOWDOWN",

@@ -17,45 +17,36 @@ Layering:
   :class:`OptimizeRequest` / :class:`OptimizeResult` envelope
   (re-exported by :mod:`repro.api`);
 * :mod:`~repro.optimize.search` — the optimizer itself
-  (:func:`run_optimize`), loaded lazily below since everything else
-  here is importable without touching the engine's run machinery.
+  (:func:`run_optimize`), which pulls in the engine's run machinery.
+
+Like every facade in the package, each name loads its module on first
+access (:mod:`repro._lazy`).
 """
 
-from repro.optimize.objective import (
-    OBJECTIVES,
-    Objective,
-    objective_names,
-    parse_objective,
-)
-from repro.optimize.request import (
-    OPTIMIZE_KINDS,
-    CandidateOutcome,
-    OptimizeRequest,
-    OptimizeResult,
-    PruneStats,
-)
-from repro.optimize.serving import (
-    ServingSearchOutcome,
-    ServingSearchSettings,
-    ServingSetpointProbe,
-    optimize_serving_setpoint,
-)
-from repro.optimize.setpoint import (
-    SearchOutcome,
-    SearchSettings,
-    SetpointProbe,
-    evaluate_setpoints,
-    optimize_setpoint,
-    settings_for_setpoint,
-)
-from repro.optimize.space import (
-    AnalyticEstimate,
-    PlanCandidate,
-    PruneVerdict,
-    analytic_plan_estimate,
-    enumerate_candidates,
-    prune_candidates,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.optimize.objective": (
+        "OBJECTIVES", "Objective", "objective_names", "parse_objective",
+    ),
+    "repro.optimize.request": (
+        "OPTIMIZE_KINDS", "CandidateOutcome", "OptimizeRequest",
+        "OptimizeResult", "PruneStats",
+    ),
+    "repro.optimize.serving": (
+        "ServingSearchOutcome", "ServingSearchSettings",
+        "ServingSetpointProbe", "optimize_serving_setpoint",
+    ),
+    "repro.optimize.setpoint": (
+        "SearchOutcome", "SearchSettings", "SetpointProbe",
+        "evaluate_setpoints", "optimize_setpoint", "settings_for_setpoint",
+    ),
+    "repro.optimize.space": (
+        "AnalyticEstimate", "PlanCandidate", "PruneVerdict",
+        "analytic_plan_estimate", "enumerate_candidates", "prune_candidates",
+    ),
+    "repro.optimize.search": ("run_optimize", "run_optimize_payload"),
+})
 
 __all__ = [
     "OBJECTIVES",
@@ -86,18 +77,3 @@ __all__ = [
     "run_optimize_payload",
     "settings_for_setpoint",
 ]
-
-_LAZY = ("run_optimize", "run_optimize_payload")
-
-
-def __getattr__(name: str):
-    # The search engine pulls in the run/cache machinery; loading it on
-    # first use keeps `import repro.optimize` light and cycle-free for
-    # consumers that only need the schema or the analytic space.
-    if name in _LAZY:
-        from repro.optimize import search
-
-        return getattr(search, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -1,33 +1,21 @@
 """Parallelism strategies, rank mapping, and configuration search."""
 
-from repro.parallelism.enumerate import (
-    ConfigSearchSpace,
-    minimal_model_parallel,
-    valid_configs,
-)
-from repro.parallelism.mapping import (
-    DeviceMesh,
-    RankCoords,
-    all_dp_groups,
-    all_ep_groups,
-    all_pp_groups,
-    all_tp_groups,
-    coords_of,
-    dp_group,
-    ep_group,
-    pp_group,
-    rank_of,
-    tp_group,
-)
-from repro.parallelism.strategy import (
-    ACT,
-    ACT_CC,
-    BASE,
-    CC,
-    OptimizationConfig,
-    ParallelismConfig,
-    parse_strategy,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.parallelism.enumerate": (
+        "ConfigSearchSpace", "minimal_model_parallel", "valid_configs",
+    ),
+    "repro.parallelism.mapping": (
+        "DeviceMesh", "RankCoords", "all_dp_groups", "all_ep_groups",
+        "all_pp_groups", "all_tp_groups", "coords_of", "dp_group", "ep_group",
+        "pp_group", "rank_of", "tp_group",
+    ),
+    "repro.parallelism.strategy": (
+        "ACT", "ACT_CC", "BASE", "CC", "OptimizationConfig",
+        "ParallelismConfig", "parse_strategy",
+    ),
+})
 
 __all__ = [
     "ACT",

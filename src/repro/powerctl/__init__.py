@@ -13,23 +13,19 @@ The outer-loop ``energy_optimal`` setpoint search lives in
 ``evaluate_setpoints``).
 """
 
-from repro.powerctl.config import (
-    GOVERNORS,
-    NO_POWER_CONTROL,
-    SEARCH_GOVERNORS,
-    PowerControlConfig,
-    freq_for_power_limit,
-    static_setpoint,
-)
-from repro.powerctl.governor import (
-    GovernorRuntime,
-    PowerControlTrace,
-    PowerCtlObservation,
-    StaticGovernor,
-    StragglerGovernor,
-    ThermalGovernor,
-    build_runtime,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.powerctl.config": (
+        "GOVERNORS", "NO_POWER_CONTROL", "SEARCH_GOVERNORS",
+        "PowerControlConfig", "freq_for_power_limit", "static_setpoint",
+    ),
+    "repro.powerctl.governor": (
+        "GovernorRuntime", "PowerControlTrace", "PowerCtlObservation",
+        "StaticGovernor", "StragglerGovernor", "ThermalGovernor",
+        "build_runtime",
+    ),
+})
 
 __all__ = [
     "GOVERNORS",

@@ -11,18 +11,28 @@ Two halves:
   ``python -m repro resilience`` CLI compares.
 
 ``recovery`` imports the run layer (and therefore the engine), while the
-engine imports ``runtime`` from here — so the heavy half is loaded
-lazily to keep the import graph acyclic.
+engine imports ``runtime`` — so, like every facade's exports, both
+halves load on first access, which keeps the import graph acyclic.
 """
 
-from repro.resilience.runtime import (
-    FaultRuntime,
-    FaultTrace,
-    FaultTraceEntry,
-    build_fault_runtime,
-)
+from repro._lazy import lazy_exports
 
-_RECOVERY_EXPORTS = (
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.resilience.runtime": (
+        "FaultRuntime", "FaultTrace", "FaultTraceEntry", "build_fault_runtime",
+    ),
+    "repro.resilience.recovery": (
+        "POLICIES", "InterruptPlan", "RecoveryConfig", "ResilienceRun",
+        "compare_policies", "plan_interrupt", "simulate_recovery",
+        "sweep_mtbf",
+    ),
+})
+
+__all__ = [
+    "FaultRuntime",
+    "FaultTrace",
+    "FaultTraceEntry",
+    "build_fault_runtime",
     "POLICIES",
     "InterruptPlan",
     "RecoveryConfig",
@@ -31,22 +41,4 @@ _RECOVERY_EXPORTS = (
     "plan_interrupt",
     "simulate_recovery",
     "sweep_mtbf",
-)
-
-__all__ = [
-    "FaultRuntime",
-    "FaultTrace",
-    "FaultTraceEntry",
-    "build_fault_runtime",
-    *_RECOVERY_EXPORTS,
 ]
-
-
-def __getattr__(name: str):
-    if name in _RECOVERY_EXPORTS:
-        from repro.resilience import recovery
-
-        return getattr(recovery, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

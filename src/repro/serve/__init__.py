@@ -33,16 +33,17 @@ answers from the last-good LRU or the closed-form analytic model
 See docs/api.md, docs/performance.md, and docs/chaos.md.
 """
 
-from repro.serve.broker import (
-    Broker,
-    BrokerConfig,
-    BrokerMetrics,
-    BrokerUnavailableError,
-    SimResponse,
-)
-from repro.serve.degraded import analytic_estimate
-from repro.serve.http import BrokerServer
-from repro.serve.workers import WorkerPool, serve_worker
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.serve.broker": (
+        "Broker", "BrokerConfig", "BrokerMetrics", "BrokerUnavailableError",
+        "SimResponse",
+    ),
+    "repro.serve.degraded": ("analytic_estimate",),
+    "repro.serve.http": ("BrokerServer",),
+    "repro.serve.workers": ("WorkerPool", "serve_worker"),
+})
 
 __all__ = [
     "Broker",

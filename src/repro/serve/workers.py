@@ -64,6 +64,7 @@ import atexit
 import multiprocessing
 import pickle
 import random
+import socket
 import threading
 import time
 from collections import deque
@@ -239,6 +240,23 @@ class _Worker:
         self.inflight: _Task | None = None
         self.remote = remote
         self.slot = slot
+
+    def hang_up(self) -> None:
+        """Close the pool's end of the connection. A remote worker's
+        socket is shut down first: local workers forked after it
+        connected hold copies of its descriptor, so closing this one
+        alone would never reach the peer."""
+        if self.remote:
+            try:
+                with socket.fromfd(self.conn.fileno(), socket.AF_INET,
+                                   socket.SOCK_STREAM) as sock:
+                    sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed, or the peer is gone
+        try:
+            self.conn.close()
+        except OSError:
+            pass
 
 
 class WorkerPool:
@@ -650,10 +668,7 @@ class WorkerPool:
                     if worker.process is not None:
                         worker.process.kill()
                     else:
-                        try:
-                            worker.conn.close()
-                        except OSError:
-                            pass
+                        worker.hang_up()
                     return
                 for queued in list(worker.queue):
                     if queued.future is future:
@@ -781,10 +796,7 @@ class WorkerPool:
         if worker.wid not in self._workers:
             return
         del self._workers[worker.wid]
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        worker.hang_up()
         if worker.process is not None:
             worker.process.join(timeout=0.1)
         breaker = self._breaker_locked(worker.slot)
@@ -911,8 +923,4 @@ class WorkerPool:
             if directive.get("kill") and worker.process is not None:
                 worker.process.kill()
             if directive.get("drop_conn"):
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
                 self._bury_locked(worker)

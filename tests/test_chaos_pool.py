@@ -270,3 +270,53 @@ class TestRemoteDrop:
             assert dropped  # the TCP drop actually fired
             assert pool.retries >= 1
             assert pool.stats()["remote_workers"] == 0
+
+    def test_drop_reaches_the_peer_after_a_local_respawn(self):
+        # A local worker forked after the remote one connected holds a
+        # copy of the remote socket; the drop must still reach the peer
+        # while the pool stays open.
+        events = []
+        with WorkerPool(1, retry=RetryPolicy(
+            attempts=3, base_s=0.01, cap_s=0.05,
+        )) as pool:
+            address = pool.listen(("127.0.0.1", 0), authkey=b"chaos")
+            threading.Thread(
+                target=serve_worker,
+                args=(address, b"chaos"),
+                kwargs={"reconnect": True, "on_event": events.append,
+                        "retry": RetryPolicy(attempts=2, base_s=0.01,
+                                             cap_s=0.05)},
+                daemon=True,
+            ).start()
+            deadline = time.monotonic() + 10
+            while (pool.stats()["remote_workers"] < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert pool.stats()["remote_workers"] == 1
+            local = next(w for w in pool._workers.values() if not w.remote)
+            local.process.kill()
+            deadline = time.monotonic() + 10
+            while pool.respawns < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool.respawns == 1
+            remote_wid = next(
+                w.wid for w in pool._workers.values() if w.remote
+            )
+
+            def drop_remote(site, context):
+                if site == "pool.dispatch" and context["remote"]:
+                    return {"drop_conn": True}
+                return None
+
+            with hooks.installed(drop_remote):
+                future = pool.submit(
+                    _sleep_echo, (0.0, "rerouted"), target=remote_wid
+                )
+                assert future.result(timeout=30) == ("ok", "rerouted")
+            deadline = time.monotonic() + 2.0
+            while (not any(e["event"] == "disconnected" for e in events)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert [e["event"] for e in events][:2] == [
+                "connected", "disconnected",
+            ]
