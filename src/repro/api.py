@@ -37,7 +37,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.experiment import (
     DEFAULT_GLOBAL_BATCH,
@@ -57,6 +57,9 @@ from repro.powerctl.config import (
     PowerControlConfig,
 )
 from repro.suggest import normalize_name, unknown_name_message
+
+if TYPE_CHECKING:
+    from repro.core.sweep import RunIdentity
 
 __all__ = [
     "KINDS",
@@ -749,15 +752,23 @@ class SimRequest:
             raise ValueError("request JSON must be an object")
         return cls.from_dict(data)
 
+    def identity(self) -> RunIdentity:
+        """This request's :class:`repro.core.sweep.RunIdentity`: its run
+        payload, memo key and digest, built once. The serve tier carries
+        it beside the request, so no later step re-derives the key."""
+        from repro.core.sweep import RunIdentity, identify
+
+        if self.cacheable:
+            return identify(*self.to_run_payload())
+        return RunIdentity(
+            None, None, hashlib.sha256(self.to_json().encode()).hexdigest()
+        )
+
     def digest(self) -> str:
         """Stable identity hash; for cacheable kinds this is exactly
         the result-store address :func:`repro.core.sweep.cached_run`
         writes to, so a digest match *is* a cache hit."""
-        if self.cacheable:
-            from repro.core.sweep import cache_key, key_digest
-
-            return key_digest(cache_key(*self.to_run_payload()))
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return self.identity().digest
 
 
 def submit(request: SimRequest | OptimizeRequest, *, cache: bool = True):
@@ -847,9 +858,10 @@ def submit_many(
     if report is None:
         report = ExecutionReport()
     jobs = 1 if jobs == 1 else resolve_jobs(jobs)
+    digests = [request.digest() for request in requests]
     distinct: dict[str, SimRequest] = {}
-    for request in requests:
-        distinct.setdefault(request.digest(), request)
+    for digest, request in zip(digests, requests):
+        distinct.setdefault(digest, request)
     pooled = [
         (digest, request)
         for digest, request in distinct.items()
@@ -865,5 +877,5 @@ def submit_many(
         if not request.cacheable:
             results[digest] = submit(request)
     return BatchResult(
-        [results[request.digest()] for request in requests], report
+        [results[digest] for digest in digests], report
     )

@@ -132,6 +132,16 @@ def build_requests(count: int, distinct: int | None = None,
     return [configs[index % distinct] for index in range(count)]
 
 
+def _prefill_store(batch: list) -> None:
+    """Store the result of every distinct request in ``batch``, then
+    empty the memo, so the next reads of these requests go to disk."""
+    from repro.api import submit_many
+    from repro.core import sweep
+
+    submit_many(batch)
+    sweep._CACHE.clear()
+
+
 def _percentile(values: list, fraction: float) -> float:
     if not values:
         return 0.0
@@ -212,6 +222,8 @@ def run_scenario(
 
         getattr(_sweep, "_CACHE", {}).clear()  # isolate the memo
         batch = build_requests(requests, distinct)
+        if scenario.prefill_store:
+            _prefill_store(batch)
         # One execution slot per worker, remote ones included: with
         # only the local workers' slots, the least-loaded pick never
         # reaches an idle remote worker.
@@ -248,10 +260,20 @@ def run_scenario(
                     return (response.status, response.degraded,
                             response.duration_s)
 
-                results = await asyncio.gather(
-                    *(_one(request) for request in batch),
-                    return_exceptions=True,
-                )
+                waves = [batch]
+                if scenario.prefill_store:
+                    # The batch opens with each distinct request once;
+                    # those are answered before the repeats are sent,
+                    # so every stored entry is read exactly once and
+                    # the seed alone fixes how many reads are torn.
+                    firsts = len({request.digest() for request in batch})
+                    waves = [batch[:firsts], batch[firsts:]]
+                results = []
+                for wave in waves:
+                    results += await asyncio.gather(
+                        *(_one(request) for request in wave),
+                        return_exceptions=True,
+                    )
                 for outcome in results:
                     if isinstance(outcome, BaseException):
                         statuses.append(("dropped", False, 0.0))
@@ -311,7 +333,8 @@ def run_scenario(
             key: metrics.get(key)
             for key in (
                 "errors_total", "retries_total", "respawns_total",
-                "degraded_total", "hits", "misses", "deduped",
+                "degraded_total", "hits", "memo_hits", "store_hits",
+                "misses", "deduped",
                 "breaker",
             )
             if key in metrics

@@ -39,6 +39,9 @@ class Scenario:
             ``ok`` (possibly degraded) for the scenario to count as
             survived. Storm scenarios that *intend* to shed load with
             429s set this below 1.
+        prefill_store: store every distinct request's result before
+            the faults start. The broker's memo answers every repeat,
+            so without this no store read ever finds an entry to tear.
     """
 
     name: str
@@ -47,6 +50,7 @@ class Scenario:
     remote_workers: int = 0
     hedge_s: float | None = None
     min_availability: float = 1.0
+    prefill_store: bool = False
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -83,6 +87,7 @@ SCENARIOS: dict[str, Scenario] = {
             description="25% of cache reads hit a torn entry; each "
                         "must quarantine to .pkl.corrupt and recompute",
             plan=FaultPlan(corrupt_read_rate=0.25),
+            prefill_store=True,
         ),
         Scenario(
             name="lost-answers",

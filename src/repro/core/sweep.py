@@ -15,7 +15,7 @@ import enum
 import hashlib
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from repro.comm.message import TRANSFER_TIMES
 from repro.core.experiment import execute_inference, execute_training
@@ -49,6 +49,12 @@ def _field_names(tp: type) -> tuple[str, ...]:
     return names
 
 
+#: Exact types :func:`freeze` returns as they are. Subclasses
+#: (``IntEnum``, ``np.float64``, ...) are not listed, so they keep
+#: taking the general branches below and freeze as before.
+_SCALARS = frozenset({str, int, float, bool, bytes, type(None)})
+
+
 def freeze(value):
     """Deterministic, hashable form of a run-configuration value.
 
@@ -58,6 +64,8 @@ def freeze(value):
     usable both as an in-memory dict key and as input to the on-disk
     digest.
     """
+    if type(value) in _SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return (
             type(value).__name__,
@@ -86,13 +94,11 @@ def freeze(value):
     return ("repr", repr(value))
 
 
-def _cache_key(kind: str, kwargs: dict) -> tuple:
+def cache_key(kind: str, kwargs: dict) -> tuple:
+    """The in-process memo key of one run payload (request digests in
+    :mod:`repro.api` and the broker's fast path address the store with
+    its :func:`key_digest`)."""
     return (kind, freeze(kwargs))
-
-
-#: Public spelling of the cache-key constructor (request digests in
-#: :mod:`repro.api` and the broker's fast path address the store with it).
-cache_key = _cache_key
 
 
 def key_digest(key: tuple) -> str:
@@ -102,15 +108,40 @@ def key_digest(key: tuple) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+class RunIdentity(NamedTuple):
+    """A request's cache address, computed once and carried beside it.
+
+    ``payload`` is the ``(kind, kwargs)`` run payload, ``key`` its memo
+    key and ``digest`` the public request digest (for cacheable kinds,
+    also the store address). Kinds the store does not cover carry no
+    payload and no key. An identity is a snapshot taken when it is
+    built: it never reads the request again.
+    """
+
+    payload: tuple[str, dict] | None
+    key: tuple | None
+    digest: str
+
+
+def identify(kind: str, kwargs: dict) -> RunIdentity:
+    """The :class:`RunIdentity` of one run payload: one key, one
+    digest."""
+    key = cache_key(kind, kwargs)
+    return RunIdentity((kind, kwargs), key, key_digest(key))
+
+
 def _cached_run(kind: str, runner: Callable[..., RunResult],
-                kwargs: dict) -> RunResult:
-    key = _cache_key(kind, kwargs)
+                kwargs: dict, key: tuple | None = None,
+                digest: str | None = None) -> RunResult:
+    if key is None:
+        key = cache_key(kind, kwargs)
     result = _CACHE.get(key)
     if result is not None:
         return result
     store = result_store() if persistence_enabled() else None
-    digest = key_digest(key) if store is not None else ""
     if store is not None:
+        if digest is None:
+            digest = key_digest(key)
         result = store.get(digest)
     if result is None:
         result = runner(**kwargs)
@@ -118,6 +149,33 @@ def _cached_run(kind: str, runner: Callable[..., RunResult],
             store.put(digest, result)
     _CACHE[key] = result
     return result
+
+
+def _runner_for(kind: str) -> Callable[..., RunResult]:
+    if kind == "train":
+        return execute_training
+    if kind == "infer":
+        return execute_inference
+    if kind == "serve":
+        # Deferred: the serving engine imports the models/hardware
+        # layers, which in turn import this module.
+        from repro.inferserve.engine import execute_serving
+
+        return execute_serving
+    if kind == "optimize":
+        # Deferred for the same reason: the optimizer sits on top of
+        # the whole run stack. Payload: the OptimizeRequest dict form,
+        # so the stored OptimizeResult is addressed by every search knob.
+        from repro.optimize.search import run_optimize_payload
+
+        return run_optimize_payload
+    from repro.suggest import unknown_name_message
+
+    raise ValueError(
+        unknown_name_message(
+            "run kind", kind, ("train", "infer", "serve", "optimize")
+        )
+    )
 
 
 def cached_run(kind: str, **kwargs) -> RunResult:
@@ -132,69 +190,62 @@ def cached_run(kind: str, **kwargs) -> RunResult:
     ``repro.serve`` broker all execute through here, so every consumer
     shares one cache address space.
     """
-    if kind == "train":
-        return _cached_run(kind, execute_training, kwargs)
-    if kind == "infer":
-        return _cached_run(kind, execute_inference, kwargs)
-    if kind == "serve":
-        # Deferred: the serving engine imports the models/hardware
-        # layers, which in turn import this module.
-        from repro.inferserve.engine import execute_serving
-
-        return _cached_run(kind, execute_serving, kwargs)
-    if kind == "optimize":
-        # Deferred for the same reason: the optimizer sits on top of
-        # the whole run stack. Payload: the OptimizeRequest dict form,
-        # so the stored OptimizeResult is addressed by every search knob.
-        from repro.optimize.search import run_optimize_payload
-
-        return _cached_run(kind, run_optimize_payload, kwargs)
-    from repro.suggest import unknown_name_message
-
-    raise ValueError(
-        unknown_name_message(
-            "run kind", kind, ("train", "infer", "serve", "optimize")
-        )
-    )
+    return _cached_run(kind, _runner_for(kind), kwargs)
 
 
-def lookup_memo(kind: str, kwargs: dict) -> RunResult | None:
+def cached_run_identified(identity: RunIdentity) -> RunResult:
+    """:func:`cached_run` of a payload whose key and digest are already
+    known (the broker's in-process misses)."""
+    kind, kwargs = identity.payload
+    return _cached_run(kind, _runner_for(kind), kwargs, identity.key,
+                       identity.digest)
+
+
+def lookup_memo(kind: str, kwargs: dict,
+                key: tuple | None = None) -> RunResult | None:
     """Memo-only probe: a dict lookup, no disk I/O, never simulates.
 
     Cheap enough to call from latency-sensitive code (the broker runs
     it inline on the event loop before paying for an executor hop to
-    the on-disk store).
+    the on-disk store). ``key`` skips building the payload's key when
+    the caller already holds it.
     """
-    return _CACHE.get(_cache_key(kind, kwargs))
+    return _CACHE.get(cache_key(kind, kwargs) if key is None else key)
 
 
-def lookup_cached(kind: str, kwargs: dict) -> RunResult | None:
+def lookup_cached(kind: str, kwargs: dict, key: tuple | None = None,
+                  digest: str | None = None) -> RunResult | None:
     """Cache-only probe: in-process memo, then the on-disk store.
 
     Never simulates. The broker's cache-hit fast path uses this to
     answer requests synchronously; a store hit is promoted into the
-    memo so repeat lookups stay in memory.
+    memo so repeat lookups stay in memory. ``key`` and ``digest`` are
+    the payload's, when the caller already holds them.
     """
-    key = _cache_key(kind, kwargs)
+    if key is None:
+        key = cache_key(kind, kwargs)
     result = _CACHE.get(key)
     if result is not None:
         return result
     if not persistence_enabled():
         return None
-    result = result_store().get(key_digest(key))
+    result = result_store().get(key_digest(key) if digest is None
+                                else digest)
     if result is not None:
         _CACHE[key] = result
     return result
 
 
-def seed_memo(kind: str, kwargs: dict, result: RunResult) -> None:
+def seed_memo(kind: str, kwargs: dict, result: RunResult,
+              key: tuple | None = None) -> None:
     """Install a result in the in-process memo (worker fan-out output).
 
     Pool workers simulate in their own process; the parent seeds its
     memo with what they returned so later same-process consumers skip
     even the store read.
     """
-    _CACHE.setdefault(_cache_key(kind, kwargs), result)
+    _CACHE.setdefault(cache_key(kind, kwargs) if key is None else key,
+                      result)
 
 
 def clear_cache() -> None:

@@ -20,13 +20,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.hardware.cluster import get_cluster
 from repro.models.catalog import get_model
 from repro.optimize.objective import Objective, parse_objective
 from repro.parallelism.strategy import parse_strategy
 from repro.suggest import normalize_name, unknown_name_message
+
+if TYPE_CHECKING:
+    from repro.core.sweep import RunIdentity
 
 __all__ = [
     "OPTIMIZE_KINDS",
@@ -366,13 +369,19 @@ class OptimizeRequest:
             raise ValueError("request JSON must be an object")
         return cls.from_dict(data)
 
+    def identity(self) -> RunIdentity:
+        """This request's :class:`repro.core.sweep.RunIdentity` (run
+        payload, memo key and digest, built once), as
+        :meth:`repro.api.SimRequest.identity`."""
+        from repro.core.sweep import identify
+
+        return identify(*self.to_run_payload())
+
     def digest(self) -> str:
         """Stable identity hash — exactly the result-store address
         :func:`repro.core.sweep.cached_run` writes the search result
         to, so a digest match *is* a cache hit."""
-        from repro.core.sweep import cache_key, key_digest
-
-        return key_digest(cache_key(*self.to_run_payload()))
+        return self.identity().digest
 
 
 @dataclass(frozen=True)

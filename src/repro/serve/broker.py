@@ -2,9 +2,11 @@
 
 One :class:`Broker` owns three request paths, tried in order:
 
-1. **Cache hit** — :func:`repro.core.sweep.lookup_cached` answers
-   synchronously (no queueing, no worker) from the in-process memo or
-   the persistent store.
+1. **Cache hit** — answered without queueing or a worker: the
+   in-process memo inline, then the persistent store
+   (:func:`repro.core.sweep.lookup_cached`) on an executor thread. Both
+   probes, and every later step, reuse the request's
+   :class:`~repro.core.sweep.RunIdentity` (key and digest, built once).
 2. **In-flight dedup** — a request whose digest matches a simulation
    already executing awaits that execution's future instead of starting
    a second one; identical concurrent requests simulate exactly once.
@@ -47,11 +49,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
+import json
 import statistics
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.api import OptimizeRequest, SimRequest, submit
 from repro.chaos import hooks as chaos_hooks
@@ -62,6 +66,9 @@ from repro.core.parallel import (
     WorkerTimeoutError,
 )
 from repro.core.results import RunResult
+
+if TYPE_CHECKING:
+    from repro.core.sweep import RunIdentity
 
 #: Seconds added to the in-executor backstop beyond the worker deadline,
 #: so the pool's own kill path fires first.
@@ -170,6 +177,32 @@ class BrokerConfig:
             )
 
 
+#: Placeholders :meth:`SimResponse.encode` replaces with the request
+#: and result JSON.
+_REQUEST_SLOT = "\x00request"
+_RESULT_SLOT = "\x00result"
+_REQUEST_MARK = json.dumps(_REQUEST_SLOT)
+_RESULT_MARK = json.dumps(_RESULT_SLOT)
+
+
+def result_payload(result: object) -> object:
+    """The JSON form a response body gives ``result``: a run summary
+    for a :class:`RunResult`, the metrics of a serving outcome, or a
+    self-serialising result's ``to_dict()``."""
+    if isinstance(result, RunResult):
+        from repro.core.artifact import run_summary
+
+        return run_summary(result)
+    if (result is not None and not isinstance(result, dict)
+            and hasattr(result, "metrics")):
+        return dataclasses.asdict(result.metrics())
+    if (result is not None and not isinstance(result, dict)
+            and hasattr(result, "to_dict")):
+        # OptimizeResult and other self-serialising result types.
+        return result.to_dict()
+    return result
+
+
 @dataclass(frozen=True)
 class SimResponse:
     """One broker answer: a result or a structured failure.
@@ -199,22 +232,40 @@ class SimResponse:
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (the HTTP response body)."""
-        from repro.core.artifact import run_summary
+        return self._envelope(
+            self.request.to_dict(), self.request.digest(),
+            result_payload(self.result),
+        )
 
-        result = self.result
-        if isinstance(result, RunResult):
-            result = run_summary(result)
-        elif (result is not None and not isinstance(result, dict)
-              and hasattr(result, "metrics")):
-            result = dataclasses.asdict(result.metrics())
-        elif (result is not None and not isinstance(result, dict)
-              and hasattr(result, "to_dict")):
-            # OptimizeResult and other self-serialising result types.
-            result = result.to_dict()
+    def encode(self, request_json: str | None = None,
+               digest: str | None = None,
+               result_json: str | None = None) -> bytes:
+        """The HTTP body: byte for byte ``json.dumps(self.to_dict())``.
+
+        Fragments the caller already holds are spliced in instead of
+        being rebuilt: ``request_json`` is ``json.dumps`` of the
+        request's dict form, ``digest`` its digest and ``result_json``
+        ``json.dumps(result_payload(self.result))``.
+        """
+        if request_json is None:
+            request_json = json.dumps(self.request.to_dict())
+        if digest is None:
+            digest = self.request.digest()
+        if result_json is None:
+            result_json = json.dumps(result_payload(self.result))
+        # Only the status, the request slot and a hex digest precede
+        # the result slot, and the request slot precedes the spliced
+        # result, so each first match is the slot itself.
+        text = json.dumps(self._envelope(_REQUEST_SLOT, digest,
+                                         _RESULT_SLOT))
+        text = text.replace(_RESULT_MARK, result_json, 1)
+        return text.replace(_REQUEST_MARK, request_json, 1).encode()
+
+    def _envelope(self, request, digest: str, result) -> dict:
         return {
             "status": self.status,
-            "request": self.request.to_dict(),
-            "digest": self.request.digest(),
+            "request": request,
+            "digest": digest,
             "result": result,
             "error": self.error,
             "cached": self.cached,
@@ -232,6 +283,8 @@ class BrokerMetrics:
 
     requests: int = 0
     hits: int = 0
+    memo_hits: int = 0
+    store_hits: int = 0
     misses: int = 0
     deduped: int = 0
     rejected: int = 0
@@ -261,6 +314,8 @@ class BrokerMetrics:
         return {
             "requests": self.requests,
             "hits": self.hits,
+            "memo_hits": self.memo_hits,
+            "store_hits": self.store_hits,
             "misses": self.misses,
             "deduped": self.deduped,
             "rejected": self.rejected,
@@ -286,9 +341,17 @@ def _submit_dict(data: dict) -> object:
     return submit(SimRequest.from_dict(data))
 
 
-def _inline_runner(request: SimRequest,
-                   timeout_s: float | None) -> object:
-    """In-process execution (``use_processes=False``); no kill path."""
+def _inline_runner(request: SimRequest, timeout_s: float | None,
+                   identity: RunIdentity | None = None) -> object:
+    """In-process execution (``use_processes=False``); no kill path.
+
+    A cacheable request runs under the ``identity`` the broker already
+    built for it, so execution re-derives no key.
+    """
+    if identity is not None and request.cacheable:
+        from repro.core.sweep import cached_run_identified
+
+        return cached_run_identified(identity)
     return submit(request)
 
 
@@ -347,9 +410,16 @@ class Broker:
     # -- public API -----------------------------------------------------
 
     async def submit(
-        self, request: SimRequest | OptimizeRequest
+        self, request: SimRequest | OptimizeRequest, *,
+        identity: RunIdentity | None = None,
     ) -> SimResponse:
-        """Answer one request (cache → dedup → pooled execution)."""
+        """Answer one request (cache → dedup → pooled execution).
+
+        ``identity`` is the request's
+        :class:`~repro.core.sweep.RunIdentity` when the caller already
+        holds it (the HTTP layer keeps one per distinct body); it is
+        built here otherwise. Every step below reuses it.
+        """
         if not isinstance(request, (SimRequest, OptimizeRequest)):
             raise TypeError(
                 f"Broker.submit takes a SimRequest or OptimizeRequest, "
@@ -357,18 +427,25 @@ class Broker:
             )
         self.metrics.requests += 1
         started = time.monotonic()
+        if identity is None:
+            identity = request.identity()
 
         if self.config.cache and request.cacheable:
-            # Memo hits resolve inline (a dict lookup); only the
-            # on-disk store probe pays for an executor hop.
-            hit = self._probe_memo(request)
-            if hit is None:
+            # A memo hit resolves inline: one dict lookup under the
+            # identity's key. Only the on-disk store probe pays for an
+            # executor hop.
+            hit = self._probe_memo(identity)
+            if hit is not None:
+                self.metrics.memo_hits += 1
+            else:
                 hit = await asyncio.get_running_loop().run_in_executor(
-                    None, self._probe_store, request
+                    None, self._probe_store, identity
                 )
+                if hit is not None:
+                    self.metrics.store_hits += 1
             if hit is not None:
                 self.metrics.hits += 1
-                self._remember_good(request, hit)
+                self._remember_good(identity, hit)
                 duration = time.monotonic() - started
                 self.metrics.observe(duration)
                 return SimResponse(
@@ -376,7 +453,7 @@ class Broker:
                     cached=True, duration_s=duration,
                 )
 
-        digest = request.digest()
+        digest = identity.digest
         pending = self._inflight.get(digest)
         if pending is not None:
             self.metrics.deduped += 1
@@ -427,7 +504,7 @@ class Broker:
         self._inflight[digest] = future
         self._admitted += 1
         try:
-            response = await self._execute(request)
+            response = await self._execute(request, identity)
         finally:
             self._admitted -= 1
             self._inflight.pop(digest, None)
@@ -521,15 +598,16 @@ class Broker:
 
     # -- internals ------------------------------------------------------
 
-    def _probe_memo(self, request: SimRequest):
+    def _probe_memo(self, identity: RunIdentity):
         from repro.core.sweep import lookup_memo
 
-        return lookup_memo(*request.to_run_payload())
+        return lookup_memo(*identity.payload, key=identity.key)
 
-    def _probe_store(self, request: SimRequest):
+    def _probe_store(self, identity: RunIdentity):
         from repro.core.sweep import lookup_cached
 
-        return lookup_cached(*request.to_run_payload())
+        return lookup_cached(*identity.payload, key=identity.key,
+                             digest=identity.digest)
 
     def _timeout_for(self, request: SimRequest) -> float | None:
         if request.timeout_s is not None:
@@ -551,20 +629,22 @@ class Broker:
         return self.pool.run(request.to_dict(), timeout_s,
                              hedge_s=self.config.hedge_s, fn=_submit_dict)
 
-    def _remember_good(self, request: SimRequest, result: object) -> None:
+    def _remember_good(self, identity: RunIdentity,
+                       result: object) -> None:
         """Feed the stale-cache degraded tier (bounded LRU)."""
         if not self.config.degraded:
             return
-        digest = request.digest()
+        digest = identity.digest
         self._last_good[digest] = result
         self._last_good.move_to_end(digest)
         while len(self._last_good) > _LAST_GOOD_LIMIT:
             self._last_good.popitem(last=False)
 
     def _degraded_answer(self, request: SimRequest,
+                         identity: RunIdentity,
                          error: str) -> SimResponse | None:
         """Best approximate answer, or None when none exists."""
-        stale = self._last_good.get(request.digest())
+        stale = self._last_good.get(identity.digest)
         if stale is not None:
             return SimResponse(
                 status="ok", request=request, result=stale,
@@ -582,6 +662,7 @@ class Broker:
         return None
 
     async def _run_attempts(self, request: SimRequest,
+                            identity: RunIdentity,
                             timeout_s: float | None) -> object:
         """The execution core: breaker gate + crash-retry loop.
 
@@ -598,11 +679,14 @@ class Broker:
             )
         deadline = Deadline.after(timeout_s)
         loop = asyncio.get_running_loop()
+        runner = self._runner
+        if runner is _inline_runner:
+            runner = functools.partial(_inline_runner, identity=identity)
         attempt = 0
         while True:
             attempt += 1
             directive = chaos_hooks.fire(
-                "broker.execute", digest=request.digest(),
+                "broker.execute", digest=identity.digest,
                 attempt=attempt,
             )
             budget = None if deadline is None else deadline.remaining()
@@ -613,9 +697,7 @@ class Broker:
                 delay_s = directive.get("delay_s")
                 if delay_s:
                     await asyncio.sleep(float(delay_s))
-                call = loop.run_in_executor(
-                    None, self._runner, request, budget
-                )
+                call = loop.run_in_executor(None, runner, request, budget)
                 if budget is not None:
                     # Backstop only: the pool enforces the real
                     # deadline by killing the worker.
@@ -643,14 +725,17 @@ class Broker:
                 self.breaker.record_success()
             return result
 
-    async def _execute(self, request: SimRequest) -> SimResponse:
+    async def _execute(self, request: SimRequest,
+                       identity: RunIdentity) -> SimResponse:
         timeout_s = self._timeout_for(request)
         async with self._semaphore:
             self._executing += 1
             execution_started = time.monotonic()
             failure: SimResponse | None = None
             try:
-                result = await self._run_attempts(request, timeout_s)
+                result = await self._run_attempts(
+                    request, identity, timeout_s
+                )
             except (WorkerTimeoutError, asyncio.TimeoutError) as error:
                 self.metrics.timeouts += 1
                 message = (
@@ -680,7 +765,7 @@ class Broker:
             if failure is not None:
                 if self.config.degraded:
                     answer = self._degraded_answer(
-                        request, failure.error or failure.status
+                        request, identity, failure.error or failure.status
                     )
                     if answer is not None:
                         self.metrics.degraded += 1
@@ -694,8 +779,7 @@ class Broker:
             if self.config.cache and request.cacheable:
                 from repro.core.sweep import seed_memo
 
-                kind, kwargs = request.to_run_payload()
-                seed_memo(kind, kwargs, result)
-            self._remember_good(request, result)
+                seed_memo(*identity.payload, result, key=identity.key)
+            self._remember_good(identity, result)
             return SimResponse(status="ok", request=request,
                                result=result)

@@ -24,9 +24,19 @@ Endpoints (see docs/api.md for request/response schemas):
   content-addressed by request digest, so repeating one is a cache
   hit.
 - ``GET /v1/status`` — liveness + queue depth.
-- ``GET /v1/metrics`` — counters, hit rate, p50/p90/p99 latency, and
-  the resilience counters (``errors_total``, ``retries_total``,
+- ``GET /v1/metrics`` — counters, hit rate (``hits`` split into
+  ``memo_hits`` and ``store_hits``), p50/p90/p99 latency, and the
+  resilience counters (``errors_total``, ``retries_total``,
   ``respawns_total``, ``degraded_total``, circuit-breaker states).
+
+A repeated request skips the work the server already did for it. The
+server keeps two small bounded tables: one maps (endpoint, body bytes,
+deadline header) to the validated request, its
+:class:`~repro.core.sweep.RunIdentity` and its JSON; the other maps a
+digest to its exact result and that result's JSON. A response body is
+:meth:`SimResponse.encode` with those fragments spliced in, byte for
+byte what ``json.dumps(response.to_dict())`` gives. The broker still
+runs in full for every request: counters, dedup, admission, breakers.
 """
 
 from __future__ import annotations
@@ -36,10 +46,18 @@ import dataclasses
 import io
 import json
 import threading
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 from repro.api import OptimizeRequest, SimRequest
-from repro.serve.broker import Broker, BrokerConfig, SimResponse
+from repro.core.sweep import RunIdentity
+from repro.serve.broker import (
+    Broker,
+    BrokerConfig,
+    SimResponse,
+    result_payload,
+)
 
 _STATUS_CODES = {
     "ok": 200,
@@ -47,6 +65,44 @@ _STATUS_CODES = {
     "timeout": 504,
     "error": 500,
 }
+
+#: Distinct request bodies whose parse the server keeps.
+_PARSED_LIMIT = 256
+
+#: Exact results whose encoded JSON the server keeps.
+_ENCODED_LIMIT = 256
+
+
+class _Table:
+    """A fixed-size, thread-safe LRU map (handler threads share it)."""
+
+    def __init__(self, limit: int) -> None:
+        self._limit = limit
+        self._items: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+            return value
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._items[key] = value
+            self._items.move_to_end(key)
+            while len(self._items) > self._limit:
+                self._items.popitem(last=False)
+
+
+class _Parsed(NamedTuple):
+    """One validated request body: the request, its identity (carried
+    beside it, never stored on it) and ``json.dumps`` of its dict."""
+
+    request: SimRequest | OptimizeRequest
+    identity: RunIdentity
+    request_json: str
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -63,7 +119,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, code: int, body: dict,
                    headers: dict | None = None) -> None:
-        payload = json.dumps(body).encode()
+        self._send(code, json.dumps(body).encode(), headers)
+
+    def _send(self, code: int, payload: bytes,
+              headers: dict | None = None) -> None:
         # Compose the response in memory and send it in one write: sent
         # as two, the body waits behind Nagle's algorithm for the
         # client's delayed ACK of the headers (about 40 ms per
@@ -113,28 +172,27 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            request = request_type.from_json(
-                self.rfile.read(length).decode()
+            parsed = self.server.parse(
+                request_type, self.path, self.rfile.read(length),
+                self.headers.get("X-Repro-Deadline-S"),
             )
-            header_deadline = self.headers.get("X-Repro-Deadline-S")
-            if header_deadline is not None and request.timeout_s is None:
-                request = dataclasses.replace(
-                    request, timeout_s=float(header_deadline)
-                )
         except (ValueError, TypeError, UnicodeDecodeError) as error:
             self._send_json(
                 400, {"status": "error", "error": str(error)}
             )
             return
         response: SimResponse = asyncio.run_coroutine_threadsafe(
-            self.server.broker.submit(request), self.server.loop
+            self.server.broker.submit(
+                parsed.request, identity=parsed.identity
+            ),
+            self.server.loop,
         ).result()
         headers = {}
         if response.retry_after_s is not None:
             headers["Retry-After"] = f"{response.retry_after_s:g}"
-        self._send_json(
+        self._send(
             _STATUS_CODES.get(response.status, 500),
-            response.to_dict(),
+            self.server.body(response, parsed),
             headers,
         )
 
@@ -144,6 +202,51 @@ class _Server(ThreadingHTTPServer):
     broker: Broker
     loop: asyncio.AbstractEventLoop
     verbose: bool = False
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.parsed = _Table(_PARSED_LIMIT)
+        self.encoded = _Table(_ENCODED_LIMIT)
+
+    def parse(self, request_type, path: str, body: bytes,
+              deadline: str | None) -> _Parsed:
+        """Validate one request body, or reuse an earlier parse of the
+        same body sent to the same endpoint with the same deadline
+        header. The header sets ``timeout_s`` when the body has none."""
+        key = (path, body, deadline)
+        parsed = self.parsed.get(key)
+        if parsed is None:
+            request = request_type.from_json(body.decode())
+            if deadline is not None and request.timeout_s is None:
+                request = dataclasses.replace(
+                    request, timeout_s=float(deadline)
+                )
+            parsed = _Parsed(request, request.identity(),
+                             json.dumps(request.to_dict()))
+            self.parsed.put(key, parsed)
+        return parsed
+
+    def body(self, response: SimResponse, parsed: _Parsed) -> bytes:
+        """The response body, from the fragments already encoded.
+
+        An exact answer's result JSON is kept per digest and reused
+        while the same result object answers; degraded answers neither
+        read nor fill that table. A dedup answer carries the request
+        that executed, which shares this one's digest but may differ in
+        other fields, so its own JSON is encoded.
+        """
+        digest = parsed.identity.digest
+        request_json = result_json = None
+        if response.request is parsed.request:
+            request_json = parsed.request_json
+        if response.ok and not response.degraded:
+            result = response.result
+            entry = self.encoded.get(digest)
+            if entry is None or entry[0] is not result:
+                entry = (result, json.dumps(result_payload(result)))
+                self.encoded.put(digest, entry)
+            result_json = entry[1]
+        return response.encode(request_json, digest, result_json)
 
 
 class BrokerServer:

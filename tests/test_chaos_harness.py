@@ -94,6 +94,27 @@ class TestRunScenario:
         assert report.pool["remote_workers"] == 1
         assert "remote-4" not in report.metrics["breaker"]["workers"]
 
+    def test_torn_writes_tear_stored_entries(self, tmp_path):
+        """The store is filled before the faults start, so reads meet
+        entries: each torn one is quarantined and recomputed."""
+        from repro.core.store import ResultStore
+
+        cache = tmp_path / "chaos-cache"
+        report = run_scenario(SCENARIOS["torn-writes"], seed=0,
+                              requests=20, cache_dir=cache)
+        torn = report.injected.get("store.get:corrupted", 0)
+        assert torn >= 1
+        assert report.survived and report.availability == 1.0
+        assert report.degraded == 0 and report.drops == 0
+        store = ResultStore(cache)
+        quarantined = list(store.version_dir.rglob("*.pkl.corrupt"))
+        assert len(quarantined) == torn
+        # Each torn entry was recomputed and stored again, healthy.
+        assert report.metrics["misses"] == torn
+        assert report.metrics["store_hits"] == 8 - torn
+        for request in build_requests(20):
+            assert store.get(request.digest()) is not None
+
     def test_seeded_runs_inject_identically(self, tmp_path):
         reports = [
             run_scenario(

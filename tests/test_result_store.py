@@ -122,7 +122,7 @@ class TestInvalidation:
         cached_run("train", **_kwargs())
         assert result_store().stats().entries == 1
 
-        key = sweep_mod._cache_key("train", _kwargs())
+        key = sweep_mod.cache_key("train", _kwargs())
         digest = key_digest(key)
         bumped = store_mod.SCHEMA_VERSION + 1
         monkeypatch.setattr(store_mod, "SCHEMA_VERSION", bumped)
@@ -142,7 +142,7 @@ class TestInvalidation:
     def test_corrupt_entry_is_a_miss(self, counted_runs):
         cached_run("train", **_kwargs())
         digest = key_digest(
-            sweep_mod._cache_key("train", _kwargs())
+            sweep_mod.cache_key("train", _kwargs())
         )
         path = result_store().path_for(digest)
         assert path.is_file()
@@ -158,7 +158,7 @@ class TestQuarantine:
     """Broken entries are moved aside, counted, and healed by recompute."""
 
     def _poison(self, payload: bytes) -> str:
-        digest = key_digest(sweep_mod._cache_key("train", _kwargs()))
+        digest = key_digest(sweep_mod.cache_key("train", _kwargs()))
         path = result_store().path_for(digest)
         assert path.is_file()
         path.write_bytes(payload)
@@ -203,7 +203,7 @@ class TestQuarantine:
         cached_run("train", **_kwargs())
         self._poison(b"\x80truncated")
         assert result_store().get(
-            key_digest(sweep_mod._cache_key("train", _kwargs()))
+            key_digest(sweep_mod.cache_key("train", _kwargs()))
         ) is None  # the lookup itself quarantines
 
         import io
