@@ -39,11 +39,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.core.experiment import (
-    DEFAULT_GLOBAL_BATCH,
-    execute_inference,
-    execute_training,
-)
+from repro.core.experiment import DEFAULT_GLOBAL_BATCH
 from repro.core.faults import FaultEvent, FaultKind, FaultSpec, FaultTimeline
 from repro.core.results import RunResult
 from repro.engine.simulator import SimSettings
@@ -799,12 +795,9 @@ def submit(request: SimRequest | OptimizeRequest, *, cache: bool = True):
         from repro.core.sweep import cached_run
 
         return cached_run(kind, **kwargs)
-    if kind == "serve":
-        from repro.inferserve.engine import execute_serving
+    from repro.core.sweep import _runner_for
 
-        return execute_serving(**kwargs)
-    runner = execute_training if kind == "train" else execute_inference
-    return runner(**kwargs)
+    return _runner_for(kind)(**kwargs)
 
 
 class BatchResult(list):
@@ -831,22 +824,23 @@ def submit_many(
     """Execute a batch of requests; results come back in input order.
 
     Duplicate requests (same :meth:`SimRequest.digest`) simulate once.
-    With ``jobs == 1`` cacheable requests stay in-process and batch
-    through :func:`repro.engine.batched.evaluate_grid` (a shared-graph
-    grid builds its graph once, then replays or runs each point on
-    it). With ``jobs > 1`` (values below 1 mean auto) the whole batch
-    shares one :class:`repro.serve.workers.WorkerPool` via
-    :func:`repro.core.parallel.map_runs` — workers are spawned once for
-    the batch, steal work from each other, and crashed payloads are
-    retried then completed in-process, so no request is dropped. Fleet
-    requests run in-process either way.
+    Cacheable requests go through :func:`repro.core.parallel.map_runs`,
+    which probes the memo and the store for each in this process first.
+    With ``jobs == 1`` the misses stay in-process and batch through
+    :func:`repro.engine.batched.evaluate_grid` (a shared-graph grid
+    builds its graph once, then replays or runs each point on it).
+    With ``jobs > 1`` (values below 1 mean auto) the misses share one
+    :class:`repro.serve.workers.WorkerPool`, started only if something
+    is missing — workers steal work from each other, and crashed
+    payloads are retried then completed in-process, so no request is
+    dropped. Fleet requests run in-process either way.
 
     Returns a :class:`BatchResult` (a list) whose ``report`` attribute
-    records any crash recovery; pass your own ``report`` to accumulate
-    across batches.
+    records, by request position, which requests the cache answered
+    (``cached``) and any crash recovery; pass your own ``report`` to
+    accumulate across batches.
     """
     from repro.core.parallel import ExecutionReport, map_runs, resolve_jobs
-    from repro.core.sweep import seed_memo
 
     requests = list(requests)
     for request in requests:
@@ -858,24 +852,19 @@ def submit_many(
     if report is None:
         report = ExecutionReport()
     jobs = 1 if jobs == 1 else resolve_jobs(jobs)
-    digests = [request.digest() for request in requests]
-    distinct: dict[str, SimRequest] = {}
-    for digest, request in zip(digests, requests):
-        distinct.setdefault(digest, request)
-    pooled = [
-        (digest, request)
-        for digest, request in distinct.items()
-        if request.cacheable
-    ]
-    payloads = [request.to_run_payload() for _, request in pooled]
-    outputs = map_runs(payloads, jobs, report)
-    results: dict[str, Any] = {}
-    for (digest, _), payload, output in zip(pooled, payloads, outputs):
-        seed_memo(payload[0], payload[1], output)
-        results[digest] = output
-    for digest, request in distinct.items():
-        if not request.cacheable:
-            results[digest] = submit(request)
-    return BatchResult(
-        [results[digest] for digest in digests], report
+    pooled = [i for i, request in enumerate(requests) if request.cacheable]
+    part = ExecutionReport()
+    outputs = map_runs(
+        [requests[i].to_run_payload() for i in pooled], jobs, part
     )
+    for name in ("retried", "fell_back", "cached"):
+        getattr(report, name).extend(pooled[i] for i in getattr(part, name))
+    results: dict[int, Any] = dict(zip(pooled, outputs))
+    others: dict[str, Any] = {}
+    for index, request in enumerate(requests):
+        if index not in results:
+            digest = request.digest()
+            if digest not in others:
+                others[digest] = submit(request)
+            results[index] = others[digest]
+    return BatchResult([results[i] for i in range(len(requests))], report)

@@ -372,8 +372,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _sweep_row(request, result)
         for request, result in zip(requests, results)
     ]
+    cached = len(report.cached)
     if args.as_json:
-        _emit_json({"rows": rows})
+        _emit_json({"rows": rows, "cached": cached})
         return 0
     if requests[0].kind == "serving":
         print(f"{'setpoint':>8} {'goodput':>8} {'attain%':>8} "
@@ -385,18 +386,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{row['ttft_p99_s']:>8.3f} "
                 f"{row['energy_per_token_j']:>8.3f}"
             )
-        return 0
-    print(f"{'strategy':<16} {'mb':>3} {'schedule':<11} {'setpoint':>8} "
-          f"{'tok/s':>10} {'energy_J':>12} {'tok/J':>7} {'peakT':>6} "
-          f"{'clock':>6}")
-    for row in rows:
-        print(
-            f"{row['strategy']:<16} {row['microbatch']:>3} "
-            f"{row['schedule']:<11} {row['setpoint']:>8.4f} "
-            f"{row['tokens_per_s']:>10,.0f} {row['energy_j']:>12,.0f} "
-            f"{row['tokens_per_joule']:>7.3f} {row['peak_temp_c']:>6.1f} "
-            f"{row['mean_freq_ratio']:>6.3f}"
-        )
+    else:
+        print(f"{'strategy':<16} {'mb':>3} {'schedule':<11} "
+              f"{'setpoint':>8} {'tok/s':>10} {'energy_J':>12} "
+              f"{'tok/J':>7} {'peakT':>6} {'clock':>6}")
+        for row in rows:
+            print(
+                f"{row['strategy']:<16} {row['microbatch']:>3} "
+                f"{row['schedule']:<11} {row['setpoint']:>8.4f} "
+                f"{row['tokens_per_s']:>10,.0f} {row['energy_j']:>12,.0f} "
+                f"{row['tokens_per_joule']:>7.3f} "
+                f"{row['peak_temp_c']:>6.1f} {row['mean_freq_ratio']:>6.3f}"
+            )
+    print(f"{cached} of {len(requests)} points answered from cache")
     return 0
 
 

@@ -43,10 +43,13 @@ class ExecutionReport:
         retried: input indices whose worker died at least once.
         fell_back: input indices that then ran in-process (their retry
             budget ran out, or no worker process could be started).
+        cached: input indices the memo or the store answered: their
+            payload was cached before the call.
     """
 
     retried: list[int] = field(default_factory=list)
     fell_back: list[int] = field(default_factory=list)
+    cached: list[int] = field(default_factory=list)
 
     @property
     def crashed(self) -> bool:
@@ -107,24 +110,33 @@ def map_runs(
     jobs: int,
     report: ExecutionReport | None = None,
 ) -> list:
-    """Run every payload and return results in input order.
+    """Run every payload through the cache; results in input order.
 
-    With ``jobs <= 1`` (or a single payload) payloads stay in-process
-    and route through :func:`repro.engine.batched.evaluate_grid`, which
-    groups configs sharing a task graph into one graph build plus
-    vectorized replays or simulations on it (cache semantics identical to
-    :func:`repro.core.sweep.cached_run`; non-batchable payloads take the
-    exact serial path). Otherwise payloads fan out over worker processes
-    with the crash recovery described in the module docstring;
-    ``report`` (when given) is filled in with any retried / fallen-back
-    indices.
+    The one batch entry point for run payloads: each distinct payload
+    is keyed and probed (memo, then store) once, in this process, and
+    only the misses run (:func:`repro.core.sweep.cached_batch`).
+    Duplicates run once and share one result object. With ``jobs <= 1``
+    (or a single payload) the misses stay in-process and route through
+    :func:`repro.engine.batched.evaluate_grid`, which groups configs
+    sharing a task graph into one graph build plus vectorized replays
+    or simulations on it (non-batchable payloads take the exact serial
+    path). Otherwise the misses fan out over worker processes with the
+    crash recovery described in the module docstring; no process starts
+    when nothing is missing. ``report`` (when given) receives the input
+    positions the cache answered and any retried / fallen-back ones.
     """
     payloads = list(payloads)
     if jobs <= 1 or len(payloads) <= 1:
         from repro.engine.batched import evaluate_grid
 
-        return evaluate_grid(payloads)
-    return _pool_map(_run_payload, payloads, jobs, report)
+        return evaluate_grid(payloads, report=report)
+    from repro.core.sweep import cached_batch
+
+    def pooled(misses, part):
+        items = [identity.payload for identity in misses]
+        return enumerate(_pool_map(_run_payload, items, jobs, part))
+
+    return cached_batch(payloads, pooled, report, stored=True)
 
 
 class WorkerCrashError(RuntimeError):

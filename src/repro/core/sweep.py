@@ -15,10 +15,11 @@ import enum
 import hashlib
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.comm.message import TRANSFER_TIMES
 from repro.core.experiment import execute_inference, execute_training
+from repro.core.parallel import ExecutionReport
 from repro.core.results import RunResult
 from repro.core.store import persistence_enabled, result_store
 from repro.engine.physics import STEP_PROPAGATORS
@@ -130,9 +131,18 @@ def identify(kind: str, kwargs: dict) -> RunIdentity:
     return RunIdentity((kind, kwargs), key, key_digest(key))
 
 
-def _cached_run(kind: str, runner: Callable[..., RunResult],
-                kwargs: dict, key: tuple | None = None,
-                digest: str | None = None) -> RunResult:
+def _fetch(kind: str, kwargs: dict, key: tuple | None = None,
+           digest: str | None = None,
+           runner: Callable[..., RunResult] | None = None
+           ) -> RunResult | None:
+    """The memo-then-store step every cached path takes.
+
+    Returns the memo's result, else the store's (promoted into the
+    memo), else, given a ``runner``, a fresh run written to both;
+    ``None`` when nothing answered and there is no runner. ``key`` and
+    ``digest`` are the payload's when the caller holds them; a missing
+    digest is derived only when the store is read.
+    """
     if key is None:
         key = cache_key(kind, kwargs)
     result = _CACHE.get(key)
@@ -144,6 +154,8 @@ def _cached_run(kind: str, runner: Callable[..., RunResult],
             digest = key_digest(key)
         result = store.get(digest)
     if result is None:
+        if runner is None:
+            return None
         result = runner(**kwargs)
         if store is not None:
             store.put(digest, result)
@@ -190,15 +202,15 @@ def cached_run(kind: str, **kwargs) -> RunResult:
     ``repro.serve`` broker all execute through here, so every consumer
     shares one cache address space.
     """
-    return _cached_run(kind, _runner_for(kind), kwargs)
+    return _fetch(kind, kwargs, runner=_runner_for(kind))
 
 
 def cached_run_identified(identity: RunIdentity) -> RunResult:
     """:func:`cached_run` of a payload whose key and digest are already
     known (the broker's in-process misses)."""
     kind, kwargs = identity.payload
-    return _cached_run(kind, _runner_for(kind), kwargs, identity.key,
-                       identity.digest)
+    return _fetch(kind, kwargs, identity.key, identity.digest,
+                  _runner_for(kind))
 
 
 def lookup_memo(kind: str, kwargs: dict,
@@ -222,18 +234,7 @@ def lookup_cached(kind: str, kwargs: dict, key: tuple | None = None,
     memo so repeat lookups stay in memory. ``key`` and ``digest`` are
     the payload's, when the caller already holds them.
     """
-    if key is None:
-        key = cache_key(kind, kwargs)
-    result = _CACHE.get(key)
-    if result is not None:
-        return result
-    if not persistence_enabled():
-        return None
-    result = result_store().get(key_digest(key) if digest is None
-                                else digest)
-    if result is not None:
-        _CACHE[key] = result
-    return result
+    return _fetch(kind, kwargs, key, digest)
 
 
 def seed_memo(kind: str, kwargs: dict, result: RunResult,
@@ -246,6 +247,76 @@ def seed_memo(kind: str, kwargs: dict, result: RunResult,
     """
     _CACHE.setdefault(cache_key(kind, kwargs) if key is None else key,
                       result)
+
+
+def _probe(identity: RunIdentity, cache: bool) -> RunResult | None:
+    """One batch probe: the memo, then (with ``cache``) the store; a
+    store hit is promoted into the memo. Also bound as
+    ``repro.engine.batched._probe``, the name the benchmark tracer
+    counts batch probes under."""
+    if not cache:
+        return _CACHE.get(identity.key)
+    return _fetch(*identity.payload, identity.key, identity.digest)
+
+
+def cached_batch(
+    payloads: Sequence[tuple[str, dict]],
+    execute: Callable[..., Iterable[tuple[int, RunResult]]],
+    report: ExecutionReport | None = None,
+    cache: bool = True,
+    stored: bool = False,
+) -> list:
+    """The one cache path of a batch of run payloads.
+
+    Each distinct payload is keyed once (one :class:`RunIdentity`) and
+    probed once: the memo, then, with ``cache``, the persistent store.
+    ``execute(misses, part)`` computes the rest, in first-seen order,
+    yielding ``(index into misses, result)`` as results come; ``part``
+    is an :class:`~repro.core.parallel.ExecutionReport` it fills in
+    with miss indices. Each answer is written to the memo once, and
+    each computed one to the store once (with ``cache``), unless
+    ``stored`` says ``execute`` wrote it already (pool workers run
+    :func:`cached_run`).
+
+    Returns results in input order; duplicates share one object.
+    ``report`` receives input positions: ``cached`` lists those the
+    cache answered, ``retried`` and ``fell_back`` those whose payload
+    ``part`` lists.
+    """
+    keys = [cache_key(kind, kwargs) for kind, kwargs in payloads]
+    identities: dict[tuple, RunIdentity] = {}
+    for key, (kind, kwargs) in zip(keys, payloads):
+        if key not in identities:
+            identities[key] = RunIdentity((kind, kwargs), key,
+                                          key_digest(key))
+    answers: dict[tuple, RunResult] = {}
+    misses: list[RunIdentity] = []
+    for key, identity in identities.items():
+        hit = _probe(identity, cache)
+        if hit is None:
+            misses.append(identity)
+        else:
+            answers[key] = hit
+    if report is not None:
+        report.cached.extend(i for i, key in enumerate(keys)
+                             if key in answers)
+    if misses:
+        store = (result_store() if cache and not stored
+                 and persistence_enabled() else None)
+        part = ExecutionReport()
+        for index, result in execute(misses, part):
+            identity = misses[index]
+            if store is not None:
+                store.put(identity.digest, result)
+            seed_memo(*identity.payload, result, key=identity.key)
+            answers[identity.key] = result
+        if report is not None:
+            for name in ("retried", "fell_back"):
+                hit = {misses[i].key for i in getattr(part, name)}
+                getattr(report, name).extend(
+                    i for i, key in enumerate(keys) if key in hit
+                )
+    return [answers[key] for key in keys]
 
 
 def clear_cache() -> None:
@@ -326,13 +397,7 @@ def run_sweep(
     """
     from repro.core.parallel import ExecutionReport, map_runs, resolve_jobs
 
-    ordered: list[SweepPoint] = []
-    seen: set[SweepPoint] = set()
-    for point in points:
-        if point not in seen:
-            seen.add(point)
-            ordered.append(point)
-
+    ordered = list(dict.fromkeys(points))
     jobs = 1 if jobs == 1 else resolve_jobs(jobs)
     payloads = [
         (
@@ -351,9 +416,7 @@ def run_sweep(
         )
 
     results: dict[SweepPoint, RunResult] = {}
-    for point, payload, result in zip(ordered, payloads, outputs):
-        # Seed the in-process memo so later figures reuse worker output.
-        seed_memo("train", payload[1], result)
+    for point, result in zip(ordered, outputs):
         results[point] = result
         if on_result is not None:
             on_result(point, result)

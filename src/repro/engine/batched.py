@@ -72,9 +72,13 @@ import numpy as np
 
 from repro.comm.contention import NicContention
 from repro.comm.traffic import TrafficLedger
+from repro.core import sweep
 from repro.core.faults import HEALTHY
+from repro.core.parallel import ExecutionReport
 from repro.core.results import RunResult
-from repro.core.store import persistence_enabled, result_store
+# ``_probe`` is core.sweep's batch probe, bound here too: the benchmark
+# tracer (perfbench/tracing.py) counts batch probes as batched._probe.
+from repro.core.sweep import RunIdentity, _probe  # noqa: F401
 from repro.engine.kernels import KernelKind, KernelTable, kind_codes
 from repro.engine.physics import PowerVector, VectorPhysics
 from repro.engine.simulator import (
@@ -1290,11 +1294,9 @@ def _batchable(kind: str, kwargs: dict) -> _Member | None:
 
 def _group_key(member: _Member):
     """Graph-group identity: everything but the power-control axis."""
-    from repro.core.sweep import freeze
-
     rest = {k: v for k, v in member.kwargs.items() if k != "settings"}
     neutral = replace(member.settings, power_control=NO_POWER_CONTROL)
-    return (member.kind, freeze(rest), freeze(neutral))
+    return (member.kind, sweep.freeze(rest), sweep.freeze(neutral))
 
 
 #: Fewest members beyond the anchor that one evaluation replays; below
@@ -1404,114 +1406,69 @@ class _BatchGroup:
             return ["replay diverged"] * len(members)
 
 
-def _plain_run(kind: str, kwargs: dict) -> RunResult:
-    # Resolved through the sweep module (not imported directly) so the
-    # batched path sees the same runners ``cached_run`` would — test
-    # doubles patched there keep working.
-    from repro.core import sweep
-
-    if kind == "train":
-        return sweep.execute_training(**kwargs)
-    if kind == "infer":
-        return sweep.execute_inference(**kwargs)
-    if kind == "serve":
-        from repro.inferserve.engine import execute_serving
-
-        return execute_serving(**kwargs)
-    from repro.suggest import unknown_name_message
-
-    raise ValueError(
-        unknown_name_message("run kind", kind, ("train", "infer", "serve"))
-    )
+def _plain_run(identity: RunIdentity) -> RunResult:
+    # The runner is looked up per call, so test doubles patched on the
+    # sweep module keep working.
+    kind, kwargs = identity.payload
+    return sweep._runner_for(kind)(**kwargs)
 
 
-def _probe(kind: str, kwargs: dict, store):
-    """Memo, then store — the same probe order as ``cached_run``."""
-    from repro.core.sweep import key_digest, lookup_memo
+def _run_misses(misses: list[RunIdentity], group_for):
+    """Yield ``(index, result)`` for uncached payloads, batching where
+    graphs are shared.
 
-    hit = lookup_memo(kind, kwargs)
-    if hit is not None or store is None:
-        return hit
-    from repro.core.sweep import cache_key
+    Batchable payloads are grouped by task graph; ``group_for(members)``
+    gives the :class:`_BatchGroup` that evaluates a group's members
+    together, or ``None`` to run them one by one. Everything else runs
+    the ordinary per-config path.
+    """
+    grouped: dict[tuple, list[tuple[int, _Member]]] = {}
+    for index, identity in enumerate(misses):
+        member = _batchable(*identity.payload)
+        if member is None:
+            yield index, _plain_run(identity)
+        else:
+            grouped.setdefault(_group_key(member), []).append(
+                (index, member)
+            )
+    for pairs in grouped.values():
+        group = group_for(pairs)
+        if group is None:
+            for index, _ in pairs:
+                yield index, _plain_run(misses[index])
+        else:
+            outputs = group.evaluate([member for _, member in pairs])
+            yield from zip([index for index, _ in pairs], outputs)
 
-    return store.get(key_digest(cache_key(kind, kwargs)))
+
+def _new_group(pairs) -> _BatchGroup | None:
+    return _BatchGroup(pairs[0][1].kind) if len(pairs) > 1 else None
 
 
-def _install(kind: str, kwargs: dict, result: RunResult, store,
-             computed: bool) -> None:
-    from repro.core.sweep import cache_key, key_digest, seed_memo
-
-    if computed and store is not None:
-        store.put(key_digest(cache_key(kind, kwargs)), result)
-    seed_memo(kind, kwargs, result)
-
-
-def evaluate_grid(
-    payloads: list[tuple[str, dict]], cache: bool = True
-) -> list[RunResult]:
+def evaluate_grid(payloads: list[tuple[str, dict]], cache: bool = True,
+                  report: ExecutionReport | None = None) -> list[RunResult]:
     """Evaluate a grid of run payloads, batching where graphs are shared.
 
-    The drop-in batched equivalent of calling
-    :func:`repro.core.sweep.cached_run` per payload: identical memo /
-    persistent-store cooperation (probe order, seeding, digests) and
-    identical results — batchable subsets of the grid are grouped by
-    task graph and evaluated on one build of it (see
-    :class:`_BatchGroup`), everything else runs the ordinary per-config
-    path. Duplicate payloads collapse to one run and return the same
-    object.
+    The batched equivalent of calling
+    :func:`repro.core.sweep.cached_run` per payload, through
+    :func:`repro.core.sweep.cached_batch` (one key and one probe per
+    distinct payload; duplicates collapse to one run and return the
+    same object) and with identical results. The misses are grouped by
+    task graph and each group is evaluated on one build of it (see
+    :class:`_BatchGroup`); a group of one, and everything that is not
+    batchable, runs the ordinary per-config path.
 
     Args:
         payloads: ``(kind, kwargs)`` pairs as accepted by ``cached_run``.
         cache: consult/fill the persistent store (the in-process memo is
             always used, mirroring the serial path).
+        report: an :class:`~repro.core.parallel.ExecutionReport` that
+            receives the input positions the cache answered.
     """
-    from repro.core.sweep import cache_key
-
-    store = result_store() if (cache and persistence_enabled()) else None
-    results: dict[tuple, RunResult] = {}
-    order: list[tuple] = []
-    seen: set[tuple] = set()
-    groups: dict[tuple, list[tuple[tuple, _Member]]] = {}
-    singles: list[tuple[tuple, str, dict]] = []
-
-    for kind, kwargs in payloads:
-        key = cache_key(kind, kwargs)
-        order.append(key)
-        if key in seen:
-            continue
-        seen.add(key)
-        hit = _probe(kind, kwargs, store)
-        if hit is not None:
-            _install(kind, kwargs, hit, store, computed=False)
-            results[key] = hit
-            continue
-        member = _batchable(kind, kwargs)
-        if member is None:
-            singles.append((key, kind, kwargs))
-        else:
-            groups.setdefault(_group_key(member), []).append((key, member))
-
-    for key, kind, kwargs in singles:
-        result = _plain_run(kind, kwargs)
-        _install(kind, kwargs, result, store, computed=True)
-        results[key] = result
-
-    for pairs in groups.values():
-        if len(pairs) == 1:
-            key, member = pairs[0]
-            result = _plain_run(member.kind, member.kwargs)
-            _install(member.kind, member.kwargs, result, store,
-                     computed=True)
-            results[key] = result
-            continue
-        group = _BatchGroup(pairs[0][1].kind)
-        outputs = group.evaluate([member for _, member in pairs])
-        for (key, member), result in zip(pairs, outputs):
-            _install(member.kind, member.kwargs, result, store,
-                     computed=True)
-            results[key] = result
-
-    return [results[key] for key in order]
+    return sweep.cached_batch(
+        payloads, lambda misses, _: _run_misses(misses, _new_group),
+        report, cache,
+    )
 
 
 class SetpointSession:
@@ -1525,8 +1482,8 @@ class SetpointSession:
     ``_MIN_REPLAY_LANES`` new setpoints beyond the anchor replays, and
     smaller ones (the opening three-probe bracket, each golden-section
     refinement) run each setpoint as a simulation on the shared graph.
-    Results are cached exactly like ``cached_run`` (same keys, memo,
-    and store writes).
+    Results are cached exactly like :func:`evaluate_grid` (same loop,
+    keys, memo and store writes).
     """
 
     def __init__(self, kind: str,
@@ -1535,36 +1492,23 @@ class SetpointSession:
         self._kwargs_for = kwargs_for
         self._group: _BatchGroup | None = None
 
-    def evaluate(self, setpoints: Iterable[float],
-                 cache: bool = True) -> dict[float, RunResult]:
-        """Evaluate (and cache) each distinct setpoint; returns a map."""
-        ordered: list[float] = []
-        for setpoint in setpoints:
-            if setpoint not in ordered:
-                ordered.append(setpoint)
-        store = result_store() if (cache and persistence_enabled()) else None
-        out: dict[float, RunResult] = {}
-        misses: list[tuple[float, _Member]] = []
-        for setpoint in ordered:
-            kwargs = self._kwargs_for(setpoint)
-            hit = _probe(self._kind, kwargs, store)
-            if hit is not None:
-                _install(self._kind, kwargs, hit, store, computed=False)
-                out[setpoint] = hit
-                continue
-            member = _batchable(self._kind, kwargs)
-            if member is None:
-                result = _plain_run(self._kind, kwargs)
-                _install(self._kind, kwargs, result, store, computed=True)
-                out[setpoint] = result
-                continue
-            misses.append((setpoint, member))
-        if misses:
-            if self._group is None:
-                self._group = _BatchGroup(self._kind)
-            outputs = self._group.evaluate([m for _, m in misses])
-            for (setpoint, member), result in zip(misses, outputs):
-                _install(self._kind, member.kwargs, result, store,
-                         computed=True)
-                out[setpoint] = result
-        return out
+    def _session_group(self, pairs) -> _BatchGroup:
+        if self._group is None:
+            self._group = _BatchGroup(self._kind)
+        return self._group
+
+    def evaluate(self, setpoints: Iterable[float], cache: bool = True,
+                 report: ExecutionReport | None = None
+                 ) -> dict[float, RunResult]:
+        """Evaluate (and cache) each distinct setpoint; returns a map.
+
+        ``report`` receives the positions, among the distinct
+        setpoints, that the cache answered.
+        """
+        ordered = list(dict.fromkeys(setpoints))
+        results = sweep.cached_batch(
+            [(self._kind, self._kwargs_for(sp)) for sp in ordered],
+            lambda misses, _: _run_misses(misses, self._session_group),
+            report, cache,
+        )
+        return dict(zip(ordered, results))

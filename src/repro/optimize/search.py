@@ -84,33 +84,18 @@ def run_optimize(
             base for every probe (tests use fast settings). Non-default
             settings bypass the whole-result cache — the request digest
             does not cover them — but probe-level caching still applies.
-        cached: serve/persist the whole result through
-            ``cached_run("optimize")``; forced off when ``settings`` is
-            given.
+        cached: serve/persist the whole result under the request
+            digest (the ``"optimize"`` payload of
+            :func:`repro.core.sweep.cached_batch`); forced off when
+            ``settings`` is given.
     """
     if cached and settings is None:
-        from repro.core.sweep import (
-            cache_key,
-            key_digest,
-            lookup_cached,
-            result_store,
-            seed_memo,
-        )
-        from repro.core.store import persistence_enabled
+        from repro.core.sweep import cached_batch
 
-        payload = {"request": request.to_dict()}
-        hit = lookup_cached("optimize", payload)
-        if hit is not None:
-            return hit
-        result = run_optimize(
-            request, jobs=jobs, settings=None, cached=False
-        )
-        seed_memo("optimize", payload, result)
-        if persistence_enabled():
-            result_store().put(
-                key_digest(cache_key("optimize", payload)), result
-            )
-        return result
+        def search(misses, part):
+            yield 0, run_optimize(request, jobs=jobs, cached=False)
+
+        return cached_batch([request.to_run_payload()], search)[0]
     if request.kind == "serving":
         return _optimize_serving(request, jobs)
     return _optimize_training(request, jobs, settings)
@@ -172,8 +157,7 @@ def _train_outcome(
 
 def _optimize_training(request: OptimizeRequest, jobs: int,
                        settings) -> OptimizeResult:
-    from repro.core.parallel import map_runs
-    from repro.core.sweep import lookup_cached, seed_memo
+    from repro.core.parallel import ExecutionReport, map_runs
 
     model = get_model(request.model)
     cluster = get_cluster(request.cluster)
@@ -231,21 +215,13 @@ def _optimize_training(request: OptimizeRequest, jobs: int,
         if default is not None:
             beam.append(default)
 
-    probes_total = 0
-    probes_cached = 0
     payloads = [
         ("train", _train_kwargs(request, c, 1.0, settings)) for c in beam
     ]
-    probes_total += len(payloads)
-    probes_cached += sum(
-        1 for _, kwargs in payloads
-        if lookup_cached("train", kwargs) is not None
-    )
-    outputs = map_runs(payloads, jobs if len(payloads) > 1 else 1)
-    simulated: list[tuple[PlanCandidate, object]] = []
-    for candidate, payload, result in zip(beam, payloads, outputs):
-        seed_memo("train", payload[1], result)
-        simulated.append((candidate, result))
+    report = ExecutionReport()
+    simulated = list(zip(beam, map_runs(payloads, jobs, report)))
+    probes_total = len(payloads)
+    probes_cached = len(report.cached)
 
     prune = PruneStats(
         raw=len(raw),
@@ -396,8 +372,7 @@ def _optimize_serving(request: OptimizeRequest,
                       jobs: int) -> OptimizeResult:
     import dataclasses
 
-    from repro.core.parallel import map_runs
-    from repro.core.sweep import lookup_cached, seed_memo
+    from repro.core.parallel import ExecutionReport, map_runs
     from repro.inferserve.config import ServingConfig
     from repro.models.memory import serving_kv_capacity_tokens
     from repro.optimize.serving import (
@@ -452,8 +427,6 @@ def _optimize_serving(request: OptimizeRequest,
             f"{request.cluster}: all {len(grid)} grid points pruned"
         )
 
-    probes_total = 0
-    probes_cached = 0
     payloads = [
         (
             "serve",
@@ -465,18 +438,15 @@ def _optimize_serving(request: OptimizeRequest,
         )
         for _, _, config in deployments
     ]
-    probes_total += len(payloads)
-    probes_cached += sum(
-        1 for _, kwargs in payloads
-        if lookup_cached("serve", kwargs) is not None
-    )
-    outputs = map_runs(payloads, jobs if len(payloads) > 1 else 1)
-    simulated = []
-    for (replicas, gpus, config), payload, outcome in zip(
-        deployments, payloads, outputs
-    ):
-        seed_memo("serve", payload[1], outcome)
-        simulated.append((replicas, gpus, config, outcome))
+    report = ExecutionReport()
+    simulated = [
+        (replicas, gpus, config, outcome)
+        for (replicas, gpus, config), outcome in zip(
+            deployments, map_runs(payloads, jobs, report)
+        )
+    ]
+    probes_total = len(payloads)
+    probes_cached = len(report.cached)
 
     def cap_ok(outcome) -> bool:
         return (

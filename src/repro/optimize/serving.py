@@ -156,8 +156,7 @@ class _ProbeRunner:
 
     def ensure(self, setpoints: list[float], jobs: int) -> None:
         """Evaluate any unseen setpoints, fanning out when ``jobs>1``."""
-        from repro.core.parallel import map_runs
-        from repro.core.sweep import lookup_cached, seed_memo
+        from repro.core.parallel import ExecutionReport, map_runs
 
         missing = [
             s for s in dict.fromkeys(setpoints)
@@ -176,17 +175,10 @@ class _ProbeRunner:
             )
             for s in missing
         ]
+        report = ExecutionReport()
+        self.outcomes.update(zip(missing, map_runs(payloads, jobs, report)))
         self.probes_total += len(missing)
-        self.probes_cached += sum(
-            1 for _, kwargs in payloads
-            if lookup_cached("serve", kwargs) is not None
-        )
-        outputs = map_runs(payloads, jobs if len(missing) > 1 else 1)
-        for setpoint, payload, outcome in zip(
-            missing, payloads, outputs
-        ):
-            seed_memo(payload[0], payload[1], outcome)
-            self.outcomes[setpoint] = outcome
+        self.probes_cached += len(report.cached)
 
     def outcome(self, setpoint: float) -> "ServingOutcome":
         if setpoint not in self.outcomes:

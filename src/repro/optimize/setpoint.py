@@ -24,6 +24,7 @@ This module is the per-plan refinement stage of the joint optimizer
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 from repro.core.results import RunResult
@@ -169,6 +170,13 @@ def _base_run_kwargs(
     return kwargs
 
 
+def _probe_kwargs(run_kwargs: dict, settings: SimSettings | None,
+                  setpoint: float) -> dict:
+    kwargs = dict(run_kwargs)
+    kwargs["settings"] = settings_for_setpoint(settings, setpoint)
+    return kwargs
+
+
 class _ProbeRunner:
     """Evaluates setpoints through the run cache, memoising per search.
 
@@ -184,34 +192,27 @@ class _ProbeRunner:
 
     def __init__(self, run_kwargs: dict, settings: SimSettings | None,
                  jobs: int) -> None:
-        self._run_kwargs = run_kwargs
-        self._settings = settings
+        # A partial, not a bound method: the session keeps it, and a
+        # bound method would make runner and session a reference cycle
+        # that holds the search's task graph until the cyclic collector.
+        self._kwargs_for = functools.partial(_probe_kwargs, run_kwargs,
+                                             settings)
         self._jobs = jobs
         self._session = None
         self.results: dict[float, RunResult] = {}
         self.probes_total = 0
         self.probes_cached = 0
 
-    def _kwargs_for(self, setpoint: float) -> dict:
-        kwargs = dict(self._run_kwargs)
-        kwargs["settings"] = settings_for_setpoint(self._settings, setpoint)
-        return kwargs
-
     def ensure(self, setpoints: list[float]) -> None:
         """Evaluate any not-yet-run setpoints (batch fans out over jobs)."""
-        from repro.core.sweep import lookup_cached
+        from repro.core.parallel import ExecutionReport, map_runs
 
-        missing: list[float] = []
-        for setpoint in setpoints:
-            if setpoint not in self.results and setpoint not in missing:
-                missing.append(setpoint)
+        missing = [
+            sp for sp in dict.fromkeys(setpoints) if sp not in self.results
+        ]
         if not missing:
             return
-        self.probes_total += len(missing)
-        self.probes_cached += sum(
-            1 for sp in missing
-            if lookup_cached("train", self._kwargs_for(sp)) is not None
-        )
+        report = ExecutionReport()
         if self._jobs <= 1:
             if self._session is None:
                 from repro.engine.batched import SetpointSession
@@ -219,13 +220,15 @@ class _ProbeRunner:
                 self._session = SetpointSession(
                     "train", self._kwargs_for
                 )
-            self.results.update(self._session.evaluate(missing))
-            return
-        from repro.core.parallel import map_runs
-
-        payloads = [("train", self._kwargs_for(sp)) for sp in missing]
-        outputs = map_runs(payloads, self._jobs)
-        self.results.update(zip(missing, outputs))
+            self.results.update(self._session.evaluate(missing,
+                                                       report=report))
+        else:
+            payloads = [("train", self._kwargs_for(sp)) for sp in missing]
+            self.results.update(
+                zip(missing, map_runs(payloads, self._jobs, report))
+            )
+        self.probes_total += len(missing)
+        self.probes_cached += len(report.cached)
 
 
 def _round_setpoint(value: float) -> float:

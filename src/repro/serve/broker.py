@@ -9,7 +9,8 @@ One :class:`Broker` owns three request paths, tried in order:
    :class:`~repro.core.sweep.RunIdentity` (key and digest, built once).
 2. **In-flight dedup** — a request whose digest matches a simulation
    already executing awaits that execution's future instead of starting
-   a second one; identical concurrent requests simulate exactly once.
+   a second one; identical concurrent requests simulate exactly once,
+   and each answer echoes its own request.
 3. **Pooled execution** — the miss queues for a bounded-concurrency
    slot and runs on the broker's persistent
    :class:`repro.serve.workers.WorkerPool`. A per-request deadline
@@ -461,7 +462,8 @@ class Broker:
             duration = time.monotonic() - started
             self.metrics.observe(duration)
             return dataclasses.replace(
-                response, deduped=True, duration_s=duration
+                response, request=request, deduped=True,
+                duration_s=duration,
             )
 
         capacity = self.config.concurrency + self.config.queue_limit

@@ -231,14 +231,10 @@ class _Server(ThreadingHTTPServer):
 
         An exact answer's result JSON is kept per digest and reused
         while the same result object answers; degraded answers neither
-        read nor fill that table. A dedup answer carries the request
-        that executed, which shares this one's digest but may differ in
-        other fields, so its own JSON is encoded.
+        read nor fill that table.
         """
         digest = parsed.identity.digest
-        request_json = result_json = None
-        if response.request is parsed.request:
-            request_json = parsed.request_json
+        result_json = None
         if response.ok and not response.degraded:
             result = response.result
             entry = self.encoded.get(digest)
@@ -246,7 +242,7 @@ class _Server(ThreadingHTTPServer):
                 entry = (result, json.dumps(result_payload(result)))
                 self.encoded.put(digest, entry)
             result_json = entry[1]
-        return response.encode(request_json, digest, result_json)
+        return response.encode(parsed.request_json, digest, result_json)
 
 
 class BrokerServer:

@@ -174,7 +174,7 @@ class TestByteIdentity:
             assert client.responses[-1].cached is cached
             assert raw == client.expected()
 
-    def test_deduped_body_echoes_the_first_request(self, served):
+    def test_deduped_body_echoes_its_own_request(self, served):
         gate = threading.Event()
 
         def runner(request, timeout_s):
@@ -211,9 +211,11 @@ class TestByteIdentity:
         status, raw = results[0]
         response = json.loads(raw)
         assert status == 200 and response["deduped"] is True
-        # The dedup answer carries the first request (deadline 30).
-        assert response["request"]["timeout_s"] == 30.0
+        # The dedup answer echoes this client's own request (no
+        # deadline), not the executing one's (deadline 30).
+        assert response["request"]["timeout_s"] is None
         deduped = [r for r in second.responses if r.deduped]
+        assert deduped[0].request.timeout_s is None
         assert raw == json.dumps(deduped[0].to_dict()).encode()
 
     def test_400_and_404_bodies(self, served):
