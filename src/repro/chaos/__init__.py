@@ -10,11 +10,10 @@
   :data:`~repro.chaos.scenarios.SCENARIOS` registry (worker crashes,
   stragglers, TCP drops, torn cache writes, queue storms, the pinned
   acceptance soak).
-- **Self-healing policies** — :class:`~repro.chaos.policies.RetryPolicy`
-  (full-jitter backoff under a retry budget),
-  :class:`~repro.chaos.policies.CircuitBreaker` (closed → open →
-  half-open), and :class:`~repro.chaos.policies.Deadline` (propagated
-  absolute deadlines), consumed by :mod:`repro.serve`.
+- **Self-healing policy** — :class:`~repro.chaos.policies.RetryPolicy`
+  (full-jitter backoff under a retry budget), which paces the worker
+  pool's crash redispatch and a remote worker's reconnects in
+  :mod:`repro.serve`.
 
 :func:`~repro.chaos.harness.run_scenario` runs a scenario against a
 live broker + worker pool and returns a
@@ -32,14 +31,12 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.chaos.hooks": ("hooks",),
     "repro.chaos.injection": ("FaultInjector", "FaultPlan", "torn_write"),
-    "repro.chaos.policies": ("CircuitBreaker", "Deadline", "RetryPolicy"),
+    "repro.chaos.policies": ("RetryPolicy",),
     "repro.chaos.scenarios": ("SCENARIOS", "Scenario", "get_scenario"),
     "repro.chaos.harness": ("SurvivalReport", "run_scenario"),
 })
 
 __all__ = [
-    "CircuitBreaker",
-    "Deadline",
     "FaultInjector",
     "FaultPlan",
     "RetryPolicy",

@@ -194,9 +194,9 @@ def run_scenario(
 ) -> SurvivalReport:
     """Execute one scenario end to end and return its report.
 
-    The broker runs with the full self-healing stack enabled (crash
-    retries, degraded mode, per-slot breakers, the scenario's hedge
-    delay) — the same shape ``repro serve`` deploys — while the
+    The broker runs with the full self-healing stack enabled (the
+    pool's crash redispatch and respawn, degraded mode, the scenario's
+    hedge delay) — the same shape ``repro serve`` deploys — while the
     scenario's :class:`~repro.chaos.injection.FaultPlan` fires through
     the production hook points. ``cache_dir`` redirects the result
     store for the run (recommended: a scratch directory, so corruption
@@ -232,9 +232,6 @@ def run_scenario(
             queue_limit=16,
             default_timeout_s=_REQUEST_TIMEOUT_S,
             workers=workers,
-            retry_attempts=3,
-            breaker_failures=5,
-            breaker_reset_s=2.0,
             hedge_s=scenario.hedge_s,
             degraded=True,
         )
@@ -335,7 +332,6 @@ def run_scenario(
                 "errors_total", "retries_total", "respawns_total",
                 "degraded_total", "hits", "memo_hits", "store_hits",
                 "misses", "deduped",
-                "breaker",
             )
             if key in metrics
         }

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` declares *which* faults to inject — worker kills
 and connection drops by dispatch ordinal, stragglers / dropped answers
-/ torn cache writes / execution failures by seeded rate — and a
+/ torn cache writes / execution stalls by seeded rate — and a
 :class:`FaultInjector` turns the plan into hook directives
 (:mod:`repro.chaos.hooks`): install it and the production call sites in
 the store, the supervisor, the worker pool, and the broker start
@@ -45,9 +45,6 @@ class FaultPlan:
             handed over (a mid-task crash).
         drop_remote_dispatches: close the connection carrying the Nth
             dispatch *to a remote worker* (a TCP drop / partition).
-        fail_execute_attempts: make the broker's Nth execution attempt
-            (counting every ``broker.execute`` firing) raise as if the
-            pool were unhealthy.
 
     Rate triggers (seeded Bernoulli draws per event):
 
@@ -61,12 +58,11 @@ class FaultPlan:
         corrupt_write_rate: truncate a cache entry just after it was
             atomically installed (bit-rot / fsync-less power cut).
         execute_delay_rate / execute_delay_s: stall the broker before
-            an execution attempt (queue-saturation storms).
+            it executes a miss (queue-saturation storms).
     """
 
     kill_local_dispatches: tuple[int, ...] = ()
     drop_remote_dispatches: tuple[int, ...] = ()
-    fail_execute_attempts: tuple[int, ...] = ()
     straggler_rate: float = 0.0
     straggler_delay_s: float = 0.25
     result_drop_rate: float = 0.0
@@ -88,8 +84,7 @@ class FaultPlan:
         for name in ("straggler_delay_s", "execute_delay_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("kill_local_dispatches", "drop_remote_dispatches",
-                     "fail_execute_attempts"):
+        for name in ("kill_local_dispatches", "drop_remote_dispatches"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
@@ -144,7 +139,6 @@ class FaultInjector:
         self._rngs: dict[str, Random] = {}
         self._local_dispatches = 0
         self._remote_dispatches = 0
-        self._execute_attempts = 0
         self.counts: Counter = Counter()
         self.events: list[dict] = []
 
@@ -163,7 +157,7 @@ class FaultInjector:
                 self.events.append(
                     {"site": site, **directive,
                      **{k: str(v) for k, v in context.items()
-                        if k in ("worker", "task", "digest", "attempt",
+                        if k in ("worker", "task", "digest",
                                  "dispatch", "remote")}}
                 )
             return directive or None
@@ -215,16 +209,9 @@ class FaultInjector:
         return {}
 
     def _broker_execute(self, context: Mapping) -> dict:
-        directive: dict = {}
-        ordinal = self._execute_attempts
-        self._execute_attempts += 1
-        if ordinal in self.plan.fail_execute_attempts:
-            directive["fail"] = (
-                f"chaos: injected execution failure (attempt {ordinal})"
-            )
         if self._hit("broker.execute", self.plan.execute_delay_rate):
-            directive["delay_s"] = self.plan.execute_delay_s
-        return directive
+            return {"delay_s": self.plan.execute_delay_s}
+        return {}
 
     # -- reporting -------------------------------------------------------
 

@@ -1,34 +1,24 @@
-"""Self-healing policy primitives: retries, breakers, deadlines.
+"""Self-healing policy primitive: a retry budget with jittered backoff.
 
-Three small, dependency-free building blocks shared by the serve tier
-(:mod:`repro.serve.broker`, :mod:`repro.serve.workers`) and the chaos
-harness that proves them out:
+:class:`RetryPolicy` is a retry *budget* (total attempts) plus
+exponential backoff with **full jitter**: the delay before retry ``k``
+is drawn uniformly from ``[0, min(cap, base * 2**k)]``, the AWS-style
+jitter that decorrelates a thundering herd of retriers. Two consumers
+share it: :class:`repro.serve.workers.WorkerPool` paces its task
+redispatch after a worker death or a lost answer (the package's one
+crash-retry budget), and :func:`repro.serve.workers.serve_worker` paces
+a remote worker's reconnect dials.
 
-- :class:`RetryPolicy` — a retry *budget* (total attempts) plus
-  exponential backoff with **full jitter**: the delay before retry
-  ``k`` is drawn uniformly from ``[0, min(cap, base * 2**k)]``, the
-  AWS-style jitter that decorrelates a thundering herd of retriers.
-- :class:`CircuitBreaker` — the classic closed → open → half-open
-  state machine. Repeated failures open the circuit; after a reset
-  timeout one half-open probe is allowed through, and its outcome
-  decides between closing again and re-opening.
-- :class:`Deadline` — a propagatable absolute deadline: created once
-  at admission from a relative budget and handed down the stack, so
-  every layer (broker retry loop, worker dispatch, queued tasks)
-  subtracts time already spent instead of restarting the clock.
-
-All three take an injectable clock / RNG so tests pin their behaviour
-without sleeping.
+The RNG is injectable, so tests pin the delays without sleeping.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-__all__ = ["CircuitBreaker", "Deadline", "RetryPolicy"]
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -82,145 +72,3 @@ class RetryPolicy:
         """
         for retry_index in range(self.attempts - 1):
             yield self.delay_s(retry_index, rng)
-
-
-class Deadline:
-    """An absolute point in time a request must not outlive.
-
-    Built once from a relative budget (:meth:`after`) and passed down
-    the stack; every layer reads :meth:`remaining` instead of
-    restarting its own timer, which is what makes the deadline
-    *propagate* (HTTP → broker → worker) rather than accumulate.
-    """
-
-    __slots__ = ("at", "_clock")
-
-    def __init__(self, at: float,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.at = at
-        self._clock = clock
-
-    @classmethod
-    def after(cls, seconds: float | None,
-              clock: Callable[[], float] = time.monotonic
-              ) -> "Deadline | None":
-        """A deadline ``seconds`` from now; ``None`` stays ``None``
-        (no deadline)."""
-        if seconds is None:
-            return None
-        return cls(clock() + seconds, clock)
-
-    def remaining(self) -> float:
-        """Seconds left (never negative)."""
-        return max(0.0, self.at - self._clock())
-
-    @property
-    def expired(self) -> bool:
-        return self._clock() >= self.at
-
-    def __repr__(self) -> str:
-        return f"Deadline(remaining={self.remaining():.3f}s)"
-
-
-class CircuitBreaker:
-    """Closed → open → half-open breaker around one failure domain.
-
-    - **closed**: calls flow; ``failure_threshold`` *consecutive*
-      failures trip the breaker.
-    - **open**: calls are refused (:meth:`allow` is False) until
-      ``reset_timeout_s`` has elapsed since the trip.
-    - **half-open**: exactly one probe call is allowed through; its
-      success closes the breaker, its failure re-opens it (with a
-      fresh reset timer).
-
-    Not internally locked: callers serialise access (the worker pool
-    consults breakers under its dispatcher lock, the broker on its
-    event loop). The clock is injectable for tests.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_timeout_s: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout_s <= 0:
-            raise ValueError(
-                f"reset_timeout_s must be > 0, got {reset_timeout_s:g}"
-            )
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
-        self._clock = clock
-        self._state = "closed"
-        self._failures = 0
-        self._opened_at = 0.0
-        self._probing = False
-        self.trips = 0  # times the breaker opened (monotonic counter)
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"``, or ``"half_open"`` — evaluated
-        against the clock (an elapsed reset timeout reads as
-        half-open)."""
-        if self._state == "open" and (
-            self._clock() - self._opened_at >= self.reset_timeout_s
-        ):
-            return "half_open"
-        return self._state
-
-    def peek(self) -> bool:
-        """Whether :meth:`allow` would pass, *without* consuming the
-        half-open probe slot (routing decisions use this)."""
-        state = self.state
-        if state == "closed":
-            return True
-        if state == "open":
-            return False
-        return not self._probing
-
-    def allow(self) -> bool:
-        """Gate one call. In half-open state this consumes the single
-        probe slot; callers that pass MUST later report the outcome
-        via :meth:`record_success` / :meth:`record_failure`."""
-        state = self.state
-        if state == "closed":
-            return True
-        if state == "open":
-            return False
-        if self._probing:
-            return False
-        self._state = "half_open"
-        self._probing = True
-        return True
-
-    def record_success(self) -> None:
-        """A gated call completed: close the breaker."""
-        self._state = "closed"
-        self._failures = 0
-        self._probing = False
-
-    def record_failure(self) -> None:
-        """A gated call failed: count toward the threshold, or re-open
-        immediately if this was the half-open probe."""
-        if self._state == "half_open":
-            self._trip()
-            return
-        self._failures += 1
-        if self._failures >= self.failure_threshold:
-            self._trip()
-
-    def _trip(self) -> None:
-        self._state = "open"
-        self._opened_at = self._clock()
-        self._probing = False
-        self.trips += 1
-
-    def __repr__(self) -> str:
-        return (
-            f"CircuitBreaker(state={self.state!r}, "
-            f"failures={self._failures}/{self.failure_threshold})"
-        )

@@ -768,19 +768,15 @@ def cmd_resilience_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the simulation broker as a long-lived HTTP service."""
-    from repro.serve import BrokerConfig, BrokerServer
+def _serve_config(args: argparse.Namespace):
+    """The :class:`~repro.serve.BrokerConfig` ``repro serve`` deploys."""
+    from repro.serve import BrokerConfig
 
-    # Load every run path the workers execute before they fork, so no
-    # worker (first or respawned) imports one on its first miss.
-    import repro.inferserve.engine  # noqa: F401
-    import repro.optimize.search  # noqa: F401
-
-    # The deployed service runs with the self-healing stack on (crash
-    # retries, circuit breakers, degraded answers); the library-level
-    # BrokerConfig defaults keep them off for embedders and tests.
-    config = BrokerConfig(
+    # The deployed service answers degraded rather than failing when a
+    # miss exhausts the worker pool's crash budget or its deadline; the
+    # library-level BrokerConfig default keeps that off for embedders
+    # and tests. Crash redispatch and respawn are always on.
+    return BrokerConfig(
         concurrency=max(args.concurrency, args.workers),
         queue_limit=args.queue_limit,
         default_timeout_s=(
@@ -791,11 +787,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slo_target_s=(
             args.slo_target_s if args.slo_target_s > 0 else None
         ),
-        retry_attempts=args.retry_attempts,
-        breaker_failures=args.breaker_failures,
         hedge_s=args.hedge_s if args.hedge_s > 0 else None,
         degraded=not args.no_degraded,
     )
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the simulation broker as a long-lived HTTP service."""
+    from repro.serve import BrokerServer
+
+    # Load every run path the workers execute before they fork, so no
+    # worker (first or respawned) imports one on its first miss.
+    import repro.inferserve.engine  # noqa: F401
+    import repro.optimize.search  # noqa: F401
+
+    config = _serve_config(args)
     server = BrokerServer(
         config, host=args.host, port=args.port, verbose=True
     )
@@ -1150,16 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--worker-authkey", default="",
         help="shared secret authenticating remote workers",
-    )
-    serve.add_argument(
-        "--retry-attempts", type=int, default=3,
-        help="execution attempts per miss after worker crashes "
-             "(1 = never retry)",
-    )
-    serve.add_argument(
-        "--breaker-failures", type=int, default=5,
-        help="consecutive execution failures that open the broker's "
-             "circuit breaker (0 = disabled)",
     )
     serve.add_argument(
         "--hedge-s", type=float, default=0.0,

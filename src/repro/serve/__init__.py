@@ -23,11 +23,12 @@ package (:func:`repro.core.parallel.map_runs`).
 whose predicted wait (queue depth × mean service time) exceeds the
 target are rejected up front with a matching Retry-After.
 
-The serve tier self-heals (opt-in via :class:`BrokerConfig`; the CLI
-turns it on): crash retries with full-jitter backoff, per-worker-slot
-and broker-level circuit breakers, hedged requests for p99 stragglers,
-HTTP → broker → worker deadline propagation, and a degraded mode that
-answers from the last-good LRU or the closed-form analytic model
+The serve tier self-heals: the worker pool redispatches a crashed
+worker's task with full-jitter backoff under one crash budget and
+respawns the worker, hedged requests race p99 stragglers (opt-in via
+:class:`BrokerConfig`), HTTP → broker → worker deadlines kill overdue
+workers, and a degraded mode (opt-in; the CLI turns it on) answers from
+the last-good LRU or the closed-form analytic model
 (:func:`repro.serve.degraded.analytic_estimate`) instead of 500ing.
 :mod:`repro.chaos` injects the faults that prove all of this works.
 See docs/api.md, docs/performance.md, and docs/chaos.md.
@@ -37,8 +38,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.serve.broker": (
-        "Broker", "BrokerConfig", "BrokerMetrics", "BrokerUnavailableError",
-        "SimResponse",
+        "Broker", "BrokerConfig", "BrokerMetrics", "SimResponse",
     ),
     "repro.serve.degraded": ("analytic_estimate",),
     "repro.serve.http": ("BrokerServer",),
@@ -50,7 +50,6 @@ __all__ = [
     "BrokerConfig",
     "BrokerMetrics",
     "BrokerServer",
-    "BrokerUnavailableError",
     "SimResponse",
     "WorkerPool",
     "analytic_estimate",

@@ -15,35 +15,26 @@ One :class:`Broker` owns three request paths, tried in order:
    slot and runs on the broker's persistent
    :class:`repro.serve.workers.WorkerPool`. A per-request deadline
    kills the hosting worker (``timeout`` response); a SIGKILLed/OOMed
-   worker becomes a structured ``error`` response once the pool's
-   retry budget is spent; the broker keeps serving either way.
+   worker's task is redispatched by the pool, and becomes a structured
+   ``error`` response once the pool's one crash budget
+   (``repro.serve.workers._TASK_ATTEMPTS`` dispatches) is spent; the
+   broker keeps serving either way. The broker itself never retries.
 
 Backpressure is explicit: when ``queue_limit`` requests are already
 waiting for a slot, new misses are **rejected** immediately (the HTTP
 layer maps this to ``429`` + ``Retry-After``) rather than queued without
 bound.
 
-Self-healing (all OFF by default so library behaviour is unchanged;
-``repro serve`` turns them on — see docs/chaos.md):
-
-- **Execution retries** — a worker *crash* (never a payload exception,
-  which is deterministic) is retried up to ``retry_attempts`` times
-  with full-jitter backoff, bounded by the request's deadline.
-- **Circuit breaker** — ``breaker_failures`` consecutive terminal
-  execution failures open the broker's breaker; while open, misses
-  skip execution entirely (straight to degraded mode or a structured
-  error) until a half-open probe succeeds.
-- **Degraded mode** — with ``degraded=True`` an execution that cannot
-  produce a real result (crash budget exhausted, deadline, open
-  breaker) is answered approximately instead of 500ing: first from an
-  LRU of last-good results for that digest (``"stale-cache"``), else
-  from the closed-form :func:`repro.serve.degraded.analytic_estimate`
-  (``"analytic"``). Such responses are ``status="ok"`` with
-  ``degraded: true`` so clients can tell.
-- **Deadline propagation** — the request deadline is one absolute
-  :class:`repro.chaos.policies.Deadline` fixed at admission; retries
-  and backoff sleeps all fit inside it, so healing never extends how
-  long a client waits beyond the grace window.
+**Degraded mode** (off by default so library behaviour is unchanged;
+``repro serve`` turns it on — see docs/chaos.md): with
+``degraded=True`` an execution that cannot produce a real result
+(crash budget exhausted, deadline) is answered approximately instead of
+500ing: first from an LRU of last-good results for that digest
+(``"stale-cache"``), else from the closed-form
+:func:`repro.serve.degraded.analytic_estimate` (``"analytic"``). Such
+responses are ``status="ok"`` with ``degraded: true`` so clients can
+tell. A request that fails on its own (a payload error) is never
+degraded: it gets ``status="error"`` in pool and inline mode alike.
 """
 
 from __future__ import annotations
@@ -60,12 +51,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.api import OptimizeRequest, SimRequest, submit
 from repro.chaos import hooks as chaos_hooks
-from repro.chaos.policies import CircuitBreaker, Deadline, RetryPolicy
-from repro.core.parallel import (
-    PayloadError,
-    WorkerCrashError,
-    WorkerTimeoutError,
-)
+from repro.core.parallel import PayloadError, WorkerTimeoutError
 from repro.core.results import RunResult
 
 if TYPE_CHECKING:
@@ -111,15 +97,6 @@ class BrokerConfig:
         service_time_hint_s: seed for the mean-service-time estimate
             before any request has completed (cold-start SLO
             admission).
-        retry_attempts: total execution attempts per miss after worker
-            *crashes* (1 = no retries, the historical behaviour;
-            payload exceptions and timeouts are never retried).
-        retry_base_s / retry_cap_s: full-jitter backoff envelope
-            between crash retries.
-        breaker_failures: consecutive terminal execution failures that
-            open the broker-level circuit breaker (0 disables — the
-            default).
-        breaker_reset_s: open → half-open reset timeout.
         hedge_s: hedged-request delay handed to the worker pool
             (``None`` disables; only meaningful with
             ``use_processes``).
@@ -137,11 +114,6 @@ class BrokerConfig:
     workers: int = 0
     slo_target_s: float | None = None
     service_time_hint_s: float = 0.0
-    retry_attempts: int = 1
-    retry_base_s: float = 0.05
-    retry_cap_s: float = 2.0
-    breaker_failures: int = 0
-    breaker_reset_s: float = 30.0
     hedge_s: float | None = None
     degraded: bool = False
 
@@ -162,15 +134,6 @@ class BrokerConfig:
             raise ValueError(
                 f"slo_target_s must be > 0 (or None), "
                 f"got {self.slo_target_s}"
-            )
-        if self.retry_attempts < 1:
-            raise ValueError(
-                f"retry_attempts must be >= 1, got {self.retry_attempts}"
-            )
-        if self.breaker_failures < 0:
-            raise ValueError(
-                f"breaker_failures must be >= 0, "
-                f"got {self.breaker_failures}"
             )
         if self.hedge_s is not None and self.hedge_s <= 0:
             raise ValueError(
@@ -291,9 +254,7 @@ class BrokerMetrics:
     rejected: int = 0
     errors: int = 0
     timeouts: int = 0
-    retries: int = 0
     degraded: int = 0
-    breaker_rejections: int = 0
     latencies_s: deque = field(
         default_factory=lambda: deque(maxlen=_LATENCY_WINDOW)
     )
@@ -322,9 +283,7 @@ class BrokerMetrics:
             "rejected": self.rejected,
             "errors": self.errors,
             "timeouts": self.timeouts,
-            "retries": self.retries,
             "degraded": self.degraded,
-            "breaker_rejections": self.breaker_rejections,
             "hit_rate": (self.hits / total) if total else 0.0,
             "latency_p50_s": self.percentile(0.50),
             "latency_p90_s": self.percentile(0.90),
@@ -347,17 +306,18 @@ def _inline_runner(request: SimRequest, timeout_s: float | None,
     """In-process execution (``use_processes=False``); no kill path.
 
     A cacheable request runs under the ``identity`` the broker already
-    built for it, so execution re-derives no key.
+    built for it, so execution re-derives no key. An exception the run
+    raises is the request's own, so it surfaces as the
+    :class:`PayloadError` a pool worker would report for it.
     """
-    if identity is not None and request.cacheable:
-        from repro.core.sweep import cached_run_identified
+    try:
+        if identity is not None and request.cacheable:
+            from repro.core.sweep import cached_run_identified
 
-        return cached_run_identified(identity)
-    return submit(request)
-
-
-class BrokerUnavailableError(RuntimeError):
-    """The broker's circuit breaker is open; execution was skipped."""
+            return cached_run_identified(identity)
+        return submit(request)
+    except Exception as error:
+        raise PayloadError(f"{type(error).__name__}: {error}") from error
 
 
 class Broker:
@@ -386,20 +346,6 @@ class Broker:
             )
             self._runner = self._pool_runner
         self.metrics = BrokerMetrics()
-        self._retry = RetryPolicy(
-            attempts=self.config.retry_attempts,
-            base_s=self.config.retry_base_s,
-            cap_s=self.config.retry_cap_s,
-        )
-        import random as _random
-
-        self._rng = _random.Random(0xB60C)
-        self.breaker: CircuitBreaker | None = None
-        if self.config.breaker_failures > 0:
-            self.breaker = CircuitBreaker(
-                self.config.breaker_failures,
-                self.config.breaker_reset_s,
-            )
         self._last_good: OrderedDict[str, object] = OrderedDict()
         self._semaphore = asyncio.Semaphore(self.config.concurrency)
         self._inflight: dict[str, asyncio.Future] = {}
@@ -550,10 +496,6 @@ class Broker:
             "cache": self.config.cache,
             "slo_target_s": self.config.slo_target_s,
             "estimated_wait_s": self.estimated_wait_s(),
-            "breaker": (
-                self.breaker.state if self.breaker is not None
-                else "disabled"
-            ),
             "degraded_mode": self.config.degraded,
         }
         if self.pool is not None:
@@ -565,9 +507,9 @@ class Broker:
 
         The ``*_total`` aliases aggregate broker- and pool-level
         counters into the monitoring-facing names docs/chaos.md
-        documents: ``errors_total``, ``retries_total`` (broker crash
-        retries + pool redispatches), ``respawns_total``,
-        ``degraded_total``.
+        documents: ``errors_total``, ``retries_total`` (the pool's
+        redispatches after a worker death or a lost answer),
+        ``respawns_total``, ``degraded_total``.
         """
         data = self.metrics.to_dict()
         data["queue_depth"] = self.queue_depth
@@ -580,22 +522,11 @@ class Broker:
         if pool_stats is not None:
             data["pool"] = pool_stats
         data["errors_total"] = self.metrics.errors
-        data["retries_total"] = self.metrics.retries + (
-            pool_stats["retries"] if pool_stats else 0
-        )
+        data["retries_total"] = pool_stats["retries"] if pool_stats else 0
         data["respawns_total"] = (
             pool_stats["respawns"] if pool_stats else 0
         )
         data["degraded_total"] = self.metrics.degraded
-        data["breaker"] = {
-            "broker": (
-                self.breaker.state if self.breaker is not None
-                else "disabled"
-            ),
-            "workers": (
-                pool_stats["breakers"] if pool_stats else {}
-            ),
-        }
         return data
 
     # -- internals ------------------------------------------------------
@@ -663,81 +594,32 @@ class Broker:
             )
         return None
 
-    async def _run_attempts(self, request: SimRequest,
-                            identity: RunIdentity,
-                            timeout_s: float | None) -> object:
-        """The execution core: breaker gate + crash-retry loop.
-
-        Raises the terminal exception when every attempt failed;
-        payload errors and timeouts are terminal on first occurrence.
-        """
-        if self.breaker is not None and not self.breaker.allow():
-            self.metrics.breaker_rejections += 1
-            raise BrokerUnavailableError(
-                "circuit breaker open after "
-                f"{self.config.breaker_failures} consecutive execution "
-                "failures; cooling down "
-                f"{self.config.breaker_reset_s:g}s"
-            )
-        deadline = Deadline.after(timeout_s)
-        loop = asyncio.get_running_loop()
-        runner = self._runner
-        if runner is _inline_runner:
-            runner = functools.partial(_inline_runner, identity=identity)
-        attempt = 0
-        while True:
-            attempt += 1
-            directive = chaos_hooks.fire(
-                "broker.execute", digest=identity.digest,
-                attempt=attempt,
-            )
-            budget = None if deadline is None else deadline.remaining()
-            try:
-                fail = directive.get("fail")
-                if fail:
-                    raise WorkerCrashError(str(fail))
-                delay_s = directive.get("delay_s")
-                if delay_s:
-                    await asyncio.sleep(float(delay_s))
-                call = loop.run_in_executor(None, runner, request, budget)
-                if budget is not None:
-                    # Backstop only: the pool enforces the real
-                    # deadline by killing the worker.
-                    call = asyncio.wait_for(
-                        call, budget + _DEADLINE_GRACE_S
-                    )
-                result = await call
-            except WorkerCrashError:
-                if (attempt >= self._retry.attempts
-                        or (deadline is not None and deadline.expired)):
-                    if self.breaker is not None:
-                        self.breaker.record_failure()
-                    raise
-                self.metrics.retries += 1
-                pause = self._retry.delay_s(attempt - 1, self._rng)
-                if deadline is not None:
-                    pause = min(pause, max(0.0, deadline.remaining()))
-                await asyncio.sleep(pause)
-                continue
-            except BaseException:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                raise
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return result
-
     async def _execute(self, request: SimRequest,
                        identity: RunIdentity) -> SimResponse:
         timeout_s = self._timeout_for(request)
+        runner = self._runner
+        if runner is _inline_runner:
+            runner = functools.partial(_inline_runner, identity=identity)
         async with self._semaphore:
             self._executing += 1
             execution_started = time.monotonic()
             failure: SimResponse | None = None
             try:
-                result = await self._run_attempts(
-                    request, identity, timeout_s
+                delay_s = chaos_hooks.fire(
+                    "broker.execute", digest=identity.digest
+                ).get("delay_s")
+                if delay_s:
+                    await asyncio.sleep(float(delay_s))
+                call = asyncio.get_running_loop().run_in_executor(
+                    None, runner, request, timeout_s
                 )
+                if timeout_s is not None:
+                    # Backstop only: the pool enforces the real
+                    # deadline by killing the worker.
+                    call = asyncio.wait_for(
+                        call, timeout_s + _DEADLINE_GRACE_S
+                    )
+                result = await call
             except (WorkerTimeoutError, asyncio.TimeoutError) as error:
                 self.metrics.timeouts += 1
                 message = (
@@ -755,8 +637,7 @@ class Broker:
                     request=request,
                     error=f"{type(error).__name__}: {error}",
                 )
-            except (WorkerCrashError, BrokerUnavailableError,
-                    Exception) as error:
+            except Exception as error:
                 failure = SimResponse(
                     status="error",
                     request=request,

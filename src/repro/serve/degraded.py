@@ -1,8 +1,8 @@
 """Degraded-mode answers: approximate beats unavailable.
 
 When the broker's execution path is down — workers crashing faster
-than they respawn, a tripped circuit breaker, a deadline too tight for
-a real simulation — the choices are a 500 or an *approximate* answer.
+than the pool's crash budget can absorb, a deadline too tight for a
+real simulation — the choices are a 500 or an *approximate* answer.
 This module provides the approximation: the joint optimizer's analytic
 plan estimate (:func:`repro.optimize.space.analytic_plan_estimate`:
 roofline compute inflated by the schedule's bubble, plus alpha-beta

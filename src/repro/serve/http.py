@@ -27,7 +27,7 @@ Endpoints (see docs/api.md for request/response schemas):
 - ``GET /v1/metrics`` — counters, hit rate (``hits`` split into
   ``memo_hits`` and ``store_hits``), p50/p90/p99 latency, and the
   resilience counters (``errors_total``, ``retries_total``,
-  ``respawns_total``, ``degraded_total``, circuit-breaker states).
+  ``respawns_total``, ``degraded_total``).
 
 A repeated request skips the work the server already did for it. The
 server keeps two small bounded tables: one maps (endpoint, body bytes,
@@ -36,7 +36,7 @@ deadline header) to the validated request, its
 digest to its exact result and that result's JSON. A response body is
 :meth:`SimResponse.encode` with those fragments spliced in, byte for
 byte what ``json.dumps(response.to_dict())`` gives. The broker still
-runs in full for every request: counters, dedup, admission, breakers.
+runs in full for every request: counters, dedup, admission, execution.
 """
 
 from __future__ import annotations

@@ -20,17 +20,13 @@ Self-healing (see docs/chaos.md for the full policy map):
 - **Crash retries with backoff.** A SIGKILLed / OOMed worker wakes the
   dispatcher immediately (its process sentinel is in the ``wait()``
   set); its in-flight task is re-queued on another worker after a
-  full-jitter backoff delay, up to the pool's retry budget, and the
-  worker is respawned in place. A task that exhausts the budget
-  resolves to :class:`repro.core.parallel.WorkerCrashError` (callers
-  like :meth:`WorkerPool.map` then fall back in-process, so batches
-  never drop requests).
-- **Per-slot circuit breakers.** Each worker *slot* (a respawned
-  worker inherits its predecessor's slot) carries a
-  :class:`repro.chaos.policies.CircuitBreaker`; a slot that keeps
-  killing its workers opens and is routed around until a half-open
-  probe succeeds. When every slot is open the pool fails open rather
-  than stalling.
+  full-jitter backoff delay, and the worker is respawned in place. A
+  lost answer is re-queued the same way. This is the package's only
+  crash-retry budget: a task that has been dispatched
+  :data:`_TASK_ATTEMPTS` times resolves to
+  :class:`repro.core.parallel.WorkerCrashError` (the broker then answers
+  degraded or with a structured error; :meth:`WorkerPool.map` falls
+  back in-process, so batches never drop requests).
 - **Deadlines.** :meth:`WorkerPool.run` kills the worker hosting an
   overdue task and raises :class:`~repro.core.parallel.
   WorkerTimeoutError`; a task whose deadline expires while still
@@ -74,7 +70,7 @@ from concurrent.futures import wait as wait_futures
 from multiprocessing.connection import Client, Listener, wait
 
 from repro.chaos import hooks as chaos_hooks
-from repro.chaos.policies import CircuitBreaker, RetryPolicy
+from repro.chaos.policies import RetryPolicy
 from repro.core.parallel import (
     ExecutionReport,
     PayloadError,
@@ -84,11 +80,14 @@ from repro.core.parallel import (
     run_request_payload,
 )
 
-#: Default attempts per task across worker deaths before it resolves to
-#: :class:`WorkerCrashError` (1 initial + 1 retry; the caller then falls
-#: back in-process or reports the crash). Override with
-#: ``WorkerPool(retry=...)``.
-_TASK_ATTEMPTS = 2
+#: Dispatches per task across worker deaths and lost answers before it
+#: resolves to :class:`WorkerCrashError` (1 initial + 5 retries; the
+#: caller then falls back in-process or reports the crash). The one
+#: crash-retry budget of the broker and of every ``map_runs`` pool. At
+#: 4, one task of the ``lost-answers`` chaos scenario sometimes loses 4
+#: answers in a row; docs/chaos.md has the ablation that sets 6.
+#: Tests pass a faster policy through ``WorkerPool(retry=...)``.
+_TASK_ATTEMPTS = 6
 
 #: Default full-jitter backoff for task redispatch after a failure.
 _DEFAULT_RETRY = RetryPolicy(attempts=_TASK_ATTEMPTS, base_s=0.02,
@@ -228,18 +227,15 @@ class _Task:
 class _Worker:
     """Parent-side handle: process (local only), pipe, deque, in-flight."""
 
-    __slots__ = ("wid", "process", "conn", "queue", "inflight", "remote",
-                 "slot")
+    __slots__ = ("wid", "process", "conn", "queue", "inflight", "remote")
 
-    def __init__(self, wid: int, process, conn, remote: bool,
-                 slot: str) -> None:
+    def __init__(self, wid: int, process, conn, remote: bool) -> None:
         self.wid = wid
         self.process = process
         self.conn = conn
         self.queue: deque[_Task] = deque()
         self.inflight: _Task | None = None
         self.remote = remote
-        self.slot = slot
 
     def hang_up(self) -> None:
         """Close the pool's end of the connection. A remote worker's
@@ -271,37 +267,24 @@ class WorkerPool:
         respawn: replace local workers that die; in-flight work is
             retried either way.
         retry: per-task redispatch budget + backoff after a worker
-            death or a lost answer (default: 2 attempts, full-jitter
-            20ms..0.5s).
-        breaker_failures: consecutive failures that open one worker
-            slot's circuit breaker (0 disables breakers entirely).
-        breaker_reset_s: open→half-open reset timeout per slot.
+            death or a lost answer (default: :data:`_TASK_ATTEMPTS`
+            attempts, full-jitter 20ms..0.5s).
     """
 
     def __init__(self, workers: int | None = None,
                  respawn: bool = True, *,
-                 retry: RetryPolicy | None = None,
-                 breaker_failures: int = 3,
-                 breaker_reset_s: float = 5.0) -> None:
+                 retry: RetryPolicy | None = None) -> None:
         if workers is None:
             workers = default_jobs()
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if breaker_failures < 0:
-            raise ValueError(
-                f"breaker_failures must be >= 0, got {breaker_failures}"
-            )
         self._ctx = multiprocessing.get_context()
         self._respawn = respawn
         self._retry = retry or _DEFAULT_RETRY
-        self._breaker_failures = breaker_failures
-        self._breaker_reset_s = breaker_reset_s
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._rng = random.Random(0xC4A05)
         self._lock = threading.Lock()
         self._workers: dict[int, _Worker] = {}
         self._next_wid = 0
-        self._next_slot = 0
         self._next_task = 0
         self._dispatches = 0
         self._closed = False
@@ -334,10 +317,7 @@ class WorkerPool:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _spawn_locked(self, slot: str | None = None) -> _Worker:
-        if slot is None:
-            slot = str(self._next_slot)
-            self._next_slot += 1
+    def _spawn_locked(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_loop, args=(child_conn,), daemon=True,
@@ -346,7 +326,7 @@ class WorkerPool:
         process.start()
         child_conn.close()
         worker = _Worker(self._next_wid, process, parent_conn,
-                         remote=False, slot=slot)
+                         remote=False)
         self._workers[worker.wid] = worker
         self._next_wid += 1
         return worker
@@ -377,8 +357,7 @@ class WorkerPool:
                     break
                 continue
             with self._lock:
-                worker = _Worker(self._next_wid, None, conn, remote=True,
-                                 slot=f"remote-{self._next_wid}")
+                worker = _Worker(self._next_wid, None, conn, remote=True)
                 self._workers[worker.wid] = worker
                 self._next_wid += 1
             self._wake()
@@ -610,13 +589,6 @@ class WorkerPool:
                 "hedges": self.hedges,
                 "hedge_wins": self.hedge_wins,
                 "expired": self.expired,
-                "breakers": {
-                    w.slot: (
-                        self._breakers[w.slot].state
-                        if w.slot in self._breakers else "closed"
-                    )
-                    for w in live
-                },
                 "mean_service_s": (
                     sum(self._service_s) / len(self._service_s)
                     if self._service_s else 0.0
@@ -631,29 +603,9 @@ class WorkerPool:
         except (BrokenPipeError, OSError):
             pass
 
-    def _breaker_locked(self, slot: str) -> CircuitBreaker | None:
-        if self._breaker_failures <= 0:
-            return None
-        breaker = self._breakers.get(slot)
-        if breaker is None:
-            breaker = self._breakers[slot] = CircuitBreaker(
-                self._breaker_failures, self._breaker_reset_s
-            )
-        return breaker
-
-    def _routable_locked(self, worker: _Worker) -> bool:
-        """Whether new work should be steered at ``worker`` (breaker
-        not blocking, judged without consuming a half-open probe)."""
-        breaker = self._breakers.get(worker.slot)
-        return breaker is None or breaker.peek()
-
     def _least_loaded_locked(self) -> _Worker:
-        candidates = [w for w in self._workers.values()
-                      if self._routable_locked(w)]
-        if not candidates:  # every breaker open: fail open, not stall
-            candidates = list(self._workers.values())
         return min(
-            candidates,
+            self._workers.values(),
             key=lambda w: len(w.queue)
             + (1 if w.inflight is not None else 0),
         )
@@ -777,11 +729,6 @@ class WorkerPool:
                 self._service_s.append(
                     time.monotonic() - task.started_at
                 )
-                breaker = self._breakers.get(worker.slot)
-                if breaker is not None:
-                    # Any answer — even a payload error — proves the
-                    # worker itself is healthy.
-                    breaker.record_success()
                 if not task.future.done():
                     task.future.repro_retried = (  # type: ignore[attr-defined]
                         task.attempts > 1
@@ -799,13 +746,10 @@ class WorkerPool:
         worker.hang_up()
         if worker.process is not None:
             worker.process.join(timeout=0.1)
-        breaker = self._breaker_locked(worker.slot)
-        if breaker is not None:
-            breaker.record_failure()
         # Respawn before requeueing so a single-worker pool still has a
         # live worker to retry the dead one's work on.
         if (self._respawn and not worker.remote and not self._closed):
-            self._spawn_locked(slot=worker.slot)
+            self._spawn_locked()
             self.respawns += 1
         task = worker.inflight
         worker.inflight = None
@@ -858,18 +802,6 @@ class WorkerPool:
                 continue  # buried by a drop_conn directive this pass
             if worker.inflight is not None:
                 continue
-            if worker.queue and not self._routable_locked(worker):
-                # Breaker open: push this slot's backlog to healthy
-                # workers instead of feeding the sick one.
-                healthy = [w for w in self._workers.values()
-                           if w is not worker
-                           and self._routable_locked(w)]
-                if healthy:
-                    while worker.queue:
-                        min(
-                            healthy, key=lambda w: len(w.queue)
-                        ).queue.append(worker.queue.popleft())
-                    continue
             task = self._take_locked(worker.queue, now, from_left=True)
             if task is None and not worker.queue:
                 victim = max(
@@ -885,11 +817,6 @@ class WorkerPool:
                     if task is not None:
                         self.steals += 1
             if task is None:
-                continue
-            breaker = self._breaker_locked(worker.slot)
-            if breaker is not None and not breaker.allow():
-                # No probe slot either: hand the task elsewhere.
-                self._least_loaded_locked().queue.appendleft(task)
                 continue
             task.attempts += 1
             task.started_at = now

@@ -1,9 +1,10 @@
-"""Broker self-healing: crash retries, breaker, degraded answers.
+"""Broker self-healing: the pool's crash budget, degraded answers.
 
-All fast paths use injected runners (scripted crash/success sequences)
-so the retry/breaker/degraded state machines are tested without real
-simulations; the deadline-header test speaks real HTTP against a
-``BrokerServer`` with an in-process runner.
+Most paths use injected runners (scripted crash/success sequences) so
+the degraded state machine is tested without real simulations; the
+crash-budget and client-error tests run a broker shaped like ``repro
+serve`` over a real worker pool; the deadline-header test speaks real
+HTTP against a ``BrokerServer`` with an in-process runner.
 """
 
 import asyncio
@@ -16,13 +17,15 @@ import pytest
 
 from repro.api import SimRequest
 from repro.chaos import hooks
-from repro.chaos.injection import FaultInjector, FaultPlan
+from repro.cli import _serve_config, build_parser
 from repro.core.parallel import (
     PayloadError,
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.core.results import RunResult
 from repro.serve import Broker, BrokerConfig, BrokerServer
+from repro.serve.workers import _TASK_ATTEMPTS
 
 REQUEST = SimRequest(
     kind="training",
@@ -32,13 +35,32 @@ REQUEST = SimRequest(
     global_batch_size=8,
 )
 
-#: Retries enabled, backoff fast enough for tests, no real processes.
-HEALING = dict(
-    use_processes=False,
-    retry_attempts=3,
-    retry_base_s=0.001,
-    retry_cap_s=0.004,
-)
+#: Requests that pass validation but raise when simulated: the global
+#: batch does not divide evenly across the plan's data-parallel ranks.
+BAD_BATCHES = (3, 5, 7, 9, 11)
+
+
+def serve_config(*flags):
+    """The config ``repro serve`` deploys with these flags, on 2
+    workers."""
+    args = build_parser().parse_args(["serve", "--workers", "2", *flags])
+    return _serve_config(args)
+
+
+def kill_dispatches(count, seen):
+    """A chaos handler killing the first ``count`` pool dispatches (each
+    held in its worker so the kill lands mid-task), recording every
+    dispatch ordinal in ``seen``."""
+
+    def handler(site, context):
+        if site != "pool.dispatch":
+            return None
+        seen.append(context["dispatch"])
+        if context["dispatch"] < count:
+            return {"kill": True, "delay_s": 30.0}
+        return None
+
+    return handler
 
 
 @pytest.fixture(autouse=True)
@@ -79,39 +101,51 @@ def scripted_runner(outcomes):
 
 class TestCrashRetries:
     def test_crashes_are_retried_until_success(self):
-        async def scenario():
-            runner = scripted_runner([
-                WorkerCrashError("boom"), WorkerCrashError("boom"), "v",
-            ])
-            broker = Broker(BrokerConfig(**HEALING), runner=runner)
-            response = await broker.submit(REQUEST)
-            return broker, runner, response
+        seen = []
 
-        broker, runner, response = run_async(scenario)
-        assert response.ok and response.result == "v"
-        assert len(runner.calls) == 3
-        assert broker.metrics.retries == 2
-        assert broker.metrics_dict()["retries_total"] == 2
+        async def scenario():
+            broker = Broker(serve_config())
+            try:
+                with hooks.installed(
+                    kill_dispatches(_TASK_ATTEMPTS - 1, seen)
+                ):
+                    response = await broker.submit(REQUEST)
+                return response, broker.metrics_dict()
+            finally:
+                broker.close()
+
+        response, metrics = run_async(scenario)
+        assert response.ok and not response.degraded
+        assert seen == list(range(_TASK_ATTEMPTS))
+        assert metrics["retries_total"] == _TASK_ATTEMPTS - 1
+        assert metrics["respawns_total"] == _TASK_ATTEMPTS - 1
+        assert metrics["errors_total"] == 0
 
     def test_exhausted_budget_is_a_structured_error(self):
-        async def scenario():
-            runner = scripted_runner([
-                WorkerCrashError("boom")] * 5)
-            broker = Broker(BrokerConfig(**HEALING), runner=runner)
-            response = await broker.submit(REQUEST)
-            return broker, runner, response
+        seen = []
 
-        broker, runner, response = run_async(scenario)
+        async def scenario():
+            broker = Broker(serve_config("--no-degraded"))
+            try:
+                with hooks.installed(kill_dispatches(99, seen)):
+                    response = await broker.submit(REQUEST)
+                return response, broker.metrics_dict()
+            finally:
+                broker.close()
+
+        response, metrics = run_async(scenario)
         assert response.status == "error"
         assert "WorkerCrashError" in response.error
-        assert len(runner.calls) == 3  # the full budget, no more
-        assert broker.metrics.errors == 1
-        assert broker.metrics_dict()["errors_total"] == 1
+        # The pool's one budget, no more: the broker never retries.
+        assert seen == list(range(_TASK_ATTEMPTS))
+        assert metrics["retries_total"] == _TASK_ATTEMPTS - 1
+        assert metrics["errors_total"] == 1
 
     def test_payload_errors_are_never_retried(self):
         async def scenario():
             runner = scripted_runner([PayloadError("deterministic bug")])
-            broker = Broker(BrokerConfig(**HEALING), runner=runner)
+            broker = Broker(BrokerConfig(use_processes=False),
+                            runner=runner)
             response = await broker.submit(REQUEST)
             return runner, response
 
@@ -129,77 +163,41 @@ class TestCrashRetries:
             return runner, response
 
         runner, response = run_async(scenario)
-        assert response.status == "error"  # historical behaviour
+        assert response.status == "error"  # the broker never retries
         assert len(runner.calls) == 1
 
-    def test_injected_execute_failures_exercise_the_retry_loop(self):
+
+class TestClientErrors:
+    """A request that fails on its own gets ``error`` and changes
+    nothing for the next client, in pool and inline mode alike."""
+
+    @pytest.mark.parametrize("flags", [(), ("--inline",)],
+                             ids=["pool", "inline"])
+    def test_failing_requests_leave_valid_ones_simulated(self, flags):
         async def scenario():
-            runner = scripted_runner(["v", "v"])
-            broker = Broker(BrokerConfig(**HEALING), runner=runner)
-            injector = FaultInjector(
-                FaultPlan(fail_execute_attempts=(0,)), seed=0
-            )
-            with hooks.installed(injector):
-                response = await broker.submit(REQUEST)
-            return broker, injector, response
+            broker = Broker(serve_config(*flags))
+            try:
+                bad = [
+                    await broker.submit(dataclasses.replace(
+                        REQUEST, global_batch_size=batch
+                    ))
+                    for batch in BAD_BATCHES
+                ]
+                good = await broker.submit(REQUEST)
+                return bad, good, broker.metrics_dict()
+            finally:
+                broker.close()
 
-        broker, injector, response = run_async(scenario)
-        assert response.ok and response.result == "v"
-        assert injector.injected()["broker.execute:fail"] == 1
-        assert broker.metrics.retries == 1
-
-
-class TestCircuitBreaker:
-    def test_open_breaker_skips_execution(self):
-        async def scenario():
-            runner = scripted_runner([WorkerCrashError("boom")] * 9)
-            broker = Broker(
-                BrokerConfig(
-                    use_processes=False, breaker_failures=1,
-                    breaker_reset_s=60.0,
-                ),
-                runner=runner,
-            )
-            first = await broker.submit(REQUEST)
-            second = await broker.submit(REQUEST)
-            return broker, runner, first, second
-
-        broker, runner, first, second = run_async(scenario)
-        assert first.status == "error"
-        assert second.status == "error"
-        assert "circuit breaker open" in second.error
-        assert len(runner.calls) == 1  # second never reached the runner
-        assert broker.metrics.breaker_rejections == 1
-        assert broker.status_dict()["breaker"] == "open"
-        assert broker.metrics_dict()["breaker"]["broker"] == "open"
-
-    def test_half_open_probe_closes_on_success(self):
-        async def scenario():
-            runner = scripted_runner([WorkerCrashError("boom"), "v"])
-            broker = Broker(
-                BrokerConfig(
-                    use_processes=False, breaker_failures=1,
-                    breaker_reset_s=0.02,
-                ),
-                runner=runner,
-            )
-            await broker.submit(REQUEST)
-            await asyncio.sleep(0.05)
-            probe = await broker.submit(
-                dataclasses.replace(REQUEST, global_batch_size=16)
-            )
-            return broker, probe
-
-        broker, probe = run_async(scenario)
-        assert probe.ok and probe.result == "v"
-        assert broker.breaker.state == "closed"
-
-    def test_breaker_disabled_by_default(self):
-        broker = Broker(BrokerConfig(use_processes=False))
-        assert broker.breaker is None
-        assert broker.status_dict()["breaker"] == "disabled"
-        assert broker.metrics_dict()["breaker"]["broker"] == "disabled"
-
+        bad, good, metrics = run_async(scenario)
+        for response in bad:
+            assert response.status == "error", response
+            assert not response.degraded
+            assert "global batch must divide evenly" in response.error
+        assert good.status == "ok" and not good.degraded
+        assert not good.cached
+        assert isinstance(good.result, RunResult)  # simulated, not estimated
+        assert metrics["errors_total"] == len(BAD_BATCHES)
+        assert metrics["degraded_total"] == 0
 
 class TestDegradedMode:
     def test_stale_cache_answer_after_failure(self):
@@ -312,31 +310,44 @@ class TestDegradedMode:
 
 
 class TestMetricsSurface:
-    def test_totals_and_breaker_always_present(self):
+    def test_totals_always_present_without_breaker_key(self):
         broker = Broker(BrokerConfig(use_processes=False))
         data = broker.metrics_dict()
         for key in ("errors_total", "retries_total", "respawns_total",
-                    "degraded_total", "breaker"):
+                    "degraded_total"):
             assert key in data, key
-        assert data["breaker"] == {"broker": "disabled", "workers": {}}
+        assert "breaker" not in data
+        assert "breaker" not in broker.status_dict()
 
     def test_pool_counters_roll_up(self):
         class FakePool:
             def stats(self):
-                return {
-                    "retries": 4, "respawns": 2, "breakers": {"0": "open"},
-                }
+                return {"retries": 4, "respawns": 2}
 
             def close(self):
                 pass
 
         broker = Broker(BrokerConfig(use_processes=False))
         broker.pool = FakePool()
-        broker.metrics.retries = 1
         data = broker.metrics_dict()
-        assert data["retries_total"] == 5
+        assert data["retries_total"] == 4
         assert data["respawns_total"] == 2
-        assert data["breaker"]["workers"] == {"0": "open"}
+
+    def test_pool_mode_surface_carries_no_breaker(self):
+        async def scenario():
+            broker = Broker(serve_config())
+            try:
+                return broker.metrics_dict(), broker.status_dict()
+            finally:
+                broker.close()
+
+        metrics, status = run_async(scenario)
+        for key in ("errors_total", "retries_total", "respawns_total",
+                    "degraded_total"):
+            assert metrics[key] == 0, key
+        for body in (metrics, status):
+            assert "breaker" not in body
+            assert "breakers" not in body["pool"]
 
 
 class TestDeadlineHeader:

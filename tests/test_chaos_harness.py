@@ -89,10 +89,13 @@ class TestRunScenario:
         assert report.drops == 0
         assert report.ok == 20
         # The dropped task re-landed elsewhere, and the remote worker
-        # dialled back in under a new slot.
+        # dialled back in: the pool holds the 4 local workers and one
+        # remote connection, not the dropped one as well. (That a drop
+        # buries the connection at once is pinned by
+        # test_chaos_pool.TestRemoteDrop.)
         assert report.metrics["retries_total"] >= 1
         assert report.pool["remote_workers"] == 1
-        assert "remote-4" not in report.metrics["breaker"]["workers"]
+        assert report.pool["workers"] == 5
 
     def test_torn_writes_tear_stored_entries(self, tmp_path):
         """The store is filled before the faults start, so reads meet

@@ -83,13 +83,15 @@ class TestInjectorOrdinals:
         assert not (local or {}).get("drop_conn")
         assert remote["drop_conn"] is True
 
-    def test_broker_attempt_ordinal_fails_on_cue(self):
-        plan = FaultPlan(fail_execute_attempts=(1,))
-        injector = FaultInjector(plan, seed=0)
-        first = injector("broker.execute", {"digest": "d", "attempt": 1})
-        second = injector("broker.execute", {"digest": "d", "attempt": 2})
-        assert not (first or {}).get("fail")
-        assert "injected execution failure" in second["fail"]
+    def test_broker_execute_only_stalls(self):
+        injector = FaultInjector(FaultPlan(execute_delay_rate=1.0,
+                                           execute_delay_s=0.1), seed=0)
+        assert injector("broker.execute", {"digest": "d"}) == {
+            "delay_s": 0.1
+        }
+        assert FaultInjector(FaultPlan(), seed=0)(
+            "broker.execute", {"digest": "d"}
+        ) is None
 
 
 class TestInjectorDeterminism:

@@ -1,10 +1,10 @@
-"""Self-healing policy primitives: backoff, breakers, deadlines.
+"""Self-healing policy primitive: the retry budget and its backoff.
 
 The hypothesis section pins the full-jitter contract — every delay
 falls inside ``[0, min(cap, base * 2**k)]``, envelopes are monotone
 within ``[base, cap]``, and a budget of N attempts yields exactly
 ``N - 1`` backoff delays before exhaustion — so the retry machinery in
-the pool and the broker cannot silently drift into unbounded sleeps.
+the pool and the worker's reconnect loop cannot silently drift into unbounded sleeps.
 """
 
 import random
@@ -13,18 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.policies import CircuitBreaker, Deadline, RetryPolicy
-
-
-class FakeClock:
-    def __init__(self, now: float = 100.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from repro.chaos.policies import RetryPolicy
 
 
 class TestRetryPolicyValidation:
@@ -98,93 +87,3 @@ def test_property_full_jitter_delays_stay_in_envelope(
     envelopes = [policy.envelope_s(i) for i in range(attempts)]
     assert envelopes == sorted(envelopes)  # monotone non-decreasing
     assert all(e <= cap for e in envelopes)
-
-
-class TestDeadline:
-    def test_none_budget_means_no_deadline(self):
-        assert Deadline.after(None) is None
-
-    def test_remaining_counts_down(self):
-        clock = FakeClock()
-        deadline = Deadline.after(10.0, clock)
-        assert deadline.remaining() == pytest.approx(10.0)
-        clock.advance(4.0)
-        assert deadline.remaining() == pytest.approx(6.0)
-        assert not deadline.expired
-
-    def test_remaining_never_negative(self):
-        clock = FakeClock()
-        deadline = Deadline.after(1.0, clock)
-        clock.advance(5.0)
-        assert deadline.remaining() == 0.0
-        assert deadline.expired
-
-
-class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError, match="reset_timeout_s"):
-            CircuitBreaker(reset_timeout_s=0.0)
-
-    def test_opens_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(2, 5.0, clock)
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(2, 5.0, FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_after_reset_timeout(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(1, 5.0, clock)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.advance(5.0)
-        assert breaker.state == "half_open"
-
-    def test_half_open_allows_exactly_one_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(1, 5.0, clock)
-        breaker.record_failure()
-        clock.advance(6.0)
-        assert breaker.allow()       # the probe
-        assert not breaker.allow()   # probe slot consumed
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_failed_probe_reopens_with_fresh_timer(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(1, 5.0, clock)
-        breaker.record_failure()
-        clock.advance(6.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-        clock.advance(4.9)
-        assert breaker.state == "open"
-        clock.advance(0.2)
-        assert breaker.state == "half_open"
-
-    def test_peek_does_not_consume_the_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(1, 5.0, clock)
-        breaker.record_failure()
-        assert not breaker.peek()
-        clock.advance(6.0)
-        assert breaker.peek()
-        assert breaker.peek()  # still available
-        assert breaker.allow()
-        assert not breaker.peek()  # now consumed

@@ -1,11 +1,11 @@
-"""WorkerPool self-healing: crash retries, breakers, deadlines, hedges.
+"""WorkerPool self-healing: crash retries, deadlines, hedges.
 
 Faults are injected through the ``pool.dispatch`` / ``pool.result``
 chaos hooks with scripted handlers (deterministic one-shot directives
 rather than seeded rates), so each recovery path is exercised in
 isolation: a SIGKILLed worker's task is redispatched with backoff, a
-dropped answer is recovered, an expired queued task fails fast, a
-straggler is hedged, and a slot that keeps dying is routed around.
+dropped answer is recovered, an expired queued task fails fast, and a
+straggler is hedged.
 """
 
 import threading
@@ -175,45 +175,6 @@ class TestHedging:
             pool.run(PAYLOAD, hedge_s=30.0)
             assert pool.hedges == 0
             assert pool.hedge_wins == 0
-
-
-class TestCircuitBreakers:
-    def test_dead_slot_opens_and_work_routes_around_it(self):
-        with WorkerPool(2, breaker_failures=1,
-                        breaker_reset_s=60.0) as pool:
-            with hooks.installed(dispatch_script(d0={"kill": True})):
-                first = pool.submit(_sleep_echo, (0.2, "a"))
-                assert first.result(timeout=30) == ("ok", "a")
-            states = pool.stats()["breakers"]
-            assert sorted(states.values()) == ["closed", "open"]
-            # Follow-up work still completes, steered at the healthy
-            # slot (the open one would need a half-open probe).
-            futures = [
-                pool.submit(_sleep_echo, (0.0, i)) for i in range(4)
-            ]
-            for index, future in enumerate(futures):
-                assert future.result(timeout=30) == ("ok", index)
-
-    def test_all_open_fails_open_and_recovers_via_probe(self):
-        with WorkerPool(1, breaker_failures=1,
-                        breaker_reset_s=0.2) as pool:
-            with hooks.installed(dispatch_script(d0={"kill": True})):
-                future = pool.submit(_sleep_echo, (0.2, "healed"))
-                # The only slot's breaker opens on the kill; the retry
-                # waits out the reset and rides the half-open probe.
-                assert future.result(timeout=30) == ("ok", "healed")
-            assert pool.respawns == 1
-            assert pool.stats()["breakers"] == {"0": "closed"}
-
-    def test_breakers_disabled_with_zero_threshold(self):
-        with WorkerPool(1, breaker_failures=0) as pool:
-            future = pool.submit(_sleep_echo, (0.0, "x"))
-            assert future.result(timeout=30) == ("ok", "x")
-            assert pool.stats()["breakers"] == {"0": "closed"}
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError, match="breaker_failures"):
-            WorkerPool(1, breaker_failures=-1)
 
 
 class TestPayloadFaults:

@@ -240,10 +240,6 @@ SERVICE_FLAGS = {
          False, "_StoreAction"),
         (("--worker-authkey",), "worker_authkey", "", None, None, None,
          False, "_StoreAction"),
-        (("--retry-attempts",), "retry_attempts", 3, None, "int", None,
-         False, "_StoreAction"),
-        (("--breaker-failures",), "breaker_failures", 5, None, "int",
-         None, False, "_StoreAction"),
         (("--hedge-s",), "hedge_s", 0.0, None, "float", None, False,
          "_StoreAction"),
         (("--no-degraded",), "no_degraded", False, 0, None, None, False,

@@ -171,7 +171,6 @@ class TestAllSnapshot:
             "BrokerConfig",
             "BrokerMetrics",
             "BrokerServer",
-            "BrokerUnavailableError",
             "SimResponse",
             "WorkerPool",
             "analytic_estimate",
